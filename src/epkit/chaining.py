@@ -96,12 +96,6 @@ class DyadicNets:
     K: int
     levels: list  # DyadicLevel for k = 0..K
 
-    def level(self, k: int) -> DyadicLevel:
-        return self.levels[k]
-
-    def scales(self) -> np.ndarray:
-        return np.asarray([lv.eps for lv in self.levels])
-
 
 def default_depth(s: IndexSet, D: float) -> int:
     """Smallest K >= 1 with eps_K below half the minimal positive distance.
@@ -141,9 +135,8 @@ def build_dyadic_nets(s: IndexSet, D: float = None, K: int = None) -> DyadicNets
     levels = []
     for k in range(K + 1):
         eps_k = D * 2.0 ** (-k)
-        bounds = metric.covering_number_bounds(eps_k / 2.0, ms)
-        levels.append(DyadicLevel(k=k, eps=eps_k, net=bounds.witness,
-                                  card_bound=bounds.upper))
+        net = metric.maximal_packing(eps_k / 2.0, ms, order="farthest")
+        levels.append(DyadicLevel(k=k, eps=eps_k, net=net, card_bound=len(net)))
     return DyadicNets(index_set=s, D=float(D), K=int(K), levels=levels)
 
 

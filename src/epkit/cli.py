@@ -5,7 +5,7 @@ maurey.  One 64-bit seed governs all randomness through labeled substreams,
 so a rerun with the same configuration writes byte-identical reports.
 
 Exit codes: 0 all checks passed, 1 at least one inequality check failed,
-2 usage or configuration error.
+2 usage or configuration error (zero-size configurations included).
 """
 
 from __future__ import annotations
@@ -145,6 +145,10 @@ def _effective_config(args) -> dict:
     for key in ("samples", "trials"):
         if cfg[key] is not None and cfg[key] < 2:
             raise ConfigError(f"{key} must be at least 2")
+    # zero instances, fields or dimensions would pass every check vacuously
+    for key in ("instances", "fields", "d", "n"):
+        if cfg.get(key) is not None and cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1")
     return cfg
 
 
@@ -156,16 +160,25 @@ def _load_metric_set(cfg) -> metric.FiniteMetricSet:
     return metric.FiniteMetricSet.from_points(metric.load_points_csv(cfg["points"]))
 
 
-def _write_reports(collector, cfg, prefix):
+def _write(cfg, name, content) -> Path:
+    """Write one output file under the --out directory: a string as it is, a
+    list of rows as CSV, anything else as sorted, indented JSON."""
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
+    if isinstance(content, list):
+        buf = io.StringIO()
+        csv.writer(buf).writerows(content)
+        content = buf.getvalue()
+    elif not isinstance(content, str):
+        content = json.dumps(content, sort_keys=True, indent=2) + "\n"
+    write_text(out / name, content)
+    return out / name
+
+
+def _write_reports(collector, cfg, prefix):
     if cfg["format"] == "json":
-        path = out / f"{prefix}_reports.json"
-        write_text(path, reports_to_json(collector.reports))
-    else:
-        path = out / f"{prefix}_reports.csv"
-        write_text(path, reports_to_csv(collector.reports))
-    return path
+        return _write(cfg, f"{prefix}_reports.json", reports_to_json(collector.reports))
+    return _write(cfg, f"{prefix}_reports.csv", reports_to_csv(collector.reports))
 
 
 # -- suites -------------------------------------------------------------------
@@ -180,19 +193,17 @@ def run_cover(cfg) -> ReportCollector:
         top = s.diameter if s.diameter > 0 else 1.0
         scales = [top * 2.0 ** (-k) for k in range(cfg["scales"])]
     profile = metric.entropy_profile(s, scales)
-    for eps, count in zip(profile.scales, profile.counts):
-        bounds = metric.covering_number_bounds(float(eps), s)
-        valid = metric.is_epsilon_net(bounds.witness, float(eps), s)
-        col.add(f"net-valid-eps={fmt(float(eps))}", lhs=0.0 if valid else 1.0,
+    for eps, lower, upper in zip(profile.scales, profile.lowers, profile.counts):
+        eps = float(eps)
+        witness = metric.maximal_packing(eps, s, order="farthest")
+        valid = metric.is_epsilon_net(witness, eps, s)
+        col.add(f"net-valid-eps={fmt(eps)}", lhs=0.0 if valid else 1.0,
                 rhs=0.0, stderr=0.0, margin=0.0 if valid else -1.0,
                 seed=cfg["seed"], n_samples=s.n)
-        col.add(f"sandwich-eps={fmt(float(eps))}",
-                lhs=float(bounds.lower), rhs=float(bounds.upper), stderr=0.0,
-                margin=float(bounds.upper - bounds.lower), seed=cfg["seed"],
+        col.add(f"sandwich-eps={fmt(eps)}", lhs=float(lower), rhs=float(upper),
+                stderr=0.0, margin=float(upper - lower), seed=cfg["seed"],
                 n_samples=s.n)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_text(out / "cover_profile.csv", metric.profile_to_csv(profile))
+    _write(cfg, "cover_profile.csv", metric.profile_to_csv(profile))
     return col
 
 
@@ -211,11 +222,7 @@ def run_entropy(cfg) -> ReportCollector:
     rows = [["k", "eps_k", "dyadic_sum_k"]]
     for k in range(K + 1):
         rows.append([k, fmt(D * 2.0 ** (-k)), fmt(metric.dyadic_sum(s, D, k))])
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_text(out / "entropy_sums.csv", buf.getvalue())
+    _write(cfg, "entropy_sums.csv", rows)
     return col
 
 
@@ -225,41 +232,17 @@ def run_discrete_check(cfg) -> ReportCollector:
     violations = []
     for idx in range(cfg["instances"]):
         rng = derive_rng(seed, "discrete-instance", idx)
-        sp = discrete.random_binary_space(rng, n=3)
-        f = rng.uniform(-1.0, 1.0, size=sp.n_outcomes)
-        lhs, rhs = discrete.efron_stein_gap(f, sp)
-        col.add(f"efron-stein-{idx}", lhs, rhs, 0.0, rhs + EXACT_TOL - lhs, seed)
-        y = np.abs(f) + 0.1
-        t = rng.uniform(0.1, 2.0, size=sp.n_outcomes)
-        ent, dual = discrete.entropy_duality_check(y, t, sp)
-        col.add(f"duality-{idx}", dual, ent, 0.0, ent + EXACT_TOL - dual, seed)
-        ent2, dual2 = discrete.entropy_duality_check(y, y, sp)
-        col.add(f"duality-eq-{idx}", dual2, ent2, 0.0,
-                EXACT_TOL - abs(ent2 - dual2), seed)
-        lhs, rhs = discrete.tensorization_gap(y, sp)
-        col.add(f"tensorization-{idx}", lhs, rhs, 0.0, rhs + EXACT_TOL - lhs, seed)
-        joint = discrete.random_joint_pmf(rng, (2, 2, 2))
-        lhs, rhs = discrete.han_inequality_gap(joint)
-        col.add(f"han-{idx}", lhs, rhs, 0.0, rhs + EXACT_TOL - lhs, seed)
-        rad = discrete.FiniteProductSpace.rademacher(3)
-        g = rng.uniform(-1.0, 1.0, size=rad.n_outcomes)
-        lhs, rhs = discrete.bernoulli_lsi_gap(g, rad)
-        col.add(f"bernoulli-lsi-{idx}", lhs, rhs, 0.0, rhs + EXACT_TOL - lhs, seed)
-        if not all(r.passed for r in col.reports[-6:]):
-            inst = discrete.DiscreteInstance(
-                family="instance", supports=[list(s) for s in sp.supports],
-                weights=[list(w) for w in sp.weights], values=list(map(float, f)),
-                aux_values=list(map(float, t)),
-                joint=list(map(float, joint.table.reshape(-1))),
-                shape=joint.table.shape,
-                rademacher_values=list(map(float, g)))
-            violations.append(json.loads(inst.to_json()) | {"index": idx})
+        # the checks read the dumped form, so a violation replays exactly
+        doc = discrete.random_instance(rng).to_dict()
+        gaps = discrete.replay_instance(doc)
+        for family, (lhs, rhs) in gaps.items():
+            margin = (EXACT_TOL - abs(rhs - lhs) if family == "duality_eq"
+                      else rhs + EXACT_TOL - lhs)
+            col.add(f"{family.replace('_', '-')}-{idx}", lhs, rhs, 0.0, margin, seed)
+        if not all(r.passed for r in col.reports[-len(gaps):]):
+            violations.append(doc | {"index": idx})
     if violations:
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        write_text(out / "discrete_violations.json",
-                   json.dumps({"violations": violations}, sort_keys=True,
-                              indent=2) + "\n")
+        _write(cfg, "discrete_violations.json", {"violations": violations})
     return col
 
 
@@ -353,11 +336,7 @@ def run_dudley(cfg) -> ReportCollector:
     rows = [["k", "eps_k", "net_size"]]
     for lv in nets.levels:
         rows.append([lv.k, fmt(lv.eps), len(lv.net)])
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_text(out / "dudley_profile.csv", buf.getvalue())
+    _write(cfg, "dudley_profile.csv", rows)
     return col
 
 
@@ -401,19 +380,14 @@ def run_regress(cfg) -> ReportCollector:
         slope = report.slopes.get(cell.d, float("nan"))
         rows.append([cell.n, cell.d, cell.rank, fmt(cell.delta_star),
                      fmt(cell.median_err), fmt(cell.normalized), fmt(slope)])
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_text(out / "regress_cells.csv", buf.getvalue())
+    _write(cfg, "regress_cells.csv", rows)
     summary = {"schema_version": 1, "class": cfg["cls"], "params": report.params,
                "slopes": {str(k): v for k, v in report.slopes.items()},
                "cells": [{"n": c.n, "d": c.d, "r": c.rank,
                           "delta_star": c.delta_star,
                           "median_err": c.median_err,
                           "normalized": c.normalized} for c in report.cells]}
-    write_text(out / "regress_summary.json",
-               json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write(cfg, "regress_summary.json", summary)
     return col
 
 
@@ -460,15 +434,12 @@ def run_maurey(cfg) -> ReportCollector:
         net_size = len(net.net)
         col.add("net-cardinality", float(net_size), float(bound), 0.0,
                 float(bound - net_size), seed)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     summary = {"schema_version": 1, "k": k, "bound": str(bound),
                "net_size": net_size, "instances": cfg["instances"],
                "max_attempts_seen": max(attempts) if attempts else 0,
                "mean_attempts": float(np.mean(attempts)) if attempts else 0.0,
                "max_observed_error": max_err}
-    write_text(out / "maurey_summary.json",
-               json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write(cfg, "maurey_summary.json", summary)
     return col
 
 

@@ -225,7 +225,8 @@ class DiscreteInstance:
     shape: tuple | None = None
     rademacher_values: list | None = None  # two-point LSI function table
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The form replay_instance reads; unset families are left out."""
         doc = {"family": self.family, "supports": self.supports,
                "weights": self.weights, "values": self.values}
         if self.aux_values is not None:
@@ -235,7 +236,10 @@ class DiscreteInstance:
             doc["shape"] = list(self.shape)
         if self.rademacher_values is not None:
             doc["rademacher_values"] = self.rademacher_values
-        return json.dumps(doc, sort_keys=True)
+        return doc
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def replay_instance(doc: dict) -> dict:
@@ -263,16 +267,17 @@ def replay_instance(doc: dict) -> dict:
     return out
 
 
+def _binary_weights(rng, n) -> list:
+    weights = []
+    for _ in range(n):
+        a = float(rng.uniform(0.05, 0.95))
+        weights.append([a, 1.0 - a])
+    return weights
+
+
 def random_binary_space(rng, n, uniform=False) -> FiniteProductSpace:
-    supports = [[0.0, 1.0]] * n
-    if uniform:
-        weights = [[0.5, 0.5]] * n
-    else:
-        weights = []
-        for _ in range(n):
-            a = float(rng.uniform(0.05, 0.95))
-            weights.append([a, 1.0 - a])
-    return FiniteProductSpace(supports, weights)
+    weights = [[0.5, 0.5]] * n if uniform else _binary_weights(rng, n)
+    return FiniteProductSpace([[0.0, 1.0]] * n, weights)
 
 
 def random_joint_pmf(rng, shape) -> JointPmf:
@@ -281,3 +286,18 @@ def random_joint_pmf(rng, shape) -> JointPmf:
     # renormalize exactly to the tolerance by absorbing rounding into one cell
     raw.flat[0] += 1.0 - raw.sum()
     return JointPmf(raw)
+
+
+def random_instance(rng) -> DiscreteInstance:
+    """One instance of every family: a random product measure on {0,1}^3
+    with a function table and a duality witness on it, a joint pmf on a
+    2x2x2 grid, and a function table on {-1,+1}^3."""
+    weights = _binary_weights(rng, 3)
+    f = rng.uniform(-1.0, 1.0, size=8)
+    t = rng.uniform(0.1, 2.0, size=8)
+    joint = random_joint_pmf(rng, (2, 2, 2)).table
+    g = rng.uniform(-1.0, 1.0, size=8)
+    return DiscreteInstance(
+        family="instance", supports=[[0.0, 1.0]] * 3, weights=weights,
+        values=f.tolist(), aux_values=t.tolist(), joint=joint.reshape(-1).tolist(),
+        shape=joint.shape, rademacher_values=g.tolist())

@@ -171,8 +171,8 @@ def maximal_packing(eps: float, s: FiniteMetricSet, order="index") -> np.ndarray
     if s.n == 0:
         return np.empty(0, dtype=int)
     if isinstance(order, str) and order == "farthest":
-        fps_order, radii = s.farthest_point_order()
-        return fps_order[radii > eps].copy()
+        fps_order, _ = s.farthest_point_order()
+        return fps_order[:covering_counts(s, eps)].copy()
     if isinstance(order, str) and order == "index":
         scan = range(s.n)
     else:
@@ -198,6 +198,24 @@ class CoveringBounds:
                           eps=self.eps)
 
 
+def covering_counts(s: FiniteMetricSet, scales) -> np.ndarray:
+    """Covering upper bounds at a scale or an array of scales: the sizes of
+    the farthest-point maximal packings, i.e. the number of traversal radii
+    above eps.  The radii are nonincreasing, so so are the counts in eps."""
+    scales = np.asarray(scales, dtype=float)
+    if (scales <= 0).any():
+        raise ValueError("eps must be positive")
+    _, radii = s.farthest_point_order()
+    # packing membership is strict (radii > eps), hence side="left"
+    return np.searchsorted(-radii, -scales, side="left")
+
+
+def entropies(counts) -> np.ndarray:
+    """log(count), and 0 where one ball suffices (count <= 1)."""
+    counts = np.asarray(counts)
+    return np.where(counts <= 1, 0.0, np.log(np.maximum(counts, 1)))
+
+
 def covering_number_bounds(eps: float, s: FiniteMetricSet) -> CoveringBounds:
     """Packing sandwich: |packing(2 eps)| <= N(eps) <= |packing(eps)|.
 
@@ -205,9 +223,8 @@ def covering_number_bounds(eps: float, s: FiniteMetricSet) -> CoveringBounds:
     nonincreasing in eps; the witness is the eps-packing itself.
     """
     witness = maximal_packing(eps, s, order="farthest")
-    lower = maximal_packing(2.0 * eps, s, order="farthest")
-    return CoveringBounds(eps=float(eps), lower=len(lower), upper=len(witness),
-                          witness=witness)
+    return CoveringBounds(eps=float(eps), lower=int(covering_counts(s, 2.0 * eps)),
+                          upper=len(witness), witness=witness)
 
 
 def exact_covering_number(eps: float, s: FiniteMetricSet) -> int:
@@ -265,10 +282,7 @@ def metric_entropy(eps: float, s: FiniteMetricSet) -> float:
     The count is the greedy (farthest-point) upper bound, not the exact
     minimum, so entropies are conservative and monotone in eps.
     """
-    count = covering_number_bounds(eps, s).upper
-    if count <= 1:
-        return 0.0
-    return float(np.log(count))
+    return float(entropies(covering_counts(s, eps)))
 
 
 def entropy_integral(s: FiniteMetricSet, D: float, nodes: int = 64,
@@ -297,10 +311,7 @@ def entropy_integral(s: FiniteMetricSet, D: float, nodes: int = 64,
     if D <= floor:
         return float(head)
     grid = np.geomspace(floor, top, num=nodes)
-    # counts at the left endpoints, via the shared traversal radii;
-    # packing membership is strict (radii > eps), hence side="left"
-    counts = np.searchsorted(-radii, -grid[:-1], side="left")
-    ent = np.where(counts <= 1, 0.0, np.log(np.maximum(counts, 1)))
+    ent = entropies(covering_counts(s, grid[:-1]))  # at the left endpoints
     widths = np.clip(np.minimum(D, grid[1:]) - grid[:-1], 0.0, None)
     return float(np.sum(np.sqrt(ent) * widths) + head)
 
@@ -311,10 +322,10 @@ def dyadic_sum(s: FiniteMetricSet, D: float, K: int) -> float:
         raise ValueError("D must be positive")
     if K < 0:
         raise ValueError("K must be nonnegative")
+    scales = D * 2.0 ** (-np.arange(K))
     total = 0.0
-    for k in range(K):
-        eps_k = D * 2.0 ** (-k)
-        total += eps_k * np.sqrt(metric_entropy(eps_k, s))
+    for eps_k, ent in zip(scales, entropies(covering_counts(s, scales))):
+        total += eps_k * np.sqrt(ent)
     return float(total)
 
 
@@ -342,15 +353,9 @@ def entropy_profile(s: FiniteMetricSet, scales) -> EntropyProfile:
     scales = np.asarray(sorted(set(float(e) for e in scales), reverse=True))
     if scales.size == 0 or scales[-1] <= 0:
         raise ValueError("scales must be positive")
-    lowers, counts = [], []
-    for eps in scales:
-        b = covering_number_bounds(eps, s)
-        lowers.append(b.lower)
-        counts.append(b.upper)
-    counts = np.asarray(counts, dtype=int)
-    lowers = np.asarray(lowers, dtype=int)
-    ent = np.where(counts <= 1, 0.0, np.log(np.maximum(counts, 1)))
-    return EntropyProfile(scales=scales, lowers=lowers, counts=counts, entropies=ent)
+    counts = covering_counts(s, scales)
+    return EntropyProfile(scales=scales, lowers=covering_counts(s, 2.0 * scales),
+                          counts=counts, entropies=entropies(counts))
 
 
 def profile_to_csv(profile: EntropyProfile) -> str:
@@ -364,11 +369,14 @@ def profile_to_csv(profile: EntropyProfile) -> str:
 
 
 def load_points_csv(path) -> np.ndarray:
-    """Point cloud from CSV, one point per row; a header row is skipped."""
+    """Point cloud from CSV, one point per row; a header row is skipped.  A
+    file without rows is an error, not an empty set."""
     try:
         pts = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError:
         pts = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+    if pts.size == 0:
+        raise ValueError(f"no points in {path}")
     return pts
 
 

@@ -7,15 +7,24 @@ Conventions.  Designs are n x d arrays; the empirical norm of a value vector
 is its root mean square.  The shifted-class coefficient for the l1 class is
 constrained to the R-ball directly; experiments keep the truth in the ball's
 interior so the shifted class is star-shaped.
+
+Function classes.  ``LinearClass`` and ``L1BallClass`` hold all that differs
+between the two classes, so no experiment branches on the class:
+``solve(X, y)`` is the ERM without random probes, ``inner_sups(X, w, delta,
+rel_tol)`` the supremum of w' X theta / n over the class within the empirical
+delta-ball for each noise row of w, ``reach(X)`` the largest empirical norm
+the class attains, and ``discretize(X, delta, resolution)`` a deterministic
+point cloud in the image of the localized ball.  The class constant ``kind``
+labels the class in derived random streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from . import metric
 from .gaussian import McEstimate
@@ -31,21 +40,6 @@ class BracketError(ValueError):
 
 class HneViolationError(ValueError):
     """The empirical sphere required by a check is empty."""
-
-
-@dataclass(frozen=True)
-class LinearClass:
-    kind: str = "linear"
-
-
-@dataclass(frozen=True)
-class L1BallClass:
-    R: float
-    kind: str = "l1"
-
-    def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("R must be positive")
 
 
 @dataclass
@@ -206,21 +200,15 @@ def solve_ls_l1(X, y, R: float, tol: float = 1e-6, max_iter: int = 5000,
 
 def localized_complexity_linear_exact(X, delta: float, n_samples: int,
                                       seed: int) -> McEstimate:
-    """Closed-form inner supremum for the linear class:
-    per draw, sup over {||X theta|| <= delta sqrt n} of |w' X theta| / n
-    equals (delta / sqrt n) ||P w|| with P the column-space projector."""
+    """Localized complexity of the linear class from its closed-form inner
+    supremum (LinearClass.inner_sups), on a noise stream of its own."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
-    u = col_basis(X)
     rng = derive_rng(seed, "lgc-exact", n, X.shape[1])
     w = rng.standard_normal((n_samples, n))
-    if u.shape[1] == 0:
-        vals = np.zeros(n_samples)
-    else:
-        vals = delta / np.sqrt(n) * np.linalg.norm(w @ u, axis=1)
-    return McEstimate.from_samples(vals)
+    return McEstimate.from_samples(LinearClass().inner_sups(X, w, delta))
 
 
 def l1_localized_sup(X, w, R: float, delta: float, rel_tol: float = 1e-4,
@@ -328,6 +316,96 @@ def l1_localized_sup(X, w, R: float, delta: float, rel_tol: float = 1e-4,
     return best_lb
 
 
+# -- function classes ---------------------------------------------------------
+
+
+def _halton_normals(dim: int, resolution: int):
+    """First `resolution` unscrambled Halton points in [0, 1]^(dim + 1): the
+    first dim coordinates as standard normal quantiles, and the last one."""
+    # imported here: scipy.stats is the heaviest import in epkit and nothing
+    # else needs it, so `import epkit.cli` does not pay for it
+    from scipy.stats import qmc
+
+    pts = qmc.Halton(d=dim + 1, scramble=False).random(resolution)
+    return ndtri(np.clip(pts[:, :dim], 1e-12, 1 - 1e-12)), pts[:, dim]
+
+
+@dataclass(frozen=True)
+class LinearClass:
+    """All linear predictors x -> <theta, x>, theta in R^d."""
+
+    kind: ClassVar[str] = "linear"
+
+    def solve(self, X, y) -> ErmResult:
+        return solve_ls_linear(X, y, probes=0)
+
+    def inner_sups(self, X, w, delta: float, rel_tol: float = 1e-4) -> np.ndarray:
+        """Closed form: per row, sup over {||X theta|| <= delta sqrt n} of
+        |w' X theta| / n equals (delta / sqrt n) ||P w|| with P the
+        column-space projector; being exact, it ignores rel_tol."""
+        return delta / np.sqrt(X.shape[0]) * np.linalg.norm(w @ col_basis(X), axis=1)
+
+    def reach(self, X) -> float:
+        """Every radius when the design has positive rank, none otherwise."""
+        return np.inf if col_basis(X).shape[1] else 0.0
+
+    def discretize(self, X, delta: float, resolution: int) -> np.ndarray:
+        """Halton directions in the column space, radii spread uniformly in
+        volume up to delta."""
+        n = X.shape[0]
+        u = col_basis(X)
+        r = u.shape[1]
+        if r == 0:
+            return np.zeros((1, n))
+        z, last = _halton_normals(r, resolution)
+        if r == 1:
+            dirs = np.sign(z)
+            dirs[dirs == 0] = 1.0
+        else:
+            dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
+        radii = delta * last ** (1.0 / r)
+        cloud = (radii[:, None] * dirs) @ u.T
+        return np.vstack([np.zeros((1, n)), cloud])
+
+
+@dataclass(frozen=True)
+class L1BallClass:
+    """Linear predictors with ||theta||_1 <= R."""
+
+    R: float
+    kind: ClassVar[str] = "l1"
+
+    def __post_init__(self):
+        if self.R <= 0:
+            raise ValueError("R must be positive")
+
+    def solve(self, X, y) -> ErmResult:
+        return solve_ls_l1(X, y, self.R, probes=0)
+
+    def inner_sups(self, X, w, delta: float, rel_tol: float = 1e-4) -> np.ndarray:
+        """Dual conditional gradient per row (l1_localized_sup)."""
+        return np.asarray([l1_localized_sup(X, row, self.R, delta, rel_tol=rel_tol)
+                           for row in w])
+
+    def reach(self, X) -> float:
+        """R max_j ||X_j|| / sqrt(n), attained at a signed vertex."""
+        return self.R * float(np.max(np.linalg.norm(X, axis=0))) / np.sqrt(X.shape[0])
+
+    def discretize(self, X, delta: float, resolution: int) -> np.ndarray:
+        """Halton points of the l1 ball plus its vertices, mapped to values
+        and shrunk radially into the empirical delta-ball."""
+        n, d = X.shape
+        z, last = _halton_normals(d, resolution)
+        l1 = np.abs(z).sum(axis=1)
+        thetas = self.R * last[:, None] * z / np.where(l1 > 0, l1, 1.0)[:, None]
+        vertices = self.R * np.vstack([np.eye(d), -np.eye(d)])
+        thetas = np.vstack([thetas, vertices])
+        img = thetas @ X.T / np.sqrt(n)
+        norms = np.linalg.norm(img, axis=1)
+        shrink = np.minimum(1.0, delta / np.where(norms > 0, norms, 1.0))
+        return np.vstack([np.zeros((1, n)), shrink[:, None] * img])
+
+
 def localized_complexity_mc(X, cls, delta: float, n_samples: int,
                             seed: int, rel_tol: float = 1e-4) -> McEstimate:
     """Monte Carlo localized complexity: per noise draw the inner supremum is
@@ -343,18 +421,7 @@ def localized_complexity_mc(X, cls, delta: float, n_samples: int,
     n = X.shape[0]
     rng = derive_rng(seed, "lgc-mc", n, X.shape[1], cls.kind)
     w = rng.standard_normal((n_samples, n))
-    if cls.kind == "linear":
-        u = col_basis(X)
-        if u.shape[1] == 0:
-            vals = np.zeros(n_samples)
-        else:
-            vals = delta / np.sqrt(n) * np.linalg.norm(w @ u, axis=1)
-    elif cls.kind == "l1":
-        vals = np.empty(n_samples)
-        for i in range(n_samples):
-            vals[i] = l1_localized_sup(X, w[i], cls.R, delta, rel_tol=rel_tol)
-    else:
-        raise ValueError(f"unknown class kind {cls.kind!r}")
+    vals = cls.inner_sups(X, w, delta, rel_tol)
     if not np.isfinite(vals).all():
         raise HneViolationError("inner supremum not finite on some draw")
     return McEstimate.from_samples(vals)
@@ -388,19 +455,9 @@ def critical_radius(model: RegressionModel, cls, bracket, n_samples: int = 2000,
     X = model.x
     n = model.n
     panel = derive_rng(seed, "cr-panel", n, model.d).standard_normal((n_samples, n))
-    if cls.kind == "linear":
-        u = col_basis(X)
-        m = float(np.mean(np.linalg.norm(panel @ u, axis=1))) if u.shape[1] else 0.0
 
-        def g(delta):
-            return delta * m / np.sqrt(n)
-    elif cls.kind == "l1":
-        def g(delta):
-            vals = [l1_localized_sup(X, panel[i], cls.R, delta, rel_tol=rel_tol)
-                    for i in range(n_samples)]
-            return float(np.mean(vals))
-    else:
-        raise ValueError(f"unknown class kind {cls.kind!r}")
+    def g(delta):
+        return float(np.mean(cls.inner_sups(X, panel, delta, rel_tol)))
 
     def h(delta):
         return g(delta) / delta - delta / (2.0 * model.sigma)
@@ -432,9 +489,9 @@ def critical_radius(model: RegressionModel, cls, bracket, n_samples: int = 2000,
                           ratio_monotone=monotone)
 
 
-def auto_bracket(model: RegressionModel, cls, n_samples: int = 2000,
-                 seed: int = 0) -> tuple:
-    """A bracket [lo, hi] straddling the critical radius, by doubling."""
+def auto_bracket(model: RegressionModel) -> tuple:
+    """A bracket [lo, hi] for the critical radius of either class, in closed
+    form: hi = 4 sigma sqrt(rank / n) + sigma, lo = 1e-6 hi."""
     n = model.n
     r = max(design_rank(model.x), 1)
     hi = 4.0 * model.sigma * np.sqrt(r / n) + model.sigma
@@ -445,21 +502,13 @@ def auto_bracket(model: RegressionModel, cls, n_samples: int = 2000,
 # -- error-bound experiment ---------------------------------------------------
 
 
-def _solve_erm(X, y, cls, tol=1e-6, max_iter=5000):
-    if cls.kind == "linear":
-        return solve_ls_linear(X, y, probes=0)
-    if cls.kind == "l1":
-        return solve_ls_l1(X, y, cls.R, tol=tol, max_iter=max_iter, probes=0)
-    raise ValueError(f"unknown class kind {cls.kind!r}")
-
-
 def master_bound_experiment(model: RegressionModel, cls, t: float, trials: int,
                             seed: int, delta_star: float = None,
                             n_samples: int = 2000):
     """(frequency of squared error >= 16 t delta_star, exp(-n t delta_star /
     (2 sigma^2))) over independent noise draws."""
     if delta_star is None:
-        delta_star = critical_radius(model, cls, auto_bracket(model, cls),
+        delta_star = critical_radius(model, cls, auto_bracket(model),
                                      n_samples=n_samples, seed=seed).delta_star
     if t < delta_star * (1 - 1e-12):
         raise ValueError("t must be at least the critical radius")
@@ -468,7 +517,7 @@ def master_bound_experiment(model: RegressionModel, cls, t: float, trials: int,
     for trial in range(trials):
         w = derive_rng(seed, "mbe-trial", trial).standard_normal(model.n)
         y = model.response(w)
-        res = _solve_erm(X, y, cls)
+        res = cls.solve(X, y)
         err_sq = empirical_norm(X @ (res.theta - model.theta_star)) ** 2
         hits[trial] = 1.0 if err_sq >= 16.0 * t * delta_star else 0.0
     freq = McEstimate.from_samples(hits)
@@ -482,9 +531,8 @@ def estimate_bad_event_probability(model: RegressionModel, cls, u: float,
     """Frequency of {sup over the radius-u localized set of |sigma w'Xtheta/n|
     >= threshold}, threshold defaulting to 2 u^2.
 
-    Nonemptiness of the empirical sphere at radius u is checked first: the
-    linear class reaches any radius when the design has positive rank; the
-    l1 class reaches radii up to R max_j ||X_j|| / sqrt(n).
+    Nonemptiness of the empirical sphere at radius u is checked first
+    against the class's reach.
     """
     if u <= 0:
         raise ValueError("u must be positive")
@@ -492,22 +540,12 @@ def estimate_bad_event_probability(model: RegressionModel, cls, u: float,
         threshold = 2.0 * u ** 2
     X = model.x
     n = model.n
-    if cls.kind == "linear":
-        basis = col_basis(X)
-        if basis.shape[1] == 0:
-            raise HneViolationError("zero design: the empirical sphere is empty")
-        w = derive_rng(seed, "bad-event", n).standard_normal((trials, n))
-        sups = model.sigma * u / np.sqrt(n) * np.linalg.norm(w @ basis, axis=1)
-    elif cls.kind == "l1":
-        reach = cls.R * float(np.max(np.linalg.norm(X, axis=0))) / np.sqrt(n)
-        if u > reach * (1 + 1e-12):
-            raise HneViolationError(
-                f"radius {u:.6g} exceeds the attainable norm {reach:.6g}")
-        w = derive_rng(seed, "bad-event", n).standard_normal((trials, n))
-        sups = np.asarray([model.sigma * l1_localized_sup(X, w[i], cls.R, u)
-                           for i in range(trials)])
-    else:
-        raise ValueError(f"unknown class kind {cls.kind!r}")
+    reach = cls.reach(X)
+    if u > reach * (1 + 1e-12):
+        raise HneViolationError(
+            f"radius {u:.6g} exceeds the attainable norm {reach:.6g}")
+    w = derive_rng(seed, "bad-event", n).standard_normal((trials, n))
+    sups = model.sigma * cls.inner_sups(X, w, u)
     return McEstimate.from_samples((sups >= threshold).astype(float))
 
 
@@ -517,38 +555,8 @@ def estimate_bad_event_probability(model: RegressionModel, cls, u: float,
 def discretize_localized_ball(X, cls, delta: float, resolution: int = 200) -> np.ndarray:
     """Deterministic low-discrepancy point cloud in the empirical-metric image
     of the localized ball (rows are value vectors divided by sqrt(n))."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    if cls.kind == "linear":
-        u = col_basis(X)
-        r = u.shape[1]
-        if r == 0:
-            return np.zeros((1, n))
-        halton = qmc.Halton(d=r + 1, scramble=False)
-        pts = halton.random(resolution)
-        z = ndtri(np.clip(pts[:, :r], 1e-12, 1 - 1e-12))
-        if r == 1:
-            dirs = np.sign(z)
-            dirs[dirs == 0] = 1.0
-        else:
-            dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
-        radii = delta * pts[:, r] ** (1.0 / r)
-        cloud = (radii[:, None] * dirs) @ u.T
-        return np.vstack([np.zeros((1, n)), cloud])
-    if cls.kind == "l1":
-        d = X.shape[1]
-        halton = qmc.Halton(d=d + 1, scramble=False)
-        pts = halton.random(resolution)
-        z = ndtri(np.clip(pts[:, :d], 1e-12, 1 - 1e-12))
-        l1 = np.abs(z).sum(axis=1)
-        thetas = cls.R * pts[:, d:d + 1] * z / np.where(l1 > 0, l1, 1.0)[:, None]
-        vertices = cls.R * np.vstack([np.eye(d), -np.eye(d)])
-        thetas = np.vstack([thetas, vertices])
-        img = thetas @ X.T / np.sqrt(n)
-        norms = np.linalg.norm(img, axis=1)
-        shrink = np.minimum(1.0, delta / np.where(norms > 0, norms, 1.0))
-        return np.vstack([np.zeros((1, n)), shrink[:, None] * img])
-    raise ValueError(f"unknown class kind {cls.kind!r}")
+    return cls.discretize(np.atleast_2d(np.asarray(X, dtype=float)), delta,
+                          resolution)
 
 
 def dudley_capacity_bound(X, cls, delta: float, resolution: int = 200,
@@ -626,8 +634,7 @@ def linear_rate_experiment(grid, sigma: float, trials: int, seed: int,
             rng = derive_rng(seed, "lin-rate-model", n, d)
             model = RegressionModel(x=rng.standard_normal((n, d)),
                                     theta_star=np.zeros(d), sigma=sigma)
-            dstar = critical_radius(model, LinearClass(),
-                                    auto_bracket(model, LinearClass()),
+            dstar = critical_radius(model, LinearClass(), auto_bracket(model),
                                     n_samples=500, seed=seed).delta_star
         cells.append(RateCell(n=n, d=d, rank=rank_seen, delta_star=float(dstar),
                               median_err=float(np.median(errs)),

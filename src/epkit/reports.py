@@ -4,9 +4,8 @@ A CheckReport records one verified inequality: lhs, rhs, Monte Carlo standard
 error (0 for exact checks), and the margin left by the owning contract.  The
 verdict is pass iff margin >= 0.
 
-File output is deterministic: identical inputs produce byte-identical files.
-Wall time is kept on the object for console diagnostics but is never written
-to report files, because timing would break rerun byte-equality.
+File output is deterministic: identical inputs produce byte-identical files,
+so no timing is ever written to a report.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ class CheckReport:
     margin: float
     seed: int
     n_samples: int = 0
-    wall_time: float = 0.0  # console only, never serialized
 
     @property
     def passed(self) -> bool:
@@ -61,7 +59,7 @@ def reports_to_csv(reports) -> str:
     return buf.getvalue()
 
 
-def reports_to_json(reports, extra: dict | None = None) -> str:
+def reports_to_json(reports) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "reports": [
@@ -78,8 +76,6 @@ def reports_to_json(reports, extra: dict | None = None) -> str:
             for r in reports
         ],
     }
-    if extra:
-        doc.update(extra)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -195,7 +195,7 @@ class TestCriterion5Regression:
         model = rg.RegressionModel(x=rng.standard_normal((50, 5)),
                                    theta_star=rng.standard_normal(5), sigma=1.0)
         cr = rg.critical_radius(model, rg.LinearClass(),
-                                rg.auto_bracket(model, rg.LinearClass()),
+                                rg.auto_bracket(model),
                                 n_samples=2000, seed=SEED)
         for t in (cr.delta_star, 2 * cr.delta_star):
             freq, bound = rg.master_bound_experiment(

@@ -2,11 +2,15 @@
 handling, and byte-identical reruns."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epkit import cli
+from epkit import cli, discrete
 from epkit.reports import CheckReport, ReportCollector
 
 
@@ -52,6 +56,25 @@ class TestExitCodes:
         assert cli.main(["discrete-check", "--config",
                          str(tmp_path / "absent.json"),
                          "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["discrete-check", "--instances", "0"],
+        ["maurey", "--instances", "0"],
+        ["maurey", "--d", "0"],
+        ["gauss-check", "--fields", "0"],
+        ["regress", "--d", "0"],
+        ["cover", "--points", "EMPTY"],
+        ["entropy", "--points", "EMPTY"],
+        ["dudley", "--points", "EMPTY"],
+    ])
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    def test_zero_size_config(self, argv, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        argv = [str(empty) if a == "EMPTY" else a for a in argv]
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestCover:
@@ -200,3 +223,32 @@ class TestReproducibility:
                          "--instances", "3", "--out", str(out)]) == 0
         lines = (out / "discrete_check_reports.csv").read_text().splitlines()
         assert len(lines) == 1 + 3 * 6
+
+
+class TestDiscreteReplay:
+    def test_dumped_violations_replay_to_the_reported_values(self, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.setattr(cli, "EXACT_TOL", -1.0)  # every check fails
+        out = tmp_path / "viol"
+        assert cli.main(["discrete-check", "--instances", "3", "--seed", "3",
+                         "--format", "json", "--out", str(out)]) == 1
+        reports = json.loads((out / "discrete_check_reports.json").read_text())
+        rows = {r["check"]: (r["lhs"], r["rhs"]) for r in reports["reports"]}
+        dump = json.loads((out / "discrete_violations.json").read_text())
+        assert [v["index"] for v in dump["violations"]] == [0, 1, 2]
+        replayed = 0
+        for v in dump["violations"]:
+            for family, pair in discrete.replay_instance(v).items():
+                assert rows[f"{family.replace('_', '-')}-{v['index']}"] == pair
+                replayed += 1
+        assert replayed == len(rows) == 18
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, epkit.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

@@ -281,7 +281,7 @@ class TestMasterBound:
 
     def test_contract_at_critical_radius(self, small_model):
         cr = rg.critical_radius(small_model, rg.LinearClass(),
-                                rg.auto_bracket(small_model, rg.LinearClass()),
+                                rg.auto_bracket(small_model),
                                 n_samples=2000, seed=SEED)
         freq, bound = rg.master_bound_experiment(
             small_model, rg.LinearClass(), t=cr.delta_star, trials=500,
