@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import metric
-from .gaussian import McEstimate
+from .gaussian import McEstimate, three_sigma_margin
 from .rng import derive_rng
 
 STAGE1_CONST = 6.0 * np.sqrt(2.0)
@@ -236,7 +236,8 @@ class MgfRow:
     def margin(self) -> float:
         if self.overflow:
             return -np.inf
-        return self.bound + 3.0 * self.stderr - self.empirical
+        return three_sigma_margin(McEstimate(self.empirical, self.stderr, 0),
+                                  self.bound)
 
 
 def subgaussian_process_check(s: IndexSet, proc: CanonicalProcess, pairs,
@@ -284,9 +285,14 @@ class DenseSupCheck:
     gap_bound: float   # sigma * mesh * E||w||
 
     @property
+    def gap(self) -> McEstimate:
+        """The rise of the expected supremum under refinement."""
+        return McEstimate(self.fine.mean - self.coarse.mean,
+                          self.coarse.stderr + self.fine.stderr, self.fine.n_samples)
+
+    @property
     def margin(self) -> float:
-        slack = 3.0 * (self.coarse.stderr + self.fine.stderr)
-        return self.gap_bound + slack - (self.fine.mean - self.coarse.mean)
+        return three_sigma_margin(self.gap, self.gap_bound)
 
 
 def dense_sequence_sup_check(coarse: IndexSet, fine: IndexSet,

@@ -4,8 +4,13 @@ Subcommands: cover, entropy, discrete-check, gauss-check, dudley, regress,
 maurey.  One 64-bit seed governs all randomness through labeled substreams,
 so a rerun with the same configuration writes byte-identical reports.
 
+Every option is declared once, in ``OPTIONS`` or ``COMMON``; the parser, the
+defaults and the validation of flag and config-file values come from there.
+
 Exit codes: 0 all checks passed, 1 at least one inequality check failed,
-2 usage or configuration error (zero-size configurations included).
+2 usage or configuration error (a value of the wrong type, outside its
+choices or below its bound, a zero-size configuration, a point cloud whose
+diameter is 0), 3 internal error.
 """
 
 from __future__ import annotations
@@ -16,13 +21,14 @@ import io
 import json
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import chaining, discrete, fields, gaussian, maurey, metric, regression
 from .reports import ReportCollector, fmt, reports_to_csv, reports_to_json, write_text
-from .rng import derive_rng
+from .rng import derive_rng, gaussian_design, l1_ball_point
 
 EXACT_TOL = 1e-10
 
@@ -33,21 +39,45 @@ class ConfigError(ValueError):
 
 # -- configuration ------------------------------------------------------------
 
-COMMON_DEFAULTS = {"seed": 0, "samples": 100000, "trials": 200,
-                   "out": ".", "format": "csv", "config": None}
 
-SUITE_DEFAULTS = {
-    "cover": {"points": None, "dist_matrix": False, "eps": None, "scales": 8},
-    "entropy": {"points": None, "dist_matrix": False, "D": None, "K": None,
-                "nodes": 64},
-    "discrete-check": {"instances": 200},
-    "gauss-check": {"fields": 20},
-    "dudley": {"points": None, "sigma": 1.0, "D": None, "K": None,
-               "refine": None},
-    "regress": {"cls": "linear", "grid": None, "n": 64, "d": 8, "R": 1.0,
-                "sigma": 1.0},
-    "maurey": {"d": 3, "n": 20, "R": 1.0, "eps": 0.5, "instances": 200},
+# A suite option: config key, type (int, float, str, bool) or tuple of choices,
+# default, smallest accepted value (a float must exceed it), and help.  Its
+# flag is the key with - for _, except --class for cls.
+Option = namedtuple("Option", "name type default low help")
+
+_POINTS = Option("points", str, None, None, "CSV file, one point per row")
+_DIST_MATRIX = Option("dist_matrix", bool, False, None, "--points holds distances")
+_D = Option("D", float, None, 0.0, "diameter bound; default: the diameter")
+_R = Option("R", float, 1.0, 0.0, "radius of the l1 ball")
+_SIGMA = Option("sigma", float, 1.0, 0.0, "scale of the Gaussian noise")
+_INSTANCES = Option("instances", int, 200, 1, "random instances")
+COMMON = (Option("seed", int, 0, None, "seed of every random stream"),
+          Option("samples", int, 100000, 2, "Monte Carlo samples per estimate"),
+          Option("trials", int, 200, 2, "regression trials per cell"),
+          Option("out", str, ".", None, "directory of the output files"),
+          Option("format", ("csv", "json"), "csv", None, "report file format"),
+          Option("config", str, None, None, "JSON file of option values"))
+OPTIONS = {
+    "cover": (_POINTS, _DIST_MATRIX,
+              Option("eps", str, None, None, "comma-separated scales; default dyadic"),
+              Option("scales", int, 8, 1, "number of dyadic scales")),
+    "entropy": (_POINTS, _DIST_MATRIX, _D,
+                Option("K", int, 8, 0, "deepest dyadic sum"),
+                Option("nodes", int, 64, None, "quadrature nodes of the integral")),
+    "discrete-check": (_INSTANCES,),
+    "gauss-check": (Option("fields", int, 20, 1, "fields per battery"),),
+    "dudley": (_POINTS, _SIGMA, _D, Option("K", int, None, 0, "depth of the nets"),
+               Option("refine", str, None, None, "finer cloud containing --points")),
+    "regress": (Option("cls", ("linear", "l1"), "linear", None, "function class"),
+                Option("grid", str, None, None, "cells as n1:d1,n2:d2,..."),
+                Option("n", int, 64, 1, "observations without --grid"),
+                Option("d", int, 8, 1, "dimension without --grid"), _R, _SIGMA),
+    "maurey": (Option("d", int, 3, 1, "dictionary columns"),
+               Option("n", int, 20, 1, "dictionary rows"), _R,
+               Option("eps", float, 0.5, 0.0, "target distance"), _INSTANCES),
 }
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+               str: (str, "a string"), bool: (bool, "true or false")}
 
 
 def _build_parser():
@@ -55,109 +85,74 @@ def _build_parser():
         prog="epkit",
         description="numerical verification suites for covering numbers, "
                     "chaining, concentration, and localized regression")
-    sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--config", type=str, default=None)
-
-    p = sub.add_parser("cover", help="covering/packing profile of a point cloud")
-    p.add_argument("--points", type=str, default=None)
-    p.add_argument("--dist-matrix", dest="dist_matrix", action="store_true",
-                   default=None)
-    p.add_argument("--eps", type=str, default=None,
-                   help="comma-separated scales; default: dyadic from the diameter")
-    p.add_argument("--scales", type=int, default=None,
-                   help="number of auto dyadic scales")
-    common(p)
-
-    p = sub.add_parser("entropy", help="entropy integral and dyadic sums")
-    p.add_argument("--points", type=str, default=None)
-    p.add_argument("--dist-matrix", dest="dist_matrix", action="store_true",
-                   default=None)
-    p.add_argument("--D", type=float, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--nodes", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("discrete-check", help="exact product-space inequalities")
-    p.add_argument("--instances", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("gauss-check", help="Gaussian Monte Carlo inequality suite")
-    p.add_argument("--fields", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("dudley", help="dyadic chaining suite on a point cloud")
-    p.add_argument("--points", type=str, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--D", type=float, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--refine", type=str, default=None,
-                   help="optional CSV of a finer cloud for the dense-sup check")
-    common(p)
-
-    p = sub.add_parser("regress", help="localized least-squares rate suite")
-    p.add_argument("--class", dest="cls", choices=("linear", "l1"), default=None)
-    p.add_argument("--grid", type=str, default=None,
-                   help="cells as n1:d1,n2:d2,...")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    common(p)
-
-    p = sub.add_parser("maurey", help="l1-hull sparsification suite")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--instances", type=int, default=None)
-    common(p)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for cmd, options in OPTIONS.items():
+        p = sub.add_parser(cmd, help=SUITES[cmd].__doc__)
+        for opt in options + COMMON:
+            kind = ({"action": "store_true"} if opt.type is bool
+                    else {"choices": opt.type} if isinstance(opt.type, tuple)
+                    else {"type": opt.type})
+            spelled = "class" if opt.name == "cls" else opt.name.replace("_", "-")
+            p.add_argument("--" + spelled, dest=opt.name, default=None, help=opt.help,
+                           **kind)
     return parser
 
 
+def _check(opt: Option, value) -> None:
+    """Reject a wrong JSON type, a value outside the choices or below the bound."""
+    if value is None and opt.default is None:
+        return
+    if isinstance(opt.type, tuple):
+        ok, what = value in opt.type, "one of " + ", ".join(opt.type)
+    else:
+        kinds, what = _JSON_TYPES[opt.type]
+        ok = (isinstance(value, kinds)
+              and isinstance(value, bool) == (opt.type is bool))
+    if not ok:
+        raise ConfigError(f"{opt.name} must be {what}, not {value!r}")
+    strict = opt.type is float
+    if opt.low is not None and not (value > opt.low if strict else value >= opt.low):
+        bound = f"greater than {opt.low}" if strict else f"at least {opt.low}"
+        raise ConfigError(f"{opt.name} must be {bound}")
+
+
 def _effective_config(args) -> dict:
-    cmd = args.command
-    cfg = dict(COMMON_DEFAULTS)
-    cfg.update(SUITE_DEFAULTS[cmd])
+    options = OPTIONS[args.command] + COMMON
+    cfg = {opt.name: opt.default for opt in options}
     if args.config is not None:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("the config file must hold a JSON object")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
-            raise ConfigError(f"unknown config keys for {cmd}: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys for {args.command}: "
+                              f"{sorted(unknown)}")
         cfg.update(file_cfg)
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if cfg["seed"] is None:
-        raise ConfigError("a seed is required")
-    for key in ("samples", "trials"):
-        if cfg[key] is not None and cfg[key] < 2:
-            raise ConfigError(f"{key} must be at least 2")
-    # zero instances, fields or dimensions would pass every check vacuously
-    for key in ("instances", "fields", "d", "n"):
-        if cfg.get(key) is not None and cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1")
+    for opt in options:
+        if getattr(args, opt.name) is not None:
+            cfg[opt.name] = getattr(args, opt.name)
+        _check(opt, cfg[opt.name])
     return cfg
 
 
+def _nondegenerate(s):
+    """s, unless its diameter is 0, where every check would pass vacuously."""
+    if not s.diameter > 0:
+        raise ConfigError(f"the point cloud has diameter {s.diameter:g}")
+    return s
+
+
 def _load_metric_set(cfg) -> metric.FiniteMetricSet:
-    if not cfg.get("points"):
+    if not cfg["points"]:
         raise ConfigError("this suite requires --points")
-    if cfg.get("dist_matrix"):
-        return metric.load_distance_matrix_csv(cfg["points"])
-    return metric.FiniteMetricSet.from_points(metric.load_points_csv(cfg["points"]))
+    if cfg["dist_matrix"]:
+        return _nondegenerate(metric.load_distance_matrix_csv(cfg["points"]))
+    points = metric.load_points_csv(cfg["points"])
+    return _nondegenerate(metric.FiniteMetricSet.from_points(points))
 
 
 def _write(cfg, name, content) -> Path:
@@ -175,23 +170,24 @@ def _write(cfg, name, content) -> Path:
     return out / name
 
 
-def _write_reports(collector, cfg, prefix):
-    if cfg["format"] == "json":
-        return _write(cfg, f"{prefix}_reports.json", reports_to_json(collector.reports))
-    return _write(cfg, f"{prefix}_reports.csv", reports_to_csv(collector.reports))
+def _add_mc(col, check, lhs, rhs, seed, n_samples):
+    """Record the Monte Carlo contract lhs <= rhs + 3 combined stderr."""
+    rhs = gaussian.as_estimate(rhs)
+    col.add(check, lhs.mean, rhs.mean, lhs.stderr + rhs.stderr,
+            gaussian.three_sigma_margin(lhs, rhs), seed, n_samples)
 
 
 # -- suites -------------------------------------------------------------------
 
 
 def run_cover(cfg) -> ReportCollector:
+    """covering/packing profile of a point cloud"""
     s = _load_metric_set(cfg)
     col = ReportCollector()
     if cfg["eps"]:
-        scales = [float(tok) for tok in str(cfg["eps"]).split(",")]
+        scales = [float(tok) for tok in cfg["eps"].split(",")]
     else:
-        top = s.diameter if s.diameter > 0 else 1.0
-        scales = [top * 2.0 ** (-k) for k in range(cfg["scales"])]
+        scales = [s.diameter * 2.0 ** (-k) for k in range(cfg["scales"])]
     profile = metric.entropy_profile(s, scales)
     for eps, lower, upper in zip(profile.scales, profile.lowers, profile.counts):
         eps = float(eps)
@@ -208,9 +204,10 @@ def run_cover(cfg) -> ReportCollector:
 
 
 def run_entropy(cfg) -> ReportCollector:
+    """entropy integral and dyadic sums"""
     s = _load_metric_set(cfg)
     col = ReportCollector()
-    D = cfg["D"] if cfg["D"] else (s.diameter if s.diameter > 0 else 1.0)
+    D = cfg["D"] or s.diameter
     nodes = cfg["nodes"]
     integral = metric.entropy_integral(s, D, nodes=nodes)
     half = metric.entropy_integral(s, D / 2.0, nodes=nodes)
@@ -218,15 +215,15 @@ def run_entropy(cfg) -> ReportCollector:
             margin=integral, seed=cfg["seed"], n_samples=s.n)
     col.add("entropy-integral-monotone-D", lhs=half, rhs=integral, stderr=0.0,
             margin=integral - half, seed=cfg["seed"], n_samples=s.n)
-    K = cfg["K"] if cfg["K"] is not None else 8
     rows = [["k", "eps_k", "dyadic_sum_k"]]
-    for k in range(K + 1):
+    for k in range(cfg["K"] + 1):
         rows.append([k, fmt(D * 2.0 ** (-k)), fmt(metric.dyadic_sum(s, D, k))])
     _write(cfg, "entropy_sums.csv", rows)
     return col
 
 
 def run_discrete_check(cfg) -> ReportCollector:
+    """exact product-space inequalities"""
     col = ReportCollector()
     seed = cfg["seed"]
     violations = []
@@ -247,29 +244,24 @@ def run_discrete_check(cfg) -> ReportCollector:
 
 
 def run_gauss_check(cfg) -> ReportCollector:
+    """Gaussian Monte Carlo inequality suite"""
     col = ReportCollector()
-    seed, n = cfg["seed"], cfg["samples"]
-    count = cfg["fields"]
+    seed, n, count = cfg["seed"], cfg["samples"], cfg["fields"]
     for f in fields.poincare_battery(count, seed):
-        lhs, rhs = gaussian.poincare_gap(f, n, seed)
-        col.add(f"poincare/{f.name}", lhs.mean, rhs.mean, lhs.stderr + rhs.stderr,
-                gaussian.three_sigma_margin(lhs, rhs), seed, n)
+        _add_mc(col, f"poincare/{f.name}", *gaussian.poincare_gap(f, n, seed),
+                seed, n)
     for f in fields.lsi_battery(count, seed):
-        lhs, rhs = gaussian.gaussian_lsi_gap(f, n, seed)
-        col.add(f"lsi/{f.name}", lhs.mean, rhs.mean, lhs.stderr + rhs.stderr,
-                gaussian.three_sigma_margin(lhs, rhs), seed, n)
+        _add_mc(col, f"lsi/{f.name}", *gaussian.gaussian_lsi_gap(f, n, seed),
+                seed, n)
     for f in fields.lipschitz_battery(count, seed):
-        lam = 0.5 / f.lipschitz
-        lhs, rhs = gaussian.herbst_cgf_gap(f, lam, n, seed)
-        col.add(f"herbst/{f.name}", lhs.mean, rhs, lhs.stderr,
-                rhs + 3.0 * lhs.stderr - lhs.mean, seed, n)
-        tail, bound = gaussian.lipschitz_tail_gap(f, f.lipschitz, n, seed)
-        col.add(f"tail/{f.name}", tail.mean, bound, tail.stderr,
-                bound + 3.0 * tail.stderr - tail.mean, seed, n)
+        _add_mc(col, f"herbst/{f.name}",
+                *gaussian.herbst_cgf_gap(f, 0.5 / f.lipschitz, n, seed), seed, n)
+        # the tail estimate holds n - n // 2 samples; the report gives n
+        _add_mc(col, f"tail/{f.name}",
+                *gaussian.lipschitz_tail_gap(f, f.lipschitz, n, seed), seed, n)
     for m in (1, 2, 16):
-        emax, bound = gaussian.finite_max_bound_check(m, np.ones(m), n, seed)
-        col.add(f"finite-max/m={m}", emax.mean, bound, emax.stderr,
-                bound + 3.0 * emax.stderr - emax.mean, seed, n)
+        _add_mc(col, f"finite-max/m={m}",
+                *gaussian.finite_max_bound_check(m, np.ones(m), n, seed), seed, n)
     grid = np.linspace(-2.0, 2.0, 81)
     for eps in (0.1, 0.05):
         _, sup_err, c_rho = gaussian.mollify_1d(np.abs, 1.0, eps, grid)
@@ -280,12 +272,13 @@ def run_gauss_check(cfg) -> ReportCollector:
 
 
 def run_dudley(cfg) -> ReportCollector:
+    """dyadic chaining suite on a point cloud"""
     col = ReportCollector()
     seed, n_samples = cfg["seed"], cfg["samples"]
-    pts = metric.load_points_csv(cfg["points"]) if cfg.get("points") else None
-    if pts is None:
+    if not cfg["points"]:
         raise ConfigError("dudley requires --points")
-    s = chaining.IndexSet(points=pts, basepoint=0)
+    s = _nondegenerate(chaining.IndexSet(points=metric.load_points_csv(cfg["points"]),
+                                         basepoint=0))
     proc = chaining.CanonicalProcess(sigma=cfg["sigma"])
     nets = chaining.build_dyadic_nets(s, D=cfg["D"], K=cfg["K"])
     for lv in nets.levels:
@@ -308,30 +301,26 @@ def run_dudley(cfg) -> ReportCollector:
             seed, 100)
     if nets.K >= 1:
         esup, bound = chaining.stage1_bound_check(nets, proc, n_samples, seed)
-        col.add("stage1", esup.mean, bound, esup.stderr,
-                bound + 3.0 * esup.stderr - esup.mean, seed, n_samples)
-    esup, rhs = chaining.dudley_bound_check(s, proc, n_samples, seed, D=cfg["D"])
-    col.add("entropy-integral-bound", esup.mean, rhs, esup.stderr,
-            rhs + 3.0 * esup.stderr - esup.mean, seed, n_samples)
+        _add_mc(col, "stage1", esup, bound, seed, n_samples)
+    _add_mc(col, "entropy-integral-bound",
+            *chaining.dudley_bound_check(s, proc, n_samples, seed, D=cfg["D"]),
+            seed, n_samples)
     rng = derive_rng(seed, "mgf-pairs")
     m = s.m
-    pairs = [(0, m - 1)] if m > 1 else [(0, 0)]
+    pairs = [(0, m - 1)]
     for _ in range(min(4, m * (m - 1) // 2)):
         i, j = rng.integers(0, m, size=2)
         if i != j:
             pairs.append((int(i), int(j)))
-    diam = s.diameter if s.diameter > 0 else 1.0
-    lams = [x / (cfg["sigma"] * diam) for x in (-1.0, -0.5, 0.5, 1.0)]
+    lams = [x / (cfg["sigma"] * s.diameter) for x in (-1.0, -0.5, 0.5, 1.0)]
     worst, _ = chaining.subgaussian_process_check(s, proc, pairs, lams,
                                                   n_samples, seed)
     col.add("subgaussian-mgf-grid", 0.0, 0.0, 0.0, worst, seed, n_samples)
-    if cfg.get("refine"):
+    if cfg["refine"]:
         fine = chaining.IndexSet(points=metric.load_points_csv(cfg["refine"]),
                                  basepoint=0)
         check = chaining.dense_sequence_sup_check(s, fine, proc, n_samples, seed)
-        col.add("dense-sup-refinement", check.fine.mean - check.coarse.mean,
-                check.gap_bound,
-                check.coarse.stderr + check.fine.stderr, check.margin, seed,
+        _add_mc(col, "dense-sup-refinement", check.gap, check.gap_bound, seed,
                 n_samples)
     rows = [["k", "eps_k", "net_size"]]
     for lv in nets.levels:
@@ -341,16 +330,17 @@ def run_dudley(cfg) -> ReportCollector:
 
 
 def _parse_grid(cfg):
-    if cfg["grid"]:
-        cells = []
-        for tok in str(cfg["grid"]).split(","):
-            n_str, d_str = tok.split(":")
-            cells.append((int(n_str), int(d_str)))
-        return cells
-    return [(cfg["n"], cfg["d"])]
+    if not cfg["grid"]:
+        return [(cfg["n"], cfg["d"])]
+    cells = (tok.split(":") for tok in cfg["grid"].split(","))
+    cells = [(int(n), int(d)) for n, d in cells]
+    if min(map(min, cells)) < 1:
+        raise ConfigError("every grid cell needs n and d of at least 1")
+    return cells
 
 
 def run_regress(cfg) -> ReportCollector:
+    """localized least-squares rate suite"""
     col = ReportCollector()
     seed, trials = cfg["seed"], cfg["trials"]
     grid = _parse_grid(cfg)
@@ -392,6 +382,7 @@ def run_regress(cfg) -> ReportCollector:
 
 
 def run_maurey(cfg) -> ReportCollector:
+    """l1-hull sparsification suite"""
     col = ReportCollector()
     seed = cfg["seed"]
     d, n, R, eps = cfg["d"], cfg["n"], cfg["R"], cfg["eps"]
@@ -403,11 +394,9 @@ def run_maurey(cfg) -> ReportCollector:
     worst_second = np.inf
     for idx in range(cfg["instances"]):
         rng = derive_rng(seed, "maurey-instance", idx)
-        X = rng.standard_normal((n, d))
-        X *= np.sqrt(n) / np.linalg.norm(X, axis=0)
+        X = gaussian_design(rng, n, d)
         dic = maurey.ColumnDictionary(X, normalized=True)
-        raw = rng.standard_normal(d)
-        theta = raw / np.abs(raw).sum() * R * rng.uniform(0.0, 1.0)
+        theta = l1_ball_point(rng, d, R)
         dist = maurey.maurey_distribution(theta, R, dic)
         v = X @ theta / np.sqrt(n)
         worst_unbias = max(worst_unbias,
@@ -426,9 +415,7 @@ def run_maurey(cfg) -> ReportCollector:
     net_size = None
     if bound <= maurey.NET_BUDGET:
         rng = derive_rng(seed, "maurey-net")
-        X = rng.standard_normal((n, d))
-        X *= np.sqrt(n) / np.linalg.norm(X, axis=0)
-        dic = maurey.ColumnDictionary(X, normalized=True)
+        dic = maurey.ColumnDictionary(gaussian_design(rng, n, d), normalized=True)
         net = maurey.l1_hull_net_construct(dic, R, eps, n_validation=100,
                                            seed=seed)
         net_size = len(net.net)
@@ -436,22 +423,16 @@ def run_maurey(cfg) -> ReportCollector:
                 float(bound - net_size), seed)
     summary = {"schema_version": 1, "k": k, "bound": str(bound),
                "net_size": net_size, "instances": cfg["instances"],
-               "max_attempts_seen": max(attempts) if attempts else 0,
-               "mean_attempts": float(np.mean(attempts)) if attempts else 0.0,
+               "max_attempts_seen": max(attempts),
+               "mean_attempts": float(np.mean(attempts)),
                "max_observed_error": max_err}
     _write(cfg, "maurey_summary.json", summary)
     return col
 
 
-SUITES = {
-    "cover": run_cover,
-    "entropy": run_entropy,
-    "discrete-check": run_discrete_check,
-    "gauss-check": run_gauss_check,
-    "dudley": run_dudley,
-    "regress": run_regress,
-    "maurey": run_maurey,
-}
+SUITES = {"cover": run_cover, "entropy": run_entropy,
+          "discrete-check": run_discrete_check, "gauss-check": run_gauss_check,
+          "dudley": run_dudley, "regress": run_regress, "maurey": run_maurey}
 
 
 def main(argv=None) -> int:
@@ -460,20 +441,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
         cfg = _effective_config(args)
         start = time.perf_counter()
         collector = SUITES[args.command](cfg)
         elapsed = time.perf_counter() - start
-        path = _write_reports(collector, cfg, args.command.replace("-", "_"))
+        to_text = reports_to_json if cfg["format"] == "json" else reports_to_csv
+        name = f"{args.command.replace('-', '_')}_reports.{cfg['format']}"
+        path = _write(cfg, name, to_text(collector.reports))
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    n = len(collector.reports)
-    failed = collector.n_failed
+    except Exception as exc:  # a defect or a broken invariant, not a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    n, failed = len(collector.reports), collector.n_failed
     print(f"{args.command}: {n - failed}/{n} checks passed "
           f"({elapsed:.2f}s, reports in {path})")
     for rep in collector.reports:

@@ -50,12 +50,16 @@ class McEstimate:
         return cls(mean=float(np.mean(x)), stderr=sd / np.sqrt(n), n_samples=n)
 
 
-def three_sigma_margin(lhs: McEstimate, rhs, rhs_stderr: float = 0.0) -> float:
-    """Slack of the one-sided contract lhs <= rhs + 3 (combined stderr)."""
-    rhs_mean = rhs.mean if isinstance(rhs, McEstimate) else float(rhs)
-    if isinstance(rhs, McEstimate):
-        rhs_stderr = rhs.stderr
-    return rhs_mean + 3.0 * (lhs.stderr + rhs_stderr) - lhs.mean
+def as_estimate(x) -> McEstimate:
+    """x if it is an estimate, else the exact value x with stderr 0."""
+    return x if isinstance(x, McEstimate) else McEstimate(float(x), 0.0, 0)
+
+
+def three_sigma_margin(lhs: McEstimate, rhs) -> float:
+    """Slack of the one-sided contract lhs <= rhs + 3 (combined stderr), the
+    one Monte Carlo contract of the package; rhs is an estimate or exact."""
+    rhs = as_estimate(rhs)
+    return rhs.mean + 3.0 * (lhs.stderr + rhs.stderr) - lhs.mean
 
 
 @dataclass

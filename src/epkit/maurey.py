@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import McEstimate
-from .rng import derive_rng
+from .rng import derive_rng, l1_ball_point
 
 NET_BUDGET = 10 ** 6
 DEDUP_DECIMALS = 9
@@ -240,9 +240,7 @@ def l1_hull_net_construct(dictionary: ColumnDictionary, R: float, eps: float,
     max_err = 0.0
     max_net_dist = 0.0
     for i in range(n_validation):
-        raw = rng.standard_normal(dictionary.d)
-        scale = rng.uniform(0.0, 1.0)
-        theta = raw / np.abs(raw).sum() * R * scale
+        theta = l1_ball_point(rng, dictionary.d, R)
         res = maurey_sparsify(theta, R, dictionary, eps,
                               seed=int(rng.integers(2 ** 62)))
         if not res.success:

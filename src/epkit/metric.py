@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -89,11 +90,9 @@ class FiniteMetricSet:
             if (d[i, j] - d[i, k] - d[k, j]).max(initial=0.0) > tol:
                 raise MetricValidationError("triangle inequality fails (sampled)")
 
-    @property
+    @cached_property
     def diameter(self) -> float:
-        if self.n == 0:
-            return 0.0
-        return float(self.dmat.max())
+        return float(self.dmat.max()) if self.n else 0.0
 
     def min_positive_distance(self) -> float:
         """Smallest nonzero pairwise distance; 0.0 if all pairs coincide."""

@@ -28,7 +28,7 @@ from scipy.special import ndtri
 
 from . import metric
 from .gaussian import McEstimate
-from .rng import derive_rng
+from .rng import derive_rng, gaussian_design, l1_ball_point
 
 RANK_RTOL = 1e-10
 CAPACITY_CONST = 24.0 * np.sqrt(2.0)
@@ -186,11 +186,8 @@ def solve_ls_l1(X, y, R: float, tol: float = 1e-6, max_iter: int = 5000,
     obj = float(np.sum((y - x_theta) ** 2))
     rng = derive_rng(probe_seed, "erm-probes-l1", n, d)
 
-    def sampler():
-        raw = rng.standard_normal(d)
-        return raw / np.abs(raw).sum() * R * rng.uniform(0.0, 1.0)
-
-    cert = _probe_certificate(X, y, theta, obj, sampler, probes)
+    cert = _probe_certificate(X, y, theta, obj, lambda: l1_ball_point(rng, d, R),
+                              probes)
     return ErmResult(theta=theta, objective=obj, certificate=cert,
                      gap=float(gap), iterations=it, certified=certified)
 
@@ -662,8 +659,7 @@ def l1_rate_experiment(grid, R: float, sigma: float, trials: int, seed: int,
         rank_seen = 0
         for trial in range(trials):
             rng = derive_rng(seed, "l1-rate", n, d, trial)
-            X = rng.standard_normal((n, d))
-            X *= np.sqrt(n) / np.linalg.norm(X, axis=0)
+            X = gaussian_design(rng, n, d)
             support = rng.choice(d, size=min(sparsity, d), replace=False)
             mags = rng.dirichlet(np.ones(support.size)) * 0.9 * R
             theta_star = np.zeros(d)

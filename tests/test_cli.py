@@ -13,6 +13,8 @@ import pytest
 from epkit import cli, discrete
 from epkit.reports import CheckReport, ReportCollector
 
+DATA = str(Path(__file__).parent / "data")
+
 
 @pytest.fixture(scope="module")
 def points_csv(tmp_path_factory):
@@ -46,6 +48,15 @@ class TestExitCodes:
         monkeypatch.setitem(cli.SUITES, "discrete-check", broken)
         assert cli.main(["discrete-check", "--out", str(tmp_path)]) == 1
 
+    def test_internal_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        def broken(cfg):
+            raise RuntimeError("residual failed the orthogonality check")
+
+        monkeypatch.setitem(cli.SUITES, "discrete-check", broken)
+        assert cli.main(["discrete-check", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "internal error: RuntimeError: residual failed the orthogonality check\n")
+
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -66,6 +77,24 @@ class TestExitCodes:
         ["cover", "--points", "EMPTY"],
         ["entropy", "--points", "EMPTY"],
         ["dudley", "--points", "EMPTY"],
+        # config values are checked like flags: type, choices, bounds
+        ["regress", "--config", f"{DATA}/cls_quadratic.json"],
+        ["discrete-check", "--config", f"{DATA}/format_xml.json"],
+        ["discrete-check", "--config", f"{DATA}/seed_float.json"],
+        ["gauss-check", "--config", f"{DATA}/samples_string.json"],
+        ["discrete-check", "--config", f"{DATA}/instances_bool.json"],
+        ["regress", "--grid", "64:4,4:0"],
+        ["regress", "--sigma", "0"],
+        ["maurey", "--eps", "0"],
+        ["maurey", "--R", "0"],
+        ["entropy", "--points", f"{DATA}/square.csv", "--D", "0"],
+        # a cloud of diameter 0 would pass every check vacuously
+        ["cover", "--points", f"{DATA}/one_point.csv"],
+        ["cover", "--points", f"{DATA}/zero_distance.csv", "--dist-matrix"],
+        ["entropy", "--points", f"{DATA}/coincident.csv"],
+        ["dudley", "--points", f"{DATA}/one_point.csv"],
+        ["dudley", "--points", f"{DATA}/one_point.csv",
+         "--refine", f"{DATA}/square.csv"],
     ])
     @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
     def test_zero_size_config(self, argv, tmp_path):
