@@ -52,7 +52,9 @@ _R = Option("R", float, 1.0, 0.0, "radius of the l1 ball")
 _SIGMA = Option("sigma", float, 1.0, 0.0, "scale of the Gaussian noise")
 _INSTANCES = Option("instances", int, 200, 1, "random instances")
 COMMON = (Option("seed", int, 0, None, "seed of every random stream"),
-          Option("samples", int, 100000, 2, "Monte Carlo samples per estimate"),
+          # the tail estimate of gauss-check keeps n - n // 2 samples, and an
+          # estimate needs two
+          Option("samples", int, 100000, 3, "Monte Carlo samples per estimate"),
           Option("trials", int, 200, 2, "regression trials per cell"),
           Option("out", str, ".", None, "directory of the output files"),
           Option("format", ("csv", "json"), "csv", None, "report file format"),
@@ -63,7 +65,8 @@ OPTIONS = {
               Option("scales", int, 8, 1, "number of dyadic scales")),
     "entropy": (_POINTS, _DIST_MATRIX, _D,
                 Option("K", int, 8, 0, "deepest dyadic sum"),
-                Option("nodes", int, 64, None, "quadrature nodes of the integral")),
+                Option("nodes", int, 64, 2 * metric.FLOOR_OCTAVES,
+                       "quadrature nodes of the integral")),
     "discrete-check": (_INSTANCES,),
     "gauss-check": (Option("fields", int, 20, 1, "fields per battery"),),
     "dudley": (_POINTS, _SIGMA, _D, Option("K", int, None, 0, "depth of the nets"),
@@ -93,9 +96,14 @@ def _build_parser():
                     else {"choices": opt.type} if isinstance(opt.type, tuple)
                     else {"type": opt.type})
             spelled = "class" if opt.name == "cls" else opt.name.replace("_", "-")
-            p.add_argument("--" + spelled, dest=opt.name, default=None, help=opt.help,
-                           **kind)
+            bound = "" if opt.low is None else f" ({_bound(opt)})"
+            p.add_argument("--" + spelled, dest=opt.name, default=None,
+                           help=opt.help + bound, **kind)
     return parser
+
+
+def _bound(opt: Option) -> str:
+    return f"greater than {opt.low}" if opt.type is float else f"at least {opt.low}"
 
 
 def _check(opt: Option, value) -> None:
@@ -112,8 +120,7 @@ def _check(opt: Option, value) -> None:
         raise ConfigError(f"{opt.name} must be {what}, not {value!r}")
     strict = opt.type is float
     if opt.low is not None and not (value > opt.low if strict else value >= opt.low):
-        bound = f"greater than {opt.low}" if strict else f"at least {opt.low}"
-        raise ConfigError(f"{opt.name} must be {bound}")
+        raise ConfigError(f"{opt.name} must be {_bound(opt)}")
 
 
 def _effective_config(args) -> dict:
@@ -386,8 +393,12 @@ def run_maurey(cfg) -> ReportCollector:
     col = ReportCollector()
     seed = cfg["seed"]
     d, n, R, eps = cfg["d"], cfg["n"], cfg["R"], cfg["eps"]
-    k = max(int(np.ceil(R ** 2 / eps ** 2)), 1)
+    k = maurey.sample_size(R, eps)
     bound = maurey.l1_hull_net_bound(d, R, eps)
+    try:
+        bound_text = str(bound)
+    except ValueError as exc:  # more digits than Python converts
+        raise ConfigError(f"cannot write the bound (2d+1)^k = {2 * d + 1}^{k}: {exc}")
     max_err = 0.0
     attempts = []
     worst_unbias = 0.0
@@ -421,7 +432,7 @@ def run_maurey(cfg) -> ReportCollector:
         net_size = len(net.net)
         col.add("net-cardinality", float(net_size), float(bound), 0.0,
                 float(bound - net_size), seed)
-    summary = {"schema_version": 1, "k": k, "bound": str(bound),
+    summary = {"schema_version": 1, "k": k, "bound": bound_text,
                "net_size": net_size, "instances": cfg["instances"],
                "max_attempts_seen": max(attempts),
                "mean_attempts": float(np.mean(attempts)),

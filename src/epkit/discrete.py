@@ -1,11 +1,12 @@
 """Exact verification of the variance/entropy tensorization chain on finite
 product spaces.
 
-Everything here is computed by full enumeration of the outcome grid, so the
-inequality checks (variance decomposition, entropy subadditivity, leave-one-out
-entropy, duality, two-point log-Sobolev) are exact up to float rounding.
-Natural logarithms throughout; 0 log 0 := 0 and Ent of an a.e.-zero function
-is 0 by continuity.
+A space stores its supports, weights and sizes and the flat table of outcome
+probabilities; every expectation is an exact sum over that table, so the
+inequality checks (variance decomposition, entropy subadditivity,
+leave-one-out entropy, duality, two-point log-Sobolev) are exact up to float
+rounding.  Natural logarithms throughout; 0 log 0 := 0 and Ent of an
+a.e.-zero function is 0 by continuity.
 
 Functions on a space are represented by their value table in the space's
 lexicographic outcome order (coordinate 0 slowest), obtained from a callable
@@ -14,6 +15,8 @@ via ``FiniteProductSpace.tabulate``.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +29,11 @@ WEIGHT_TOL = 1e-12
 
 class SpaceValidationError(ValueError):
     pass
+
+
+def _outer_product(vectors) -> np.ndarray:
+    """Table of products v0[j0] * v1[j1] * ..., multiplied left to right."""
+    return functools.reduce(np.multiply.outer, vectors)
 
 
 class FiniteProductSpace:
@@ -47,14 +55,11 @@ class FiniteProductSpace:
             if abs(w.sum() - 1.0) > WEIGHT_TOL:
                 raise SpaceValidationError("weights must sum to 1 within 1e-12")
         self.sizes = tuple(len(s) for s in self.supports)
-        self.n_outcomes = int(np.prod(self.sizes))
+        self.n_outcomes = math.prod(self.sizes)
         if self.n_outcomes > OUTCOME_BUDGET:
             raise SpaceValidationError(
                 f"outcome count {self.n_outcomes} exceeds budget {OUTCOME_BUDGET}")
-        grids = np.meshgrid(*self.supports, indexing="ij")
-        self.outcomes = np.stack(grids, axis=-1).reshape(-1, self.n)
-        wgrids = np.meshgrid(*self.weights, indexing="ij")
-        self.probs = np.prod(np.stack(wgrids, axis=-1), axis=-1).reshape(-1)
+        self.probs = _outer_product(self.weights).reshape(-1)
 
     @classmethod
     def uniform_bits(cls, n):
@@ -68,15 +73,13 @@ class FiniteProductSpace:
 
     def tabulate(self, f) -> np.ndarray:
         """Value table of a callable on full outcome tuples."""
-        return np.asarray([float(f(x)) for x in self.outcomes], dtype=float)
+        outcomes = np.asarray(list(itertools.product(*self.supports)), dtype=float)
+        return np.asarray([float(f(x)) for x in outcomes], dtype=float)
 
     def expectation(self, values) -> float:
-        """Exact expectation, summed deterministically in outcome order."""
-        values = np.asarray(values, dtype=float)
-        return math.fsum(v * p for v, p in zip(values, self.probs))
-
-    def _grid(self, values) -> np.ndarray:
-        return np.asarray(values, dtype=float).reshape(self.sizes)
+        """Exact expectation: the products value * probability, summed by one
+        correctly rounded fsum (so independent of the summation order)."""
+        return math.fsum((np.asarray(values, dtype=float) * self.probs).tolist())
 
 
 def _plogp(v: np.ndarray) -> np.ndarray:
@@ -87,13 +90,13 @@ def _plogp(v: np.ndarray) -> np.ndarray:
 
 
 def cond_exp_except_coord(i: int, values, sp: FiniteProductSpace) -> np.ndarray:
-    """Average over coordinate i; the result is constant in coordinate i."""
+    """Average over coordinate i, spread back along it: the result is the
+    flat table of a function constant in coordinate i."""
     if not 0 <= i < sp.n:
         raise ValueError("coordinate index out of range")
-    grid = sp._grid(values)
+    grid = np.asarray(values, dtype=float).reshape(sp.sizes)
     reduced = np.tensordot(grid, sp.weights[i], axes=([i], [0]))
-    back = np.broadcast_to(np.expand_dims(reduced, axis=i), sp.sizes)
-    return np.ascontiguousarray(back).reshape(-1)
+    return np.repeat(np.expand_dims(reduced, axis=i), sp.sizes[i], axis=i).reshape(-1)
 
 
 def exact_variance(values, sp: FiniteProductSpace) -> float:
@@ -141,15 +144,13 @@ def tensorization_gap(y_values, sp: FiniteProductSpace):
     if y.min() < 0:
         raise ValueError("tensorization needs nonnegative values")
     lhs = entropy_functional(y, sp)
-    grid = sp._grid(y)
-    plogp_grid = sp._grid(_plogp(y))
+    plogp = _plogp(y)
     rhs = 0.0
     for i in range(sp.n):
-        a = np.tensordot(plogp_grid, sp.weights[i], axes=([i], [0]))
-        b = np.tensordot(grid, sp.weights[i], axes=([i], [0]))
-        ent_slice = np.where(b > 0, a - b * np.log(np.where(b > 0, b, 1.0)), 0.0)
-        back = np.broadcast_to(np.expand_dims(ent_slice, axis=i), sp.sizes)
-        rhs += sp.expectation(np.ascontiguousarray(back).reshape(-1))
+        a = cond_exp_except_coord(i, plogp, sp)
+        b = cond_exp_except_coord(i, y, sp)
+        rhs += sp.expectation(
+            np.where(b > 0, a - b * np.log(np.where(b > 0, b, 1.0)), 0.0))
     return lhs, rhs
 
 
@@ -168,8 +169,7 @@ class JointPmf:
 
     @classmethod
     def from_product(cls, weights):
-        grids = np.meshgrid(*[np.asarray(w, float) for w in weights], indexing="ij")
-        return cls(np.prod(np.stack(grids, axis=-1), axis=-1))
+        return cls(_outer_product([np.asarray(w, float) for w in weights]))
 
 
 def shannon_entropy(table) -> float:
@@ -196,14 +196,13 @@ def bernoulli_lsi_gap(values, sp: FiniteProductSpace):
     """
     if sp.n > 12:
         raise SpaceValidationError("two-point LSI check limited to n <= 12")
-    for sup, w in zip(sp.supports, sp.weights):
-        if len(sup) != 2 or not np.allclose(sup, [-1.0, 1.0]):
-            raise SpaceValidationError("space must be a {-1,+1} product")
-        if not np.allclose(w, [0.5, 0.5], atol=WEIGHT_TOL):
-            raise SpaceValidationError("space must be uniform")
+    if sp.sizes != (2,) * sp.n or not np.allclose(np.stack(sp.supports), [-1.0, 1.0]):
+        raise SpaceValidationError("space must be a {-1,+1} product")
+    if not np.allclose(np.stack(sp.weights), 0.5, atol=WEIGHT_TOL):
+        raise SpaceValidationError("space must be uniform")
     f = np.asarray(values, dtype=float)
     lhs = entropy_functional(f ** 2, sp)
-    grid = sp._grid(f)
+    grid = f.reshape(sp.sizes)
     dirichlet = np.zeros(sp.sizes)
     for i in range(sp.n):
         dirichlet = dirichlet + (grid - np.flip(grid, axis=i)) ** 2

@@ -20,11 +20,32 @@ from .gaussian import McEstimate
 from .rng import derive_rng, l1_ball_point
 
 NET_BUDGET = 10 ** 6
+SAMPLE_BUDGET = 10 ** 4    # largest k, the number of atoms in one average
 DEDUP_DECIMALS = 9
 
 
 class BudgetError(ValueError):
     pass
+
+
+def _ceil_ratio(R: float, eps: float) -> int:
+    """ceil(R^2/eps^2); BudgetError above SAMPLE_BUDGET."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    try:
+        ratio = R ** 2 / eps ** 2
+    except (OverflowError, ZeroDivisionError):  # R^2 overflows or eps^2 underflows
+        ratio = np.inf
+    if not ratio <= SAMPLE_BUDGET:
+        raise BudgetError(f"k = ceil(R^2/eps^2) = ceil({ratio:.6g}) exceeds the "
+                          f"sample budget {SAMPLE_BUDGET}")
+    return int(np.ceil(ratio))
+
+
+def sample_size(R: float, eps: float) -> int:
+    """k = max(ceil(R^2/eps^2), 1), the atoms averaged per sample so that the
+    expected squared error is at most eps^2."""
+    return max(_ceil_ratio(R, eps), 1)
 
 
 @dataclass
@@ -161,12 +182,9 @@ class SparsifyResult:
 
 def maurey_sparsify(theta, R: float, dictionary: ColumnDictionary, eps: float,
                     max_attempts: int = 64, seed: int = 0) -> SparsifyResult:
-    """Resample k-averages (k = ceil(R^2/eps^2)) until one lands within eps
-    of v = X theta / sqrt(n); reports the best attempt on exhaustion."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    k = int(np.ceil(R ** 2 / eps ** 2))
-    k = max(k, 1)
+    """Resample k-averages (k = sample_size(R, eps)) until one lands within
+    eps of v = X theta / sqrt(n); reports the best attempt on exhaustion."""
+    k = sample_size(R, eps)
     dist = maurey_distribution(theta, R, dictionary)
     v = dist.expectation()
     atoms = dictionary.atom_matrix(R)
@@ -188,12 +206,11 @@ def maurey_sparsify(theta, R: float, dictionary: ColumnDictionary, eps: float,
 
 
 def l1_hull_net_bound(d: int, R: float, eps: float) -> int:
-    """(2d+1)^ceil(R^2/eps^2) as an exact (arbitrary precision) integer."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """(2d+1)^ceil(R^2/eps^2) as an exact (arbitrary precision) integer; 1
+    when the exponent is 0, as a hull of radius 0 is one point."""
+    k = _ceil_ratio(R, eps)
     if R < 0:
         raise ValueError("R must be nonnegative")
-    k = int(np.ceil(R ** 2 / eps ** 2))
     return (2 * d + 1) ** k
 
 
@@ -223,7 +240,7 @@ def l1_hull_net_construct(dictionary: ColumnDictionary, R: float, eps: float,
         raise BudgetError(
             f"(2d+1)^k = {bound} exceeds the enumeration budget {NET_BUDGET}; "
             "use maurey_sparsify as an implicit net")
-    k = max(int(np.ceil(R ** 2 / eps ** 2)), 1)
+    k = sample_size(R, eps)
     atoms = dictionary.atom_matrix(R)
     n_atoms = atoms.shape[1]
     seen = {}

@@ -39,6 +39,9 @@ class SizeLimitError(ValueError):
 _EXHAUSTIVE_TRIANGLE_LIMIT = 200
 _SAMPLED_TRIANGLES = 20000
 _EXACT_COVER_LIMIT = 25
+# octaves below the top scale covered by the entropy integral's quadrature;
+# it needs at least two nodes per octave
+FLOOR_OCTAVES = 16
 
 
 class FiniteMetricSet:
@@ -285,7 +288,7 @@ def metric_entropy(eps: float, s: FiniteMetricSet) -> float:
 
 
 def entropy_integral(s: FiniteMetricSet, D: float, nodes: int = 64,
-                     floor_octaves: int = 16) -> float:
+                     floor_octaves: int = FLOOR_OCTAVES) -> float:
     """Upper Riemann sum of sqrt(metric_entropy) over (0, D].
 
     Left endpoints on a geometric grid give an upper sum because the
@@ -298,7 +301,8 @@ def entropy_integral(s: FiniteMetricSet, D: float, nodes: int = 64,
     if D <= 0:
         raise ValueError("D must be positive")
     if nodes < 2 * floor_octaves:
-        raise ValueError("need at least 2 quadrature nodes per dyadic octave")
+        raise ValueError(f"need at least {2 * floor_octaves} quadrature nodes, "
+                         "2 per dyadic octave")
     if s.n <= 1:
         return 0.0
     _, radii = s.farthest_point_order()

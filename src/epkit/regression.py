@@ -456,25 +456,27 @@ def critical_radius(model: RegressionModel, cls, bracket, n_samples: int = 2000,
     def g(delta):
         return float(np.mean(cls.inner_sups(X, panel, delta, rel_tol)))
 
-    def h(delta):
-        return g(delta) / delta - delta / (2.0 * model.sigma)
+    def h(delta, g_delta):
+        return g_delta / delta - delta / (2.0 * model.sigma)
 
+    # geomspace pins both endpoints, so g(lo) and g(hi) are read off the grid
     deltas = np.geomspace(lo, hi, 8)
-    ratios = np.asarray([g(dd) / dd for dd in deltas])
+    g_grid = [g(dd) for dd in deltas]
+    ratios = np.asarray([gd / dd for gd, dd in zip(g_grid, deltas)])
     slack = 2.0 * rel_tol * (np.abs(ratios[:-1]) + 1e-30)
     monotone = bool((np.diff(ratios) <= slack).all())
 
-    if g(lo) <= 1e-15 * (1.0 + model.sigma):
+    if g_grid[0] <= 1e-15 * (1.0 + model.sigma):
         return CriticalRadius(delta_star=lo, degenerate=True, bracket=(lo, hi),
                               ratio_deltas=deltas, ratios=ratios,
                               ratio_monotone=monotone)
-    h_lo, h_hi = h(lo), h(hi)
+    h_lo, h_hi = h(lo, g_grid[0]), h(hi, g_grid[-1])
     if not (h_lo > 0 >= h_hi):
         raise BracketError(
             f"invalid bracket: h({lo:.6g}) = {h_lo:.6g}, h({hi:.6g}) = {h_hi:.6g}")
     while (hi - lo) > rel_width * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
-        if h(mid) > 0:
+        if h(mid, g(mid)) > 0:
             lo = mid
         else:
             hi = mid

@@ -10,10 +10,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epkit import cli, discrete
+from epkit import cli, discrete, maurey
 from epkit.reports import CheckReport, ReportCollector
 
 DATA = str(Path(__file__).parent / "data")
+
+# rejected configurations whose message must name the bound or budget they
+# break, before any instance runs
+NAMED_LIMITS = {
+    ("gauss-check", "--samples", "2"): "samples must be at least 3",
+    ("entropy", "--points", f"{DATA}/square.csv", "--nodes", "16"):
+        "nodes must be at least 32",
+    ("maurey", "--eps", "1e-3", "--instances", "1"):
+        f"sample budget {maurey.SAMPLE_BUDGET}",
+    ("maurey", "--eps", "1e-200"): f"sample budget {maurey.SAMPLE_BUDGET}",
+}
 
 
 @pytest.fixture(scope="module")
@@ -95,15 +106,18 @@ class TestExitCodes:
         ["dudley", "--points", f"{DATA}/one_point.csv"],
         ["dudley", "--points", f"{DATA}/one_point.csv",
          "--refine", f"{DATA}/square.csv"],
+        *map(list, NAMED_LIMITS),
     ])
     @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
-    def test_zero_size_config(self, argv, tmp_path):
+    def test_zero_size_config(self, argv, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
+        limit = NAMED_LIMITS.get(tuple(argv), "")
         argv = [str(empty) if a == "EMPTY" else a for a in argv]
         out = tmp_path / "out"
         assert cli.main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
+        assert limit in capsys.readouterr().err
 
 
 class TestCover:

@@ -4,7 +4,11 @@ counts read off the farthest-point traversal, their monotonicity in the
 scale, the packing sandwich around the exact covering number, the linear
 class's closed-form inner supremum, the exact telescoping of chained
 increments, the Efron-Stein and tensorization inequalities with the duality
-equality case, and Maurey's unbiasedness and 1/k error law."""
+equality case, the product-space kernel against brute-force enumeration, and
+Maurey's unbiasedness and 1/k error law."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +98,44 @@ def test_discrete_chain_and_duality_equality(data, sizes):
     y = np.abs(f) + 0.1
     ent, dual = discrete.entropy_duality_check(y, y, sp)
     assert abs(ent - dual) <= EXACT_TOL
+
+
+@PROPERTY
+@given(data=st.data(), sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4))
+def test_product_space_matches_brute_force_enumeration(data, sizes):
+    weights = [w / w.sum() for w in
+               (data.draw(hnp.arrays(float, k, elements=st.floats(0.01, 1.0)))
+                for k in sizes)]
+    sp = discrete.FiniteProductSpace([np.arange(k, dtype=float) for k in sizes],
+                                     weights)
+    y = np.abs(data.draw(hnp.arrays(float, sp.n_outcomes,
+                                    elements=st.floats(-1.0, 1.0))))
+    cells = list(itertools.product(*map(range, sizes)))   # coordinate 0 slowest
+
+    def prob(cell):
+        return math.prod(w[j] for w, j in zip(weights, cell))
+
+    def value(cell):
+        return y[np.ravel_multi_index(cell, sizes)]
+
+    def along(i, cell):   # the cells that differ from cell in coordinate i only
+        return [cell[:i] + (a,) + cell[i + 1:] for a in range(sizes[i])]
+
+    # same products and one fsum: equal to the last bit
+    assert sp.probs.tolist() == [prob(c) for c in cells]
+    assert sp.expectation(y) == math.fsum(value(c) * prob(c) for c in cells)
+    rhs = 0.0
+    for i in range(len(sizes)):
+        cond = [math.fsum(weights[i][c[i]] * value(c) for c in along(i, cell))
+                for cell in cells]
+        np.testing.assert_allclose(discrete.cond_exp_except_coord(i, y, sp), cond,
+                                   rtol=1e-12, atol=1e-15)
+        for cell, m in zip(cells, cond):
+            plogp = math.fsum(weights[i][c[i]] * value(c) * math.log(value(c))
+                              for c in along(i, cell) if value(c) > 0)
+            rhs += prob(cell) * (plogp - m * math.log(m) if m > 0 else 0.0)
+    assert discrete.tensorization_gap(y, sp)[1] == pytest.approx(rhs, rel=1e-9,
+                                                                 abs=1e-12)
 
 
 maurey_inputs = dict(n=st.integers(1, 8), d=st.integers(1, 6), R=st.floats(0.1, 5.0),
