@@ -11,6 +11,16 @@ Net cardinality certificates use the farthest-point covering upper bounds
 from :mod:`epkit.metric`; the level-k net is the maximal packing at the next
 finer scale, so its size *equals* the covering upper bound there and the
 multiscale sums computed from those bounds dominate the chained estimates.
+
+Monte Carlo suprema are maxima over points of sigma (t - t0) @ noise.T,
+formed by :func:`sample_maxima` one block of noise rows at a time, so memory
+follows the block size (``metric.BLOCK_BYTES``), not the sample count.
+Blocks start at multiples of 1024 noise rows and the last one absorbs the
+remainder, because the blocked maxima must equal those of the whole product
+bit for bit: with OpenBLAS 0.3.31, blocks at arbitrary offsets, and a
+one-row trailing block (which numpy sends to gemv), rounded some entries
+differently, while blocks aligned this way matched in every configuration
+tried.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from .rng import derive_rng
 STAGE1_CONST = 6.0 * np.sqrt(2.0)
 FULL_CONST = 12.0 * np.sqrt(2.0)
 MAX_DEPTH = 48
+BLAS_ALIGN = 1024   # noise rows; see the module docstring
 
 
 class DepthError(ValueError):
@@ -74,11 +85,29 @@ class CanonicalProcess:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
+    def coefficients(self, points, base) -> np.ndarray:
+        """Rows sigma (t - t0), so that X_t(w) = coefficients @ w."""
+        return self.sigma * (points - base)
+
     def realize(self, s: IndexSet, noise: np.ndarray) -> np.ndarray:
         """Process values, shape (m, n_samples); the basepoint row is 0."""
         noise = np.atleast_2d(np.asarray(noise, dtype=float))
-        centered = s.points - s.points[s.basepoint]
-        return self.sigma * centered @ noise.T
+        return self.coefficients(s.points, s.points[s.basepoint]) @ noise.T
+
+
+def sample_maxima(scaled: np.ndarray, noise: np.ndarray, rows=None) -> np.ndarray:
+    """For each noise row w, the maximum of scaled @ w over rows (all rows
+    by default), computed one block of noise rows at a time.
+
+    The values are those of (scaled @ noise.T)[rows].max(axis=0) bit for
+    bit: the product is formed for every row of scaled, as one whole
+    product would be, and the subset is taken from it afterwards.
+    """
+    out = np.empty(len(noise))
+    for b in metric.blocks(len(noise), 8 * len(scaled), align=BLAS_ALIGN):
+        x = scaled @ noise[b].T
+        out[b] = (x if rows is None else x[rows]).max(axis=0)
+    return out
 
 
 @dataclass
@@ -150,11 +179,8 @@ def recursive_projection(u: int, nets: DyadicNets) -> list:
     current = int(u)
     for k in range(nets.K - 1, -1, -1):
         net = nets.levels[k].net
-        local = int(np.argmin(dmat[current, net]))
-        ordered = np.flatnonzero(
-            dmat[current, net] == dmat[current, net[local]])
-        # ties broken by lowest point index
-        current = int(net[ordered[np.argmin(net[ordered])]])
+        row = dmat[current, net]
+        current = int(net[row == row.min()].min())
         chain.append(current)
     chain.reverse()
     return chain
@@ -198,9 +224,9 @@ def stage1_bound_check(nets: DyadicNets, proc: CanonicalProcess,
     s = nets.index_set
     rng = derive_rng(seed, "stage1", s.m, nets.K)
     noise = rng.standard_normal((n_samples, s.dim))
-    x = proc.realize(s, noise)                      # (m, n_samples)
+    scaled = proc.coefficients(s.points, s.points[s.basepoint])
     finest = nets.levels[nets.K].net
-    esup = McEstimate.from_samples(x[finest].max(axis=0))
+    esup = McEstimate.from_samples(sample_maxima(scaled, noise, rows=finest))
     bound = STAGE1_CONST * proc.sigma * metric.dyadic_sum(
         s.metric_set(), nets.D, nets.K + 1)
     return esup, float(bound)
@@ -216,8 +242,8 @@ def dudley_bound_check(s: IndexSet, proc: CanonicalProcess, n_samples: int,
         raise ValueError("diameter exceeds declared D")
     rng = derive_rng(seed, "dudley-sup", s.m)
     noise = rng.standard_normal((n_samples, s.dim))
-    x = proc.realize(s, noise)
-    esup = McEstimate.from_samples(x.max(axis=0))
+    scaled = proc.coefficients(s.points, s.points[s.basepoint])
+    esup = McEstimate.from_samples(sample_maxima(scaled, noise))
     rhs = FULL_CONST * proc.sigma * metric.entropy_integral(ms, D, nodes=nodes)
     return esup, float(rhs)
 
@@ -304,23 +330,20 @@ def dense_sequence_sup_check(coarse: IndexSet, fine: IndexSet,
     directed mesh gap times E||w||, the desk-scale version of passing to a
     dense sequence.
     """
-    from scipy.spatial.distance import cdist
-
     if coarse.dim != fine.dim:
         raise ValueError("dimension mismatch")
     scale = 1.0 + float(np.abs(fine.points).max(initial=0.0))
-    containment = cdist(coarse.points, fine.points).min(axis=1)
+    containment = metric.nearest_distances(coarse.points, fine.points)
     if containment.max(initial=0.0) > 1e-9 * scale:
         raise ValueError("the coarse set must be contained in the fine set")
-    gaps = cdist(fine.points, coarse.points).min(axis=1)
-    mesh = float(gaps.max())
+    mesh = float(metric.nearest_distances(fine.points, coarse.points).max())
     rng = derive_rng(seed, "dense-sup", coarse.m, fine.m)
     noise = rng.standard_normal((n_samples, fine.dim))
     # both suprema relative to the same basepoint value
     base = fine.points[fine.basepoint]
-    xc = proc.sigma * (coarse.points - base) @ noise.T
-    xf = proc.sigma * (fine.points - base) @ noise.T
-    est_c = McEstimate.from_samples(xc.max(axis=0))
-    est_f = McEstimate.from_samples(xf.max(axis=0))
+    est_c = McEstimate.from_samples(
+        sample_maxima(proc.coefficients(coarse.points, base), noise))
+    est_f = McEstimate.from_samples(
+        sample_maxima(proc.coefficients(fine.points, base), noise))
     bound = proc.sigma * mesh * chi_mean(fine.dim)
     return DenseSupCheck(coarse=est_c, fine=est_f, mesh=mesh, gap_bound=bound)

@@ -42,6 +42,27 @@ _EXACT_COVER_LIMIT = 25
 # octaves below the top scale covered by the entropy integral's quadrature;
 # it needs at least two nodes per octave
 FLOOR_OCTAVES = 16
+# largest block of a blocked reduction, in bytes: the distance reductions
+# here and the Monte Carlo maxima of epkit.chaining
+BLOCK_BYTES = 32 * 2 ** 20
+
+
+def blocks(n: int, row_bytes: int, align: int = 1) -> list:
+    """Slices covering range(n), each holding less than BLOCK_BYTES when one
+    row takes row_bytes.  All but the last are BLOCK_BYTES // (2 row_bytes)
+    rows wide, rounded down to a multiple of align but at least align (which
+    may exceed the budget); the last absorbs the remainder, up to twice that.
+    """
+    width = max(BLOCK_BYTES // max(2 * row_bytes * align, 1), 1) * align
+    count = max(n // width, 1)
+    return [slice(i * width, n if i == count - 1 else (i + 1) * width)
+            for i in range(count)]
+
+
+def nearest_distances(points, targets) -> np.ndarray:
+    """Distance from each row of points to its nearest row of targets."""
+    return np.concatenate([cdist(points[b], targets).min(axis=1)
+                           for b in blocks(len(points), 8 * len(targets))])
 
 
 class FiniteMetricSet:
@@ -79,9 +100,11 @@ class FiniteMetricSet:
             raise MetricValidationError("negative distances")
         if np.abs(np.diag(d)).max(initial=0.0) > tol:
             raise MetricValidationError("nonzero diagonal")
-        if np.abs(d - d.T).max(initial=0.0) > tol:
-            raise MetricValidationError("asymmetric distances")
         n = self.n
+        for b in blocks(n, 8 * n):
+            skew = d[b] - d[:, b].T
+            if np.abs(skew, out=skew).max(initial=0.0) > tol:
+                raise MetricValidationError("asymmetric distances")
         if n <= _EXHAUSTIVE_TRIANGLE_LIMIT:
             for k in range(n):
                 if (d - (d[:, k:k + 1] + d[k:k + 1, :])).max(initial=0.0) > tol:
@@ -101,10 +124,13 @@ class FiniteMetricSet:
         """Smallest nonzero pairwise distance; 0.0 if all pairs coincide."""
         if self.n < 2:
             return 0.0
-        iu = np.triu_indices(self.n, k=1)
-        vals = self.dmat[iu]
-        pos = vals[vals > 0]
-        return float(pos.min()) if pos.size else 0.0
+        lows = []
+        for b in blocks(self.n, 8 * self.n):
+            upper = np.triu(self.dmat[b], b.start + 1)  # the pairs i < j
+            pos = upper[upper > 0]
+            if pos.size:
+                lows.append(pos.min())
+        return float(min(lows)) if lows else 0.0
 
     # -- farthest-point traversal -------------------------------------------
 
@@ -159,7 +185,10 @@ def is_epsilon_net(net, eps: float, s: FiniteMetricSet) -> bool:
         return True
     if net.size == 0:
         return False
-    return bool((s.dmat[np.ix_(net, np.arange(s.n))].min(axis=0) <= eps).all())
+    nearest = np.full(s.n, np.inf)
+    for b in blocks(net.size, 8 * s.n):
+        np.minimum(nearest, s.dmat[net[b]].min(axis=0), out=nearest)
+    return bool((nearest <= eps).all())
 
 
 def maximal_packing(eps: float, s: FiniteMetricSet, order="index") -> np.ndarray:

@@ -5,6 +5,8 @@ process, the exact Gaussian increment MGF, and the exact covering oracle for
 net cardinalities at the shifted scale.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,41 @@ class TestTelescoping:
         nets = chaining.build_dyadic_nets(s, D=1.0, K=2)
         proc = chaining.CanonicalProcess(sigma=1.0)
         assert chaining.telescoping_residual(0, nets, proc, np.array([0.9])) <= 1e-12
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestSampleMaxima:
+    @pytest.mark.parametrize("m", [1, 2, 33])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1025, 2049, 4097])
+    def test_blocked_maxima_equal_dense_maxima(self, monkeypatch, m, n):
+        monkeypatch.setattr(metric, "BLOCK_BYTES", 1)  # 1024-row blocks
+        rng = derive_rng(14, "maxima", m, n)
+        s = random_cloud(rng, m, 2)
+        proc = chaining.CanonicalProcess(sigma=1.3)
+        noise = rng.standard_normal((n, 2))
+        x = proc.realize(s, noise)
+        scaled = proc.coefficients(s.points, s.points[s.basepoint])
+        assert hexes(chaining.sample_maxima(scaled, noise)) == hexes(x.max(axis=0))
+        for rows in (np.arange(0, m, 2), np.array([m - 1])):
+            assert (hexes(chaining.sample_maxima(scaled, noise, rows=rows))
+                    == hexes(x[rows].max(axis=0)))
+
+    def test_checks_stay_within_the_block_budget(self):
+        s = random_cloud(derive_rng(15, "cloud1000"), 1000, 2)
+        proc = chaining.CanonicalProcess(sigma=1.0)
+        nets = chaining.build_dyadic_nets(s)  # distances and traversal cached
+        tracemalloc.start()
+        try:
+            chaining.stage1_bound_check(nets, proc, 100_000, SEED)
+            chaining.dudley_bound_check(s, proc, 100_000, SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one dense (1000 x 1e5) realization alone is 800 MB
+        assert peak < 4 * metric.BLOCK_BYTES
 
 
 class TestStage1:

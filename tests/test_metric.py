@@ -37,6 +37,24 @@ class TestFiniteMetricSet:
         with pytest.raises(metric.MetricValidationError):
             metric.FiniteMetricSet(bad)
 
+    def test_rejects_asymmetry_in_a_later_block(self, monkeypatch):
+        d = metric.FiniteMetricSet.from_points(
+            derive_rng(1, "blocks").uniform(0, 1, size=(300, 2))).dmat.copy()
+        d[298, 299] += 1e-3  # rows 298 and 299 share the last block
+        monkeypatch.setattr(metric, "BLOCK_BYTES", 8 * 300 * 16)
+        assert len(metric.blocks(300, 8 * 300)) > 1
+        with pytest.raises(metric.MetricValidationError, match="asymmetric"):
+            metric.FiniteMetricSet(d)
+
+    def test_blocks_align_and_absorb_the_remainder(self, monkeypatch):
+        monkeypatch.setattr(metric, "BLOCK_BYTES", 1)
+        assert metric.blocks(4097, 8, align=1024) == [
+            slice(0, 1024), slice(1024, 2048), slice(2048, 3072), slice(3072, 4097)]
+        assert metric.blocks(1000, 8, align=1024) == [slice(0, 1000)]
+        assert metric.blocks(0, 0) == [slice(0, 0)]
+        monkeypatch.setattr(metric, "BLOCK_BYTES", 32 * 2 ** 20)
+        assert metric.blocks(100_000, 8 * 1000, align=1024)[1] == slice(2048, 4096)
+
     def test_rejects_triangle_violation(self):
         bad = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
         with pytest.raises(metric.MetricValidationError):

@@ -3,12 +3,14 @@ classes, the chaining and discrete checks and the sparsification rely on:
 counts read off the farthest-point traversal, their monotonicity in the
 scale, the packing sandwich around the exact covering number, the linear
 class's closed-form inner supremum, the exact telescoping of chained
-increments, the Efron-Stein and tensorization inequalities with the duality
-equality case, the product-space kernel against brute-force enumeration, and
-Maurey's unbiasedness and 1/k error law."""
+increments, the blocked distance reductions against dense ones, the
+Efron-Stein and tensorization inequalities with the duality equality case,
+the product-space kernel against brute-force enumeration, and Maurey's
+unbiasedness and 1/k error law."""
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,6 +82,34 @@ def test_telescoping_residual_is_exact(points, depth, seed):
     for u in nets.levels[depth].net:
         w = rng.standard_normal(s.dim)
         assert chaining.telescoping_residual(int(u), nets, proc, w) <= EXACT_TOL
+
+
+@PROPERTY
+@given(points=clouds(20), budget=st.integers(1, 400), data=st.data())
+def test_blocked_distance_reductions_match_dense(points, budget, data):
+    d = metric.FiniteMetricSet.from_points(points).dmat
+    n = len(d)
+    net = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    nearest = d[np.ix_(net, range(n))].min(axis=0)
+    radius = nearest.max()  # the smallest scale at which net covers
+    i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    skew = d.copy()
+    skew[i, j] += data.draw(st.floats(0.0, 1e-8))
+    vals = d[np.triu_indices(n, 1)]
+    pos = vals[vals > 0]
+    tol = 1e-9 * (1.0 + skew.max())
+    with mock.patch.object(metric, "BLOCK_BYTES", budget):
+        s = metric.FiniteMetricSet(d)
+        assert s.min_positive_distance() == (pos.min() if pos.size else 0.0)
+        for eps in (radius, np.nextafter(radius, 0.0), 1e-3):
+            if eps > 0:
+                assert metric.is_epsilon_net(net, eps, s) == (nearest <= eps).all()
+        try:
+            metric.FiniteMetricSet(skew)
+            asymmetric = False
+        except metric.MetricValidationError as err:
+            asymmetric = "asymmetric" in str(err)
+    assert asymmetric == bool(np.abs(skew - skew.T).max() > tol)
 
 
 @PROPERTY
