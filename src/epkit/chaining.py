@@ -11,6 +11,9 @@ Net cardinality certificates use the farthest-point covering upper bounds
 from :mod:`epkit.metric`; the level-k net is the maximal packing at the next
 finer scale, so its size *equals* the covering upper bound there and the
 multiscale sums computed from those bounds dominate the chained estimates.
+Each projection pi_k: T_{k+1} -> T_k is stored once as a map, and since every
+member of T_{k+1} is its own pi_{k+1}, the chained steps (pi_k, pi_{k+1}) of
+all finest-net points are exactly the pairs (pi_k(v), v) over v in T_{k+1}.
 
 Monte Carlo suprema are maxima over points of sigma (t - t0) @ noise.T,
 formed by :func:`sample_maxima` one block of noise rows at a time, so memory
@@ -124,6 +127,7 @@ class DyadicNets:
     D: float
     K: int
     levels: list  # DyadicLevel for k = 0..K
+    projections: list  # pi_k for k < K, indexed by point, set on T_{k+1}
 
 
 def default_depth(s: IndexSet, D: float) -> int:
@@ -139,17 +143,12 @@ def default_depth(s: IndexSet, D: float) -> int:
     while D * 2.0 ** (-k) >= 0.5 * min_pos:
         k += 1
         if k > MAX_DEPTH:
-            raise DepthError("dyadic depth exceeds the supported maximum")
+            raise DepthError(f"depth exceeds the supported maximum {MAX_DEPTH}")
     return k
 
 
-def build_dyadic_nets(s: IndexSet, D: float = None, K: int = None) -> DyadicNets:
-    """Hierarchy T_0..T_K with T_k the maximal packing at scale D 2^-(k+1).
-
-    Each T_k is an eps_{k+1}-net, hence also an eps_k-net, and its size
-    equals the farthest-point covering upper bound at eps_{k+1}.
-    """
-    ms = s.metric_set()
+def _declared_diameter(ms: metric.FiniteMetricSet, D: float) -> float:
+    """D, by default the diameter (1.0 for one point), checked to bound it."""
     diam = ms.diameter
     if D is None:
         D = diam if diam > 0 else 1.0
@@ -157,44 +156,59 @@ def build_dyadic_nets(s: IndexSet, D: float = None, K: int = None) -> DyadicNets
         raise ValueError("D must be positive")
     if diam > D * (1 + 1e-12):
         raise ValueError(f"diameter {diam:.6g} exceeds declared D={D:.6g}")
+    return D
+
+
+def build_dyadic_nets(s: IndexSet, D: float = None, K: int = None) -> DyadicNets:
+    """Hierarchy T_0..T_K with T_k the maximal packing at scale D 2^-(k+1).
+
+    Each T_k is an eps_{k+1}-net, hence also an eps_k-net, and its size
+    equals the farthest-point covering upper bound at eps_{k+1}.  pi_k maps
+    T_{k+1} to its nearest member of T_k, ties to the lowest index; a member
+    of T_k, a strict packing, is its own, so only the new members are read.
+    """
+    ms = s.metric_set()
+    D = _declared_diameter(ms, D)
     if K is None:
         K = default_depth(s, D)
-    if K < 0:
-        raise ValueError("K must be nonnegative")
+    if not 0 <= K <= MAX_DEPTH:
+        raise DepthError(f"K={K} is outside the supported depths 0..{MAX_DEPTH}")
     levels = []
     for k in range(K + 1):
         eps_k = D * 2.0 ** (-k)
         net = metric.maximal_packing(eps_k / 2.0, ms, order="farthest")
         levels.append(DyadicLevel(k=k, eps=eps_k, net=net, card_bound=len(net)))
-    return DyadicNets(index_set=s, D=float(D), K=int(K), levels=levels)
+    projections = []
+    for coarse, fine in zip(levels, levels[1:]):
+        pi = np.full(s.m, -1)
+        pi[coarse.net] = coarse.net
+        members = np.sort(coarse.net)
+        new = fine.net[len(coarse.net):]   # the nets are traversal prefixes
+        for b in metric.blocks(len(new), 8 * s.m):
+            pi[new[b]] = members[ms.dmat[new[b]][:, members].argmin(axis=1)]
+        projections.append(pi)
+    return DyadicNets(s, float(D), int(K), levels, projections)
 
 
 def recursive_projection(u: int, nets: DyadicNets) -> list:
-    """Chain pi_0(u)..pi_K(u): each level projects the next finer level's
-    point to its nearest net member (ties to the lowest index)."""
+    """Chain pi_0(u)..pi_K(u) along the projections of the nets."""
     if u not in nets.levels[nets.K].net:
         raise ValueError("u must belong to the finest net")
-    dmat = nets.index_set.metric_set().dmat
     chain = [int(u)]
-    current = int(u)
-    for k in range(nets.K - 1, -1, -1):
-        net = nets.levels[k].net
-        row = dmat[current, net]
-        current = int(net[row == row.min()].min())
-        chain.append(current)
+    for pi in reversed(nets.projections):
+        chain.append(int(pi[chain[-1]]))
     chain.reverse()
     return chain
 
 
 def projection_step_margins(nets: DyadicNets) -> np.ndarray:
-    """eps_k - dist(pi_k, pi_{k+1}) over all finest-net points and levels."""
+    """eps_k - dist(pi_k(v), v) over v in T_{k+1}: each step of the finest-net
+    chains once (see the module docstring), so the minimum is theirs, but not
+    the length or the order of the array."""
     dmat = nets.index_set.metric_set().dmat
-    margins = []
-    for u in nets.levels[nets.K].net:
-        chain = recursive_projection(int(u), nets)
-        for k in range(nets.K):
-            margins.append(nets.levels[k].eps - dmat[chain[k], chain[k + 1]])
-    return np.asarray(margins) if margins else np.asarray([0.0])
+    margins = [lv.eps - dmat[pi[fine.net], fine.net] for lv, fine, pi
+               in zip(nets.levels, nets.levels[1:], nets.projections)]
+    return np.concatenate(margins) if margins else np.asarray([0.0])
 
 
 def telescoping_residual(u: int, nets: DyadicNets, proc: CanonicalProcess,
@@ -226,7 +240,8 @@ def stage1_bound_check(nets: DyadicNets, proc: CanonicalProcess,
     noise = rng.standard_normal((n_samples, s.dim))
     scaled = proc.coefficients(s.points, s.points[s.basepoint])
     finest = nets.levels[nets.K].net
-    esup = McEstimate.from_samples(sample_maxima(scaled, noise, rows=finest))
+    rows = None if len(finest) == s.m else finest   # same maxima, no copy
+    esup = McEstimate.from_samples(sample_maxima(scaled, noise, rows=rows))
     bound = STAGE1_CONST * proc.sigma * metric.dyadic_sum(
         s.metric_set(), nets.D, nets.K + 1)
     return esup, float(bound)
@@ -236,10 +251,7 @@ def dudley_bound_check(s: IndexSet, proc: CanonicalProcess, n_samples: int,
                        seed: int, D: float = None, nodes: int = 64):
     """(E sup over all of s estimate, 12 sqrt2 sigma entropy_integral(s, D))."""
     ms = s.metric_set()
-    if D is None:
-        D = ms.diameter if ms.diameter > 0 else 1.0
-    if ms.diameter > D * (1 + 1e-12):
-        raise ValueError("diameter exceeds declared D")
+    D = _declared_diameter(ms, D)
     rng = derive_rng(seed, "dudley-sup", s.m)
     noise = rng.standard_normal((n_samples, s.dim))
     scaled = proc.coefficients(s.points, s.points[s.basepoint])

@@ -69,7 +69,9 @@ OPTIONS = {
                        "quadrature nodes of the integral")),
     "discrete-check": (_INSTANCES,),
     "gauss-check": (Option("fields", int, 20, 1, "fields per battery"),),
-    "dudley": (_POINTS, _SIGMA, _D, Option("K", int, None, 0, "depth of the nets"),
+    "dudley": (_POINTS, _SIGMA, _D,
+               Option("K", int, None, 0,
+                      f"depth of the nets, at most {chaining.MAX_DEPTH}"),
                Option("refine", str, None, None, "finer cloud containing --points")),
     "regress": (Option("cls", ("linear", "l1"), "linear", None, "function class"),
                 Option("grid", str, None, None, "cells as n1:d1,n2:d2,..."),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from epkit import chaining, metric
+from epkit.gaussian import McEstimate
 from epkit.rng import derive_rng
 
 SEED = 2024
@@ -64,8 +65,14 @@ class TestDyadicNets:
         assert (np.diff(sizes) >= 0).all()
 
     def test_diameter_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds declared D="):
             chaining.build_dyadic_nets(two_point(), D=0.5, K=1)
+
+    def test_depth_bound(self):
+        chaining.build_dyadic_nets(two_point(), K=chaining.MAX_DEPTH)
+        for K in (-1, chaining.MAX_DEPTH + 1):
+            with pytest.raises(chaining.DepthError, match=f"{chaining.MAX_DEPTH}"):
+                chaining.build_dyadic_nets(two_point(), K=K)
 
     def test_cardinality_against_exact_oracle(self):
         # a maximal packing at eps is a net whose size is at most the exact
@@ -178,6 +185,24 @@ class TestStage1:
         assert esup.mean == pytest.approx(1 / np.sqrt(2 * np.pi), abs=0.005)
         assert bound > esup.mean
 
+    def test_finest_maxima_equal_realized_maxima(self):
+        # every point, at the default depth; a subset, below it or when
+        # points coincide
+        proc = chaining.CanonicalProcess(sigma=1.3)
+        cloud = random_cloud(derive_rng(16, "stage1-rows"), 30, 2)
+        dup = chaining.IndexSet(points=np.vstack([cloud.points, cloud.points[:5]]))
+        for s, K, every in ((cloud, None, True), (cloud, 2, False),
+                            (dup, None, False)):
+            nets = chaining.build_dyadic_nets(s, K=K)
+            finest = nets.levels[nets.K].net
+            assert (len(finest) == s.m) == every
+            esup, _ = chaining.stage1_bound_check(nets, proc, 3000, SEED)
+            noise = derive_rng(SEED, "stage1", s.m, nets.K).standard_normal((3000, 2))
+            expected = McEstimate.from_samples(
+                proc.realize(s, noise)[finest].max(axis=0))
+            assert (hexes([esup.mean, esup.stderr])
+                    == hexes([expected.mean, expected.stderr]))
+
     def test_requires_depth(self):
         nets = chaining.build_dyadic_nets(two_point(), D=1.0, K=0)
         with pytest.raises(ValueError):
@@ -202,6 +227,11 @@ class TestDudleyBound:
         assert esup.mean == pytest.approx(1 / np.sqrt(2 * np.pi), abs=0.005)
         assert rhs == pytest.approx(12 * np.sqrt(2) * np.sqrt(np.log(2)), rel=1e-6)
         assert rhs == pytest.approx(14.1289, abs=0.001)
+
+    def test_diameter_guard(self):
+        with pytest.raises(ValueError, match="exceeds declared D="):
+            chaining.dudley_bound_check(
+                two_point(), chaining.CanonicalProcess(sigma=1.0), 100, SEED, D=0.5)
 
     def test_singleton(self):
         s = chaining.IndexSet(points=np.array([[1.0, 2.0]]), basepoint=0)

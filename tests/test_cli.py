@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epkit import cli, discrete, maurey
+from epkit import chaining, cli, discrete, maurey
 from epkit.reports import CheckReport, ReportCollector
 
 DATA = str(Path(__file__).parent / "data")
@@ -24,6 +24,8 @@ NAMED_LIMITS = {
     ("maurey", "--eps", "1e-3", "--instances", "1"):
         f"sample budget {maurey.SAMPLE_BUDGET}",
     ("maurey", "--eps", "1e-200"): f"sample budget {maurey.SAMPLE_BUDGET}",
+    ("dudley", "--points", f"{DATA}/square.csv", "--K", "49"):
+        f"supported depths 0..{chaining.MAX_DEPTH}",
 }
 
 

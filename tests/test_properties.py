@@ -3,9 +3,10 @@ classes, the chaining and discrete checks and the sparsification rely on:
 counts read off the farthest-point traversal, their monotonicity in the
 scale, the packing sandwich around the exact covering number, the linear
 class's closed-form inner supremum, the exact telescoping of chained
-increments, the blocked distance reductions against dense ones, the
-Efron-Stein and tensorization inequalities with the duality equality case,
-the product-space kernel against brute-force enumeration, and Maurey's
+increments, the stored projection maps against per-point chains, the
+blocked distance reductions against dense ones, the Efron-Stein and
+tensorization inequalities with the duality equality case, the
+product-space kernel against brute-force enumeration, and Maurey's
 unbiasedness and 1/k error law."""
 
 import itertools
@@ -82,6 +83,42 @@ def test_telescoping_residual_is_exact(points, depth, seed):
     for u in nets.levels[depth].net:
         w = rng.standard_normal(s.dim)
         assert chaining.telescoping_residual(int(u), nets, proc, w) <= EXACT_TOL
+
+
+def grid_clouds(max_points, side):
+    """Clouds with coordinates i / side, |i| <= side: a small side gives
+    equidistant ties and duplicated points, a large one generic clouds whose
+    default depth stays below chaining.MAX_DEPTH."""
+    coords = st.integers(-side, side).map(lambda i: i / side)
+    return st.tuples(st.integers(1, max_points), st.integers(1, 3)).flatmap(
+        lambda shape: hnp.arrays(float, shape, elements=coords))
+
+
+def reference_chain(u, nets):
+    """pi_0(u)..pi_K(u), each level's nearest member found by its own scan."""
+    dmat = nets.index_set.metric_set().dmat
+    chain = [u]
+    for lv in reversed(nets.levels[:-1]):
+        row = dmat[chain[-1], lv.net]
+        chain.append(int(lv.net[row == row.min()].min()))
+    return chain[::-1]
+
+
+@PROPERTY
+@given(points=st.one_of(grid_clouds(40, 2), grid_clouds(40, 2 ** 10)),
+       depth=st.one_of(st.none(), st.integers(0, 6)), budget=st.integers(1, 400))
+def test_projection_maps_match_per_point_chains(points, depth, budget):
+    s = chaining.IndexSet(points=points)
+    with mock.patch.object(metric, "BLOCK_BYTES", budget):
+        nets = chaining.build_dyadic_nets(s, K=depth)
+    dmat = s.metric_set().dmat
+    finest = [int(u) for u in nets.levels[nets.K].net]
+    chains = [reference_chain(u, nets) for u in finest]
+    assert [chaining.recursive_projection(u, nets) for u in finest] == chains
+    steps = [lv.eps - dmat[a, b] for chain in chains
+             for lv, a, b in zip(nets.levels, chain, chain[1:])]
+    assert (float(chaining.projection_step_margins(nets).min()).hex()
+            == float(min(steps, default=0.0)).hex())
 
 
 @PROPERTY
