@@ -56,6 +56,7 @@ class IndexSet:
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        metric.reject_nonfinite(self.points)
         if not 0 <= self.basepoint < len(self.points):
             raise ValueError("basepoint must be a member index")
         self._metric = None
@@ -128,6 +129,7 @@ class DyadicNets:
     K: int
     levels: list  # DyadicLevel for k = 0..K
     projections: list  # pi_k for k < K, indexed by point, set on T_{k+1}
+    steps: list        # dist(pi_k(v), v) likewise
 
 
 def default_depth(s: IndexSet, D: float) -> int:
@@ -165,7 +167,8 @@ def build_dyadic_nets(s: IndexSet, D: float = None, K: int = None) -> DyadicNets
     Each T_k is an eps_{k+1}-net, hence also an eps_k-net, and its size
     equals the farthest-point covering upper bound at eps_{k+1}.  pi_k maps
     T_{k+1} to its nearest member of T_k, ties to the lowest index; a member
-    of T_k, a strict packing, is its own, so only the new members are read.
+    of T_k, a strict packing, is its own, so only the new members are read;
+    the step distance of a member is the exact 0.0 of a distance diagonal.
     """
     ms = s.metric_set()
     D = _declared_diameter(ms, D)
@@ -178,16 +181,19 @@ def build_dyadic_nets(s: IndexSet, D: float = None, K: int = None) -> DyadicNets
         eps_k = D * 2.0 ** (-k)
         net = metric.maximal_packing(eps_k / 2.0, ms, order="farthest")
         levels.append(DyadicLevel(k=k, eps=eps_k, net=net, card_bound=len(net)))
-    projections = []
+    projections, steps = [], []
     for coarse, fine in zip(levels, levels[1:]):
-        pi = np.full(s.m, -1)
-        pi[coarse.net] = coarse.net
+        pi, step = np.full(s.m, -1), np.full(s.m, np.nan)
+        pi[coarse.net], step[coarse.net] = coarse.net, 0.0
         members = np.sort(coarse.net)
         new = fine.net[len(coarse.net):]   # the nets are traversal prefixes
         for b in metric.blocks(len(new), 8 * s.m):
-            pi[new[b]] = members[ms.dmat[new[b]][:, members].argmin(axis=1)]
+            d = ms.rows(new[b])[:, members]
+            pi[new[b]] = members[d.argmin(axis=1)]
+            step[new[b]] = d.min(axis=1)
         projections.append(pi)
-    return DyadicNets(s, float(D), int(K), levels, projections)
+        steps.append(step)
+    return DyadicNets(s, float(D), int(K), levels, projections, steps)
 
 
 def recursive_projection(u: int, nets: DyadicNets) -> list:
@@ -205,9 +211,8 @@ def projection_step_margins(nets: DyadicNets) -> np.ndarray:
     """eps_k - dist(pi_k(v), v) over v in T_{k+1}: each step of the finest-net
     chains once (see the module docstring), so the minimum is theirs, but not
     the length or the order of the array."""
-    dmat = nets.index_set.metric_set().dmat
-    margins = [lv.eps - dmat[pi[fine.net], fine.net] for lv, fine, pi
-               in zip(nets.levels, nets.levels[1:], nets.projections)]
+    margins = [lv.eps - step[fine.net] for lv, fine, step
+               in zip(nets.levels, nets.levels[1:], nets.steps)]
     return np.concatenate(margins) if margins else np.asarray([0.0])
 
 
@@ -291,11 +296,10 @@ def subgaussian_process_check(s: IndexSet, proc: CanonicalProcess, pairs,
         raise ValueError("need at least one pair and one lambda")
     rng = derive_rng(seed, "mgf", s.m)
     noise = rng.standard_normal((n_samples, s.dim))
-    dmat = s.metric_set().dmat
     rows = []
     for (i, j) in pairs:
         z = proc.sigma * (s.points[i] - s.points[j]) @ noise.T
-        d = dmat[i, j]
+        d = s.metric_set().rows(i)[j]
         for lam in lambdas:
             bound = float(np.exp(0.5 * lam ** 2 * proc.sigma ** 2 * d ** 2))
             with np.errstate(over="ignore"):

@@ -9,8 +9,8 @@ defaults and the validation of flag and config-file values come from there.
 
 Exit codes: 0 all checks passed, 1 at least one inequality check failed,
 2 usage or configuration error (a value of the wrong type, outside its
-choices or below its bound, a zero-size configuration, a point cloud whose
-diameter is 0), 3 internal error.
+choices or below its bound, a zero-size configuration, non-finite input, a
+point cloud whose diameter is 0), 3 internal error.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ All nets are *internal*: centers are drawn from the point set itself.
 Internal covering counts dominate ambient ones, so every upper bound computed
 here is also an upper bound for the ambient-center formulation.
 
+A set is a distance matrix or a Euclidean point cloud, and every distance is
+read as rows on demand: a cloud's n×n matrix is never formed, so its memory
+follows the block budget ``BLOCK_BYTES``, not n².
+
 Two maximal-packing constructions are provided:
 
 * ``order="index"``  - greedy scan in input index order (the default, and the
@@ -22,7 +26,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -65,34 +68,64 @@ def nearest_distances(points, targets) -> np.ndarray:
                            for b in blocks(len(points), 8 * len(targets))])
 
 
-class FiniteMetricSet:
-    """A finite indexed point set with a pseudo-metric given by a matrix.
+def reject_nonfinite(rows) -> None:
+    """Raise MetricValidationError naming the first row with a NaN or inf."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise MetricValidationError(f"non-finite entry in row {bad[0]} "
+                                    "(counting from 0)")
 
-    Points are identified by index 0..n-1.  Construction validates symmetry,
-    zero diagonal and the triangle inequality (exhaustively for up to 200
-    points, on sampled triples beyond that).  Distinct points at distance 0
-    are allowed.
+
+class FiniteMetricSet:
+    """A finite indexed point set with a pseudo-metric: a distance matrix,
+    or a Euclidean point cloud (``from_points``) whose n×n matrix is never
+    formed.  Both serve distance rows on demand through ``rows``.
+
+    Points are identified by index 0..n-1; distinct points may lie at
+    distance 0.  Non-finite input is rejected.  A matrix is checked for
+    symmetry, a zero diagonal and nonnegativity; a cloud has them by
+    construction, because cdist computes each pair on its own and
+    x - y = -(y - x) exactly in IEEE arithmetic, so d(i, j) and d(j, i) are
+    the same number.  Both forms check the triangle inequality, exhaustively
+    for up to 200 points and on sampled triples beyond that.
     """
 
-    def __init__(self, dmat, validate=True, _fp_tol=1e-9):
-        dmat = np.asarray(dmat, dtype=float)
-        if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
-            raise MetricValidationError("distance matrix must be square")
+    def __init__(self, dmat=None, validate=True, _fp_tol=1e-9, *, points=None):
+        if points is None:
+            dmat = np.asarray(dmat, dtype=float)
+            if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
+                raise MetricValidationError("distance matrix must be square")
         self.dmat = dmat
-        self.n = dmat.shape[0]
+        self.points = points
+        data = dmat if points is None else points
+        self.n = len(data)
+        reject_nonfinite(data)
         self._fp_tol = _fp_tol
-        self._fps_order = None
-        self._fps_radii = None
+        self._traversal = None
         if validate:
             self._validate()
 
     @classmethod
     def from_points(cls, points):
         """Euclidean metric on a point cloud (one point per row)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return cls(cdist(points, points))
+        return cls(points=np.atleast_2d(np.asarray(points, dtype=float)))
+
+    def rows(self, idx) -> np.ndarray:
+        """Distance rows of the points idx (an index, slice or index array):
+        the matrix rows, or those of cdist(points, points) bit for bit."""
+        if self.points is None:
+            return self.dmat[idx]
+        block = self.points[idx]
+        if block.ndim == 1:
+            return cdist(block[None], self.points)[0]
+        return cdist(block, self.points)
 
     def _validate(self):
+        if self.points is not None:  # symmetric, zero diagonal: by construction
+            if not np.isfinite(self.diameter):
+                raise MetricValidationError("a distance overflows to inf")
+            self._check_triangles(self._fp_tol * (1.0 + self.diameter))
+            return
         d = self.dmat
         scale = float(d.max(initial=0.0))
         tol = self._fp_tol * (1.0 + scale)
@@ -105,7 +138,12 @@ class FiniteMetricSet:
             skew = d[b] - d[:, b].T
             if np.abs(skew, out=skew).max(initial=0.0) > tol:
                 raise MetricValidationError("asymmetric distances")
+        self._check_triangles(tol)
+
+    def _check_triangles(self, tol):
+        n = self.n
         if n <= _EXHAUSTIVE_TRIANGLE_LIMIT:
+            d = self.rows(slice(None))   # at most 320 KB
             for k in range(n):
                 if (d - (d[:, k:k + 1] + d[k:k + 1, :])).max(initial=0.0) > tol:
                     raise MetricValidationError(
@@ -113,12 +151,17 @@ class FiniteMetricSet:
         else:
             rng = np.random.default_rng(0)
             i, j, k = rng.integers(0, n, size=(3, _SAMPLED_TRIANGLES))
-            if (d[i, j] - d[i, k] - d[k, j]).max(initial=0.0) > tol:
+            p = self.points
+            d = ((lambda a, b: self.dmat[a, b]) if p is None
+                 else (lambda a, b: np.linalg.norm(p[a] - p[b], axis=1)))
+            if (d(i, j) - d(i, k) - d(k, j)).max(initial=0.0) > tol:
                 raise MetricValidationError("triangle inequality fails (sampled)")
 
-    @cached_property
+    @property
     def diameter(self) -> float:
-        return float(self.dmat.max()) if self.n else 0.0
+        """Largest distance, read during the farthest-point traversal."""
+        self.farthest_point_order()
+        return self._traversal[2]
 
     def min_positive_distance(self) -> float:
         """Smallest nonzero pairwise distance; 0.0 if all pairs coincide."""
@@ -126,7 +169,7 @@ class FiniteMetricSet:
             return 0.0
         lows = []
         for b in blocks(self.n, 8 * self.n):
-            upper = np.triu(self.dmat[b], b.start + 1)  # the pairs i < j
+            upper = np.triu(self.rows(b), b.start + 1)  # the pairs i < j
             pos = upper[upper > 0]
             if pos.size:
                 lows.append(pos.min())
@@ -140,23 +183,23 @@ class FiniteMetricSet:
         radii[i] is the distance of order[i] to the previously selected
         points (inf for the first).  The sequence is nonincreasing, so
         {order[j] : radii[j] > eps} is a maximal eps-packing for every eps.
+        It reads each row once, and the diameter is the maximum of those rows.
         """
-        if self._fps_order is not None:
-            return self._fps_order, self._fps_radii
+        if self._traversal is not None:
+            return self._traversal[:2]
         n = self.n
         order = np.empty(n, dtype=int)
         radii = np.empty(n, dtype=float)
-        if n:
-            order[0] = 0
-            radii[0] = np.inf
-            mind = self.dmat[0].copy()
-            for i in range(1, n):
-                nxt = int(np.argmax(mind))  # argmax takes the lowest index on ties
-                order[i] = nxt
-                radii[i] = mind[nxt]
-                np.minimum(mind, self.dmat[nxt], out=mind)
-        self._fps_order = order
-        self._fps_radii = radii
+        mind = np.full(n, np.inf)
+        diameter = -np.inf
+        for i in range(n):
+            # argmax takes the lowest index on ties, so index 0 comes first
+            order[i] = nxt = int(np.argmax(mind))
+            radii[i] = mind[nxt]
+            row = self.rows(nxt)
+            diameter = max(diameter, float(row.max()))
+            np.minimum(mind, row, out=mind)
+        self._traversal = (order, radii, diameter if n else 0.0)
         return order, radii
 
 
@@ -187,7 +230,7 @@ def is_epsilon_net(net, eps: float, s: FiniteMetricSet) -> bool:
         return False
     nearest = np.full(s.n, np.inf)
     for b in blocks(net.size, 8 * s.n):
-        np.minimum(nearest, s.dmat[net[b]].min(axis=0), out=nearest)
+        np.minimum(nearest, s.rows(net[b]).min(axis=0), out=nearest)
     return bool((nearest <= eps).all())
 
 
@@ -212,7 +255,7 @@ def maximal_packing(eps: float, s: FiniteMetricSet, order="index") -> np.ndarray
             raise ValueError("order must be a permutation of the point indices")
     chosen = []
     for p in scan:
-        if all(s.dmat[p, q] > eps for q in chosen):
+        if (s.rows(p)[chosen] > eps).all():
             chosen.append(p)
     return np.asarray(chosen, dtype=int)
 
@@ -274,7 +317,7 @@ def exact_covering_number(eps: float, s: FiniteMetricSet) -> int:
     masks = []
     for c in range(n):
         m = 0
-        for p in np.nonzero(s.dmat[c] <= eps)[0]:
+        for p in np.nonzero(s.rows(c) <= eps)[0]:
             m |= 1 << int(p)
         masks.append(m)
     full = (1 << n) - 1

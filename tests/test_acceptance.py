@@ -69,7 +69,7 @@ class TestCriterion2Covering:
             n = int(rng.integers(4, 26))
             dim = int(rng.integers(1, 4))
             s = metric.FiniteMetricSet.from_points(rng.uniform(0, 1, (n, dim)))
-            dists = s.dmat[np.triu_indices(n, 1)]
+            dists = s.rows(slice(None))[np.triu_indices(n, 1)]
             eps = float(np.quantile(dists, rng.uniform(0.2, 0.6)))
             if eps <= 0:
                 continue

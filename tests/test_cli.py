@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from epkit import chaining, cli, discrete, maurey
 from epkit.reports import CheckReport, ReportCollector
@@ -26,6 +27,15 @@ NAMED_LIMITS = {
     ("maurey", "--eps", "1e-200"): f"sample budget {maurey.SAMPLE_BUDGET}",
     ("dudley", "--points", f"{DATA}/square.csv", "--K", "49"):
         f"supported depths 0..{chaining.MAX_DEPTH}",
+    # a NaN or an infinity is rejected before any distance is computed
+    ("cover", "--points", f"{DATA}/nan_point.csv"): "non-finite entry in row 1",
+    ("entropy", "--points", f"{DATA}/inf_point.csv"): "non-finite entry in row 2",
+    ("dudley", "--points", f"{DATA}/nan_point.csv"): "non-finite entry in row 1",
+    ("dudley", "--points", f"{DATA}/square.csv", "--refine",
+     f"{DATA}/nan_point.csv"): "non-finite entry in row 1",
+    ("cover", "--points", f"{DATA}/nan_distance.csv", "--dist-matrix"):
+        "non-finite entry in row 0",
+    ("entropy", "--points", f"{DATA}/overflow.csv"): "overflows to inf",
 }
 
 
@@ -248,6 +258,24 @@ class TestReproducibility:
         assert cli.main(["dudley", *args, "--out", str(b)]) == 0
         assert read(a / "dudley_reports.csv") == read(b / "dudley_reports.csv")
         assert read(a / "dudley_profile.csv") == read(b / "dudley_profile.csv")
+
+    @pytest.mark.parametrize("suite", [["cover", "--scales", "6"],
+                                       ["entropy", "--K", "5"]])
+    def test_points_and_distance_matrix_write_the_same_files(self, suite,
+                                                             tmp_path):
+        # 250 points: both forms take the sampled triangle check
+        pts = np.random.default_rng(5).uniform(0, 1, size=(250, 3))
+        np.savetxt(tmp_path / "pts.csv", pts, delimiter=",", fmt="%.17g")
+        np.savetxt(tmp_path / "dm.csv", cdist(pts, pts), delimiter=",",
+                   fmt="%.17g")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.main([*suite, "--points", str(tmp_path / "pts.csv"),
+                         "--out", str(a)]) == 0
+        assert cli.main([*suite, "--points", str(tmp_path / "dm.csv"),
+                         "--dist-matrix", "--out", str(b)]) == 0
+        names = sorted(f.name for f in a.iterdir())
+        assert names == sorted(f.name for f in b.iterdir()) and len(names) == 2
+        assert all(read(a / name) == read(b / name) for name in names)
 
     def test_config_equivalent_to_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -6,8 +6,11 @@ Oracle checklist:
 - Euclidean ball bound checked against exact covers of sampled ball subsets.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from epkit import metric
 from epkit.rng import derive_rng
@@ -29,7 +32,7 @@ class TestFiniteMetricSet:
 
     def test_pseudo_metric_allows_duplicates(self):
         s = line_set(0.0, 0.0, 1.0)
-        assert s.dmat[0, 1] == 0.0
+        assert s.rows(0)[1] == 0.0
         assert s.min_positive_distance() == pytest.approx(1.0)
 
     def test_rejects_asymmetry(self):
@@ -38,8 +41,8 @@ class TestFiniteMetricSet:
             metric.FiniteMetricSet(bad)
 
     def test_rejects_asymmetry_in_a_later_block(self, monkeypatch):
-        d = metric.FiniteMetricSet.from_points(
-            derive_rng(1, "blocks").uniform(0, 1, size=(300, 2))).dmat.copy()
+        pts = derive_rng(1, "blocks").uniform(0, 1, size=(300, 2))
+        d = cdist(pts, pts)
         d[298, 299] += 1e-3  # rows 298 and 299 share the last block
         monkeypatch.setattr(metric, "BLOCK_BYTES", 8 * 300 * 16)
         assert len(metric.blocks(300, 8 * 300)) > 1
@@ -67,6 +70,31 @@ class TestFiniteMetricSet:
     def test_sampled_validation_beyond_200_points(self):
         pts = derive_rng(0, "big-cloud").uniform(0, 1, size=(250, 2))
         metric.FiniteMetricSet.from_points(pts)  # must not raise
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        pts = np.zeros((4, 2))
+        pts[2, 1] = bad
+        with pytest.raises(metric.MetricValidationError, match="row 2"):
+            metric.FiniteMetricSet.from_points(pts)
+        with pytest.raises(metric.MetricValidationError, match="row 2"):
+            metric.FiniteMetricSet(pts[:, [0, 1, 1, 0]])   # a 4 x 4 matrix
+
+    def test_point_cloud_memory_follows_the_block_budget(self):
+        # the distance matrix of 4000 points would take 128 MB
+        pts = derive_rng(2, "memory").uniform(0, 1, size=(4000, 2))
+        tracemalloc.start()
+        try:
+            s = metric.FiniteMetricSet.from_points(pts)
+            scales = s.diameter * 2.0 ** -np.arange(8)
+            for eps in scales:
+                witness = metric.maximal_packing(eps, s, order="farthest")
+                assert metric.is_epsilon_net(witness, eps, s)
+            assert metric.covering_counts(s, scales)[-1] == len(witness)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < metric.BLOCK_BYTES
 
 
 class TestIsEpsilonNet:
@@ -102,7 +130,7 @@ class TestMaximalPacking:
     @pytest.mark.parametrize("order", ["index", "farthest"])
     def test_separation_and_coverage(self, grid101, order):
         pack = metric.maximal_packing(0.3, grid101, order=order)
-        sub = grid101.dmat[np.ix_(pack, pack)]
+        sub = grid101.rows(pack)[:, pack]
         off = sub[np.triu_indices(len(pack), 1)]
         assert (off > 0.3).all()
         assert metric.is_epsilon_net(pack, 0.3, grid101)
@@ -308,6 +336,6 @@ class TestProfilesAndCsv:
     def test_distance_matrix_csv(self, tmp_path):
         s = line_set(0.0, 0.5, 2.0)
         path = tmp_path / "dm.csv"
-        np.savetxt(path, s.dmat, delimiter=",")
+        np.savetxt(path, s.rows(slice(None)), delimiter=",")
         loaded = metric.load_distance_matrix_csv(path)
-        assert np.allclose(loaded.dmat, s.dmat)
+        assert np.allclose(loaded.rows(slice(None)), s.rows(slice(None)))

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
 from epkit import chaining, discrete, maurey, metric
 from epkit import regression as rg
@@ -27,9 +28,9 @@ from epkit.rng import gaussian_design, l1_ball_point
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
-def clouds(max_points):
+def clouds(max_points, max_dim=3):
     coords = st.floats(-1.0, 1.0, allow_nan=False, width=32)
-    return st.tuples(st.integers(1, max_points), st.integers(1, 3)).flatmap(
+    return st.tuples(st.integers(1, max_points), st.integers(1, max_dim)).flatmap(
         lambda shape: hnp.arrays(float, shape, elements=coords))
 
 
@@ -85,21 +86,21 @@ def test_telescoping_residual_is_exact(points, depth, seed):
         assert chaining.telescoping_residual(int(u), nets, proc, w) <= EXACT_TOL
 
 
-def grid_clouds(max_points, side):
+def grid_clouds(max_points, side, max_dim=3):
     """Clouds with coordinates i / side, |i| <= side: a small side gives
     equidistant ties and duplicated points, a large one generic clouds whose
     default depth stays below chaining.MAX_DEPTH."""
     coords = st.integers(-side, side).map(lambda i: i / side)
-    return st.tuples(st.integers(1, max_points), st.integers(1, 3)).flatmap(
+    return st.tuples(st.integers(1, max_points), st.integers(1, max_dim)).flatmap(
         lambda shape: hnp.arrays(float, shape, elements=coords))
 
 
 def reference_chain(u, nets):
     """pi_0(u)..pi_K(u), each level's nearest member found by its own scan."""
-    dmat = nets.index_set.metric_set().dmat
+    ms = nets.index_set.metric_set()
     chain = [u]
     for lv in reversed(nets.levels[:-1]):
-        row = dmat[chain[-1], lv.net]
+        row = ms.rows(chain[-1])[lv.net]
         chain.append(int(lv.net[row == row.min()].min()))
     return chain[::-1]
 
@@ -111,7 +112,7 @@ def test_projection_maps_match_per_point_chains(points, depth, budget):
     s = chaining.IndexSet(points=points)
     with mock.patch.object(metric, "BLOCK_BYTES", budget):
         nets = chaining.build_dyadic_nets(s, K=depth)
-    dmat = s.metric_set().dmat
+    dmat = cdist(s.points, s.points)
     finest = [int(u) for u in nets.levels[nets.K].net]
     chains = [reference_chain(u, nets) for u in finest]
     assert [chaining.recursive_projection(u, nets) for u in finest] == chains
@@ -121,10 +122,68 @@ def test_projection_maps_match_per_point_chains(points, depth, budget):
             == float(min(steps, default=0.0)).hex())
 
 
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@PROPERTY
+@given(points=st.one_of(grid_clouds(40, 1, 7), grid_clouds(40, 2, 7),
+                        clouds(40, 7)),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), depth=st.integers(0, 8),
+       budget=st.integers(1, 400), data=st.data())
+def test_point_cloud_form_matches_its_distance_matrix(points, scale, depth,
+                                                      budget, data):
+    points = points * scale
+    d = cdist(points, points)
+    n = len(d)
+    with mock.patch.object(metric, "BLOCK_BYTES", budget):
+        s = metric.FiniteMetricSet.from_points(points)
+        ref = metric.FiniteMetricSet(d)
+        # rows on demand are the matrix rows, one by one and in blocks, and
+        # symmetric with a zero diagonal by construction
+        rows = np.array([s.rows(i) for i in range(n)])
+        assert hexes(rows) == hexes(d) and (rows == rows.T).all()
+        assert (np.diag(rows) == 0.0).all()
+        idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        assert hexes(s.rows(np.asarray(idx))) == hexes(d[idx])
+        order, radii = s.farthest_point_order()
+        assert list(order) == list(ref.farthest_point_order()[0])
+        assert hexes(radii) == hexes(ref.farthest_point_order()[1])
+        pos = d[np.triu_indices(n, 1)]
+        min_pos = float(pos[pos > 0].min() if (pos > 0).any() else 0.0)
+        for t in (s, ref):
+            assert t.diameter.hex() == float(d.max()).hex()
+            assert t.min_positive_distance().hex() == min_pos.hex()
+        eps = (d.max() or 1.0) * 2.0 ** -np.arange(1, 12)
+        assert list(metric.covering_counts(s, eps)) == list(
+            metric.covering_counts(ref, eps))
+        net = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        radius = d[net].min(axis=0).max()   # the covering radius of net
+        for t in (s, ref):
+            if radius > 0:
+                assert metric.is_epsilon_net(net, radius, t)
+                assert not metric.is_epsilon_net(
+                    net, np.nextafter(radius, 0.0), t)
+        nets = chaining.build_dyadic_nets(chaining.IndexSet(points=points),
+                                          K=depth)
+        ref_set = chaining.IndexSet(points=points)
+        ref_set._metric = ref
+        ref_nets = chaining.build_dyadic_nets(ref_set, K=depth)
+    assert [list(lv.net) for lv in nets.levels] == [
+        list(lv.net) for lv in ref_nets.levels]
+    assert all((a == b).all() for a, b in zip(nets.projections,
+                                              ref_nets.projections))
+    steps = [lv.eps - d[pi[fine.net], fine.net] for lv, fine, pi
+             in zip(nets.levels, nets.levels[1:], nets.projections)]
+    expected = np.concatenate(steps).min() if steps else 0.0
+    assert (float(chaining.projection_step_margins(nets).min()).hex()
+            == float(expected).hex())
+
+
 @PROPERTY
 @given(points=clouds(20), budget=st.integers(1, 400), data=st.data())
 def test_blocked_distance_reductions_match_dense(points, budget, data):
-    d = metric.FiniteMetricSet.from_points(points).dmat
+    d = cdist(points, points)
     n = len(d)
     net = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
     nearest = d[np.ix_(net, range(n))].min(axis=0)
