@@ -179,7 +179,7 @@ def build_dyadic_nets(s: IndexSet, D: float = None, K: int = None) -> DyadicNets
     levels = []
     for k in range(K + 1):
         eps_k = D * 2.0 ** (-k)
-        net = metric.maximal_packing(eps_k / 2.0, ms, order="farthest")
+        net = metric.maximal_packing(eps_k / 2.0, ms)
         levels.append(DyadicLevel(k=k, eps=eps_k, net=net, card_bound=len(net)))
     projections, steps = [], []
     for coarse, fine in zip(levels, levels[1:]):

@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from collections import namedtuple
@@ -81,7 +82,7 @@ OPTIONS = {
                Option("n", int, 20, 1, "dictionary rows"), _R,
                Option("eps", float, 0.5, 0.0, "target distance"), _INSTANCES),
 }
-_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a finite number"),
                str: (str, "a string"), bool: (bool, "true or false")}
 
 
@@ -109,7 +110,8 @@ def _bound(opt: Option) -> str:
 
 
 def _check(opt: Option, value) -> None:
-    """Reject a wrong JSON type, a value outside the choices or below the bound."""
+    """Reject a wrong JSON type, a non-finite float, a value outside the
+    choices or below the bound."""
     if value is None and opt.default is None:
         return
     if isinstance(opt.type, tuple):
@@ -117,7 +119,8 @@ def _check(opt: Option, value) -> None:
     else:
         kinds, what = _JSON_TYPES[opt.type]
         ok = (isinstance(value, kinds)
-              and isinstance(value, bool) == (opt.type is bool))
+              and isinstance(value, bool) == (opt.type is bool)
+              and (opt.type is not float or abs(value) < math.inf))
     if not ok:
         raise ConfigError(f"{opt.name} must be {what}, not {value!r}")
     strict = opt.type is float
@@ -194,13 +197,17 @@ def run_cover(cfg) -> ReportCollector:
     s = _load_metric_set(cfg)
     col = ReportCollector()
     if cfg["eps"]:
-        scales = [float(tok) for tok in cfg["eps"].split(",")]
+        scales = []
+        for tok in cfg["eps"].split(","):
+            scales.append(float(tok))
+            if not math.isfinite(scales[-1]):
+                raise ConfigError(f"eps holds a non-finite scale {tok!r}")
     else:
         scales = [s.diameter * 2.0 ** (-k) for k in range(cfg["scales"])]
     profile = metric.entropy_profile(s, scales)
     for eps, lower, upper in zip(profile.scales, profile.lowers, profile.counts):
         eps = float(eps)
-        witness = metric.maximal_packing(eps, s, order="farthest")
+        witness = metric.maximal_packing(eps, s)
         valid = metric.is_epsilon_net(witness, eps, s)
         col.add(f"net-valid-eps={fmt(eps)}", lhs=0.0 if valid else 1.0,
                 rhs=0.0, stderr=0.0, margin=0.0 if valid else -1.0,
@@ -239,7 +246,7 @@ def run_discrete_check(cfg) -> ReportCollector:
     for idx in range(cfg["instances"]):
         rng = derive_rng(seed, "discrete-instance", idx)
         # the checks read the dumped form, so a violation replays exactly
-        doc = discrete.random_instance(rng).to_dict()
+        doc = discrete.random_instance(rng)
         gaps = discrete.replay_instance(doc)
         for family, (lhs, rhs) in gaps.items():
             margin = (EXACT_TOL - abs(rhs - lhs) if family == "duality_eq"
@@ -345,6 +352,9 @@ def _parse_grid(cfg):
     cells = [(int(n), int(d)) for n, d in cells]
     if min(map(min, cells)) < 1:
         raise ConfigError("every grid cell needs n and d of at least 1")
+    repeated = [cell for i, cell in enumerate(cells) if cell in cells[:i]]
+    if repeated:
+        raise ConfigError("the grid repeats the cell %d:%d" % repeated[0])
     return cells
 
 

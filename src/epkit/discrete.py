@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,56 +211,25 @@ def bernoulli_lsi_gap(values, sp: FiniteProductSpace):
 # -- random instances and replay dumps ---------------------------------------
 
 
-@dataclass
-class DiscreteInstance:
-    family: str
-    supports: list
-    weights: list
-    values: list          # primary function table
-    aux_values: list | None = None  # duality witness T, when applicable
-    joint: list | None = None       # Han joint pmf table (flattened)
-    shape: tuple | None = None
-    rademacher_values: list | None = None  # two-point LSI function table
-
-    def to_dict(self) -> dict:
-        """The form replay_instance reads; unset families are left out."""
-        doc = {"family": self.family, "supports": self.supports,
-               "weights": self.weights, "values": self.values}
-        if self.aux_values is not None:
-            doc["aux_values"] = self.aux_values
-        if self.joint is not None:
-            doc["joint"] = self.joint
-            doc["shape"] = list(self.shape)
-        if self.rademacher_values is not None:
-            doc["rademacher_values"] = self.rademacher_values
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
 def replay_instance(doc: dict) -> dict:
-    """Recompute every gap of a dumped instance; keys are family names and
-    values are (lhs, rhs) pairs ordered so that each contract reads
-    lhs <= rhs.  Accepts the dict form of DiscreteInstance."""
+    """Recompute every gap of a dumped instance (the dict of random_instance);
+    keys are family names and values are (lhs, rhs) pairs ordered so that
+    each contract reads lhs <= rhs.  A missing key raises KeyError naming it."""
     sp = FiniteProductSpace(doc["supports"], doc["weights"])
     f = np.asarray(doc["values"], dtype=float)
     out = {"efron_stein": efron_stein_gap(f, sp)}
     y = np.abs(f) + 0.1
-    if doc.get("aux_values") is not None:
-        t = np.asarray(doc["aux_values"], dtype=float)
-        ent, dual = entropy_duality_check(y, t, sp)
-        out["duality"] = (dual, ent)
+    t = np.asarray(doc["aux_values"], dtype=float)
+    ent, dual = entropy_duality_check(y, t, sp)
+    out["duality"] = (dual, ent)
     ent, dual = entropy_duality_check(y, y, sp)
     out["duality_eq"] = (dual, ent)
     out["tensorization"] = tensorization_gap(y, sp)
-    if doc.get("joint") is not None:
-        table = np.asarray(doc["joint"], dtype=float).reshape(doc["shape"])
-        out["han"] = han_inequality_gap(JointPmf(table))
-    if doc.get("rademacher_values") is not None:
-        g = np.asarray(doc["rademacher_values"], dtype=float)
-        n = int(np.log2(g.size))
-        out["bernoulli_lsi"] = bernoulli_lsi_gap(g, FiniteProductSpace.rademacher(n))
+    table = np.asarray(doc["joint"], dtype=float).reshape(doc["shape"])
+    out["han"] = han_inequality_gap(JointPmf(table))
+    g = np.asarray(doc["rademacher_values"], dtype=float)
+    n = int(np.log2(g.size))
+    out["bernoulli_lsi"] = bernoulli_lsi_gap(g, FiniteProductSpace.rademacher(n))
     return out
 
 
@@ -274,9 +241,8 @@ def _binary_weights(rng, n) -> list:
     return weights
 
 
-def random_binary_space(rng, n, uniform=False) -> FiniteProductSpace:
-    weights = [[0.5, 0.5]] * n if uniform else _binary_weights(rng, n)
-    return FiniteProductSpace([[0.0, 1.0]] * n, weights)
+def random_binary_space(rng, n) -> FiniteProductSpace:
+    return FiniteProductSpace([[0.0, 1.0]] * n, _binary_weights(rng, n))
 
 
 def random_joint_pmf(rng, shape) -> JointPmf:
@@ -287,16 +253,17 @@ def random_joint_pmf(rng, shape) -> JointPmf:
     return JointPmf(raw)
 
 
-def random_instance(rng) -> DiscreteInstance:
-    """One instance of every family: a random product measure on {0,1}^3
-    with a function table and a duality witness on it, a joint pmf on a
-    2x2x2 grid, and a function table on {-1,+1}^3."""
+def random_instance(rng) -> dict:
+    """One instance of every family, in the dumped form replay_instance
+    reads: a random product measure on {0,1}^3 with a function table and a
+    duality witness on it, a joint pmf on a 2x2x2 grid, and a function table
+    on {-1,+1}^3."""
     weights = _binary_weights(rng, 3)
     f = rng.uniform(-1.0, 1.0, size=8)
     t = rng.uniform(0.1, 2.0, size=8)
     joint = random_joint_pmf(rng, (2, 2, 2)).table
     g = rng.uniform(-1.0, 1.0, size=8)
-    return DiscreteInstance(
-        family="instance", supports=[[0.0, 1.0]] * 3, weights=weights,
-        values=f.tolist(), aux_values=t.tolist(), joint=joint.reshape(-1).tolist(),
-        shape=joint.shape, rademacher_values=g.tolist())
+    return {"family": "instance", "supports": [[0.0, 1.0]] * 3,
+            "weights": weights, "values": f.tolist(), "aux_values": t.tolist(),
+            "joint": joint.reshape(-1).tolist(), "shape": list(joint.shape),
+            "rademacher_values": g.tolist()}

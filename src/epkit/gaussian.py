@@ -199,17 +199,13 @@ def lipschitz_tail_gap(f: ScalarField, t: float, n_samples: int, seed: int):
     return tail, float(bound)
 
 
-def _iid_normal_sampler(rng, count, scales):
-    return rng.standard_normal((count, scales.size)) * scales
-
-
 def finite_max_bound_check(m: int, scales, n_samples: int, seed: int,
-                           sampler=None, budget: float = None):
-    """(E max estimate over m centered variables, budget sqrt(2 log m)).
+                           budget: float = None):
+    """(E max estimate over m independent centered normals with the given
+    scales, budget sqrt(2 log m)).
 
-    Each variable must be centered and sub-Gaussian with parameter at most
-    ``budget`` (default: max of scales).  The default sampler draws
-    independent normals with the given scales.
+    Each scale must be at most ``budget`` (default: max of scales), the
+    sub-Gaussian parameter the bound is stated with.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -221,8 +217,7 @@ def finite_max_bound_check(m: int, scales, n_samples: int, seed: int,
     if (scales > budget + 1e-12).any():
         raise ValueError("scales exceed the sub-Gaussian budget")
     rng = derive_rng(seed, "finite-max", m)
-    draw = sampler if sampler is not None else _iid_normal_sampler
-    block = np.asarray(draw(rng, n_samples, scales), dtype=float)
+    block = rng.standard_normal((n_samples, m)) * scales
     emax = McEstimate.from_samples(block.max(axis=1))
     bound = 0.0 if m == 1 else float(budget * np.sqrt(2.0 * np.log(m)))
     return emax, bound

@@ -9,16 +9,9 @@ A set is a distance matrix or a Euclidean point cloud, and every distance is
 read as rows on demand: a cloud's n×n matrix is never formed, so its memory
 follows the block budget ``BLOCK_BYTES``, not n².
 
-Two maximal-packing constructions are provided:
-
-* ``order="index"``  - greedy scan in input index order (the default, and the
-  documented reproducible construction);
-* ``order="farthest"`` - farthest-point traversal.  Its insertion radii are
-  nonincreasing, so the packing at scale eps is a prefix of one fixed
-  ordering and the resulting covering upper bounds are provably monotone in
-  eps.  The entropy calculus uses this construction; index-order greedy
-  counts are *not* monotone in eps (four points in the plane suffice for a
-  counterexample), which would break scale profiles.
+Maximal packings come from one farthest-point traversal.  Its insertion
+radii are nonincreasing, so the packing at scale eps is a prefix of one
+fixed ordering and the covering upper bounds are monotone in eps.
 """
 
 from __future__ import annotations
@@ -42,6 +35,8 @@ class SizeLimitError(ValueError):
 _EXHAUSTIVE_TRIANGLE_LIMIT = 200
 _SAMPLED_TRIANGLES = 20000
 _EXACT_COVER_LIMIT = 25
+# relative tolerance of the pseudo-metric checks, scaled by 1 + the diameter
+_FP_TOL = 1e-9
 # octaves below the top scale covered by the entropy integral's quadrature;
 # it needs at least two nodes per octave
 FLOOR_OCTAVES = 16
@@ -90,7 +85,7 @@ class FiniteMetricSet:
     for up to 200 points and on sampled triples beyond that.
     """
 
-    def __init__(self, dmat=None, validate=True, _fp_tol=1e-9, *, points=None):
+    def __init__(self, dmat=None, *, points=None):
         if points is None:
             dmat = np.asarray(dmat, dtype=float)
             if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
@@ -100,10 +95,8 @@ class FiniteMetricSet:
         data = dmat if points is None else points
         self.n = len(data)
         reject_nonfinite(data)
-        self._fp_tol = _fp_tol
         self._traversal = None
-        if validate:
-            self._validate()
+        self._validate()
 
     @classmethod
     def from_points(cls, points):
@@ -124,11 +117,11 @@ class FiniteMetricSet:
         if self.points is not None:  # symmetric, zero diagonal: by construction
             if not np.isfinite(self.diameter):
                 raise MetricValidationError("a distance overflows to inf")
-            self._check_triangles(self._fp_tol * (1.0 + self.diameter))
+            self._check_triangles(_FP_TOL * (1.0 + self.diameter))
             return
         d = self.dmat
         scale = float(d.max(initial=0.0))
-        tol = self._fp_tol * (1.0 + scale)
+        tol = _FP_TOL * (1.0 + scale)
         if d.min(initial=0.0) < -tol:
             raise MetricValidationError("negative distances")
         if np.abs(np.diag(d)).max(initial=0.0) > tol:
@@ -203,22 +196,6 @@ class FiniteMetricSet:
         return order, radii
 
 
-@dataclass(frozen=True)
-class EpsilonNet:
-    """A set of internal centers together with its scale."""
-
-    centers: tuple
-    eps: float
-
-    def validate(self, s: FiniteMetricSet) -> None:
-        centers = np.asarray(self.centers, dtype=int)
-        if centers.size and not ((0 <= centers) & (centers < s.n)).all():
-            raise MetricValidationError("net centers must be members of the set")
-        if not is_epsilon_net(centers, self.eps, s):
-            raise MetricValidationError(
-                f"centers do not cover the set at scale {self.eps:.6g}")
-
-
 def is_epsilon_net(net, eps: float, s: FiniteMetricSet) -> bool:
     """True iff every point of s lies in a closed eps-ball around some center."""
     if eps <= 0:
@@ -234,30 +211,11 @@ def is_epsilon_net(net, eps: float, s: FiniteMetricSet) -> bool:
     return bool((nearest <= eps).all())
 
 
-def maximal_packing(eps: float, s: FiniteMetricSet, order="index") -> np.ndarray:
+def maximal_packing(eps: float, s: FiniteMetricSet) -> np.ndarray:
     """Maximal pairwise->eps separated subset; by maximality an eps-net of s.
-
-    order: "index" (greedy scan in input order), "farthest" (farthest-point
-    traversal, ties to lowest index), or an explicit index sequence.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if s.n == 0:
-        return np.empty(0, dtype=int)
-    if isinstance(order, str) and order == "farthest":
-        fps_order, _ = s.farthest_point_order()
-        return fps_order[:covering_counts(s, eps)].copy()
-    if isinstance(order, str) and order == "index":
-        scan = range(s.n)
-    else:
-        scan = [int(i) for i in order]
-        if sorted(scan) != list(range(s.n)):
-            raise ValueError("order must be a permutation of the point indices")
-    chosen = []
-    for p in scan:
-        if (s.rows(p)[chosen] > eps).all():
-            chosen.append(p)
-    return np.asarray(chosen, dtype=int)
+    It is the prefix of the farthest-point traversal with radii above eps."""
+    order, _ = s.farthest_point_order()
+    return order[:covering_counts(s, eps)].copy()
 
 
 @dataclass
@@ -266,10 +224,6 @@ class CoveringBounds:
     lower: int
     upper: int
     witness: np.ndarray  # the upper-bound net (a maximal eps-packing)
-
-    def witness_net(self) -> EpsilonNet:
-        return EpsilonNet(centers=tuple(int(i) for i in self.witness),
-                          eps=self.eps)
 
 
 def covering_counts(s: FiniteMetricSet, scales) -> np.ndarray:
@@ -296,7 +250,7 @@ def covering_number_bounds(eps: float, s: FiniteMetricSet) -> CoveringBounds:
     Uses the farthest-point construction so the upper counts are
     nonincreasing in eps; the witness is the eps-packing itself.
     """
-    witness = maximal_packing(eps, s, order="farthest")
+    witness = maximal_packing(eps, s)
     return CoveringBounds(eps=float(eps), lower=int(covering_counts(s, 2.0 * eps)),
                           upper=len(witness), witness=witness)
 
@@ -359,8 +313,7 @@ def metric_entropy(eps: float, s: FiniteMetricSet) -> float:
     return float(entropies(covering_counts(s, eps)))
 
 
-def entropy_integral(s: FiniteMetricSet, D: float, nodes: int = 64,
-                     floor_octaves: int = FLOOR_OCTAVES) -> float:
+def entropy_integral(s: FiniteMetricSet, D: float, nodes: int = 64) -> float:
     """Upper Riemann sum of sqrt(metric_entropy) over (0, D].
 
     Left endpoints on a geometric grid give an upper sum because the
@@ -372,8 +325,8 @@ def entropy_integral(s: FiniteMetricSet, D: float, nodes: int = 64,
     """
     if D <= 0:
         raise ValueError("D must be positive")
-    if nodes < 2 * floor_octaves:
-        raise ValueError(f"need at least {2 * floor_octaves} quadrature nodes, "
+    if nodes < 2 * FLOOR_OCTAVES:
+        raise ValueError(f"need at least {2 * FLOOR_OCTAVES} quadrature nodes, "
                          "2 per dyadic octave")
     if s.n <= 1:
         return 0.0
@@ -381,7 +334,7 @@ def entropy_integral(s: FiniteMetricSet, D: float, nodes: int = 64,
     top = float(radii[1])  # entropy is 0 at eps >= second insertion radius
     if top <= 0:
         return 0.0
-    floor = top * 2.0 ** (-floor_octaves)
+    floor = top * 2.0 ** (-FLOOR_OCTAVES)
     head = min(D, floor) * np.sqrt(np.log(s.n))
     if D <= floor:
         return float(head)

@@ -10,11 +10,11 @@ interior so the shifted class is star-shaped.
 
 Function classes.  ``LinearClass`` and ``L1BallClass`` hold all that differs
 between the two classes, so no experiment branches on the class:
-``solve(X, y)`` is the ERM without random probes, ``inner_sups(X, w, delta,
-rel_tol)`` the supremum of w' X theta / n over the class within the empirical
-delta-ball for each noise row of w, ``reach(X)`` the largest empirical norm
-the class attains, and ``discretize(X, delta, resolution)`` a deterministic
-point cloud in the image of the localized ball.  The class constant ``kind``
+``solve(X, y)`` is the ERM, ``inner_sups(X, w, delta, rel_tol)`` the
+supremum of w' X theta / n over the class within the empirical delta-ball
+for each noise row of w, ``reach(X)`` the largest empirical norm the class
+attains, and ``discretize(X, delta, resolution)`` a deterministic point
+cloud in the image of the localized ball.  The class constant ``kind``
 labels the class in derived random streams.
 """
 
@@ -28,7 +28,7 @@ from scipy.special import ndtri
 
 from . import metric
 from .gaussian import McEstimate
-from .rng import derive_rng, gaussian_design, l1_ball_point
+from .rng import derive_rng, gaussian_design
 
 RANK_RTOL = 1e-10
 CAPACITY_CONST = 24.0 * np.sqrt(2.0)
@@ -107,24 +107,14 @@ def col_basis(X) -> np.ndarray:
 class ErmResult:
     theta: np.ndarray
     objective: float           # sum of squared residuals
-    certificate: float         # max objective excess over random feasible probes
     gap: float                 # optimality gap bound (0 for the exact solver)
     iterations: int
     certified: bool
 
 
-def _probe_certificate(X, y, theta_hat, obj_hat, sampler, n_probes):
-    worst = -np.inf
-    for _ in range(n_probes):
-        theta = sampler()
-        obj = float(np.sum((y - X @ theta) ** 2))
-        worst = max(worst, obj_hat - obj)
-    return worst if n_probes else 0.0
-
-
-def solve_ls_linear(X, y, probes: int = 100, probe_seed: int = 0) -> ErmResult:
-    """Minimum-norm least squares, with residual-orthogonality and random-probe
-    optimality certificates."""
+def solve_ls_linear(X, y) -> ErmResult:
+    """Minimum-norm least squares, certified by residual orthogonality (the
+    optimality condition itself)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     theta, *_ = np.linalg.lstsq(X, y, rcond=None)
@@ -133,19 +123,12 @@ def solve_ls_linear(X, y, probes: int = 100, probe_seed: int = 0) -> ErmResult:
     if ortho > 1e-8 * (1.0 + np.linalg.norm(y)) * max(1.0, np.linalg.norm(X)):
         raise RuntimeError("least-squares residual failed the orthogonality check")
     obj = float(np.sum(resid ** 2))
-    rng = derive_rng(probe_seed, "erm-probes", X.shape[0], X.shape[1])
-    scale = 1.0 + float(np.linalg.norm(theta))
-
-    def sampler():
-        return theta + scale * rng.standard_normal(theta.size)
-
-    cert = _probe_certificate(X, y, theta, obj, sampler, probes)
-    return ErmResult(theta=theta, objective=obj, certificate=cert,
+    return ErmResult(theta=theta, objective=obj,
                      gap=0.0, iterations=0, certified=True)
 
 
-def solve_ls_l1(X, y, R: float, tol: float = 1e-6, max_iter: int = 5000,
-                probes: int = 100, probe_seed: int = 0) -> ErmResult:
+def solve_ls_l1(X, y, R: float, tol: float = 1e-6,
+                max_iter: int = 5000) -> ErmResult:
     """Conditional-gradient solver for min ||y - X theta||^2 on the l1 R-ball.
 
     The linear-minimization oracle over the ball is a signed vertex; steps use
@@ -184,28 +167,11 @@ def solve_ls_l1(X, y, R: float, tol: float = 1e-6, max_iter: int = 5000,
         x_theta = x_theta + gamma * x_dir
     certified = gap <= target
     obj = float(np.sum((y - x_theta) ** 2))
-    rng = derive_rng(probe_seed, "erm-probes-l1", n, d)
-
-    cert = _probe_certificate(X, y, theta, obj, lambda: l1_ball_point(rng, d, R),
-                              probes)
-    return ErmResult(theta=theta, objective=obj, certificate=cert,
+    return ErmResult(theta=theta, objective=obj,
                      gap=float(gap), iterations=it, certified=certified)
 
 
 # -- localized Gaussian complexity --------------------------------------------
-
-
-def localized_complexity_linear_exact(X, delta: float, n_samples: int,
-                                      seed: int) -> McEstimate:
-    """Localized complexity of the linear class from its closed-form inner
-    supremum (LinearClass.inner_sups), on a noise stream of its own."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    rng = derive_rng(seed, "lgc-exact", n, X.shape[1])
-    w = rng.standard_normal((n_samples, n))
-    return McEstimate.from_samples(LinearClass().inner_sups(X, w, delta))
 
 
 def l1_localized_sup(X, w, R: float, delta: float, rel_tol: float = 1e-4,
@@ -334,7 +300,7 @@ class LinearClass:
     kind: ClassVar[str] = "linear"
 
     def solve(self, X, y) -> ErmResult:
-        return solve_ls_linear(X, y, probes=0)
+        return solve_ls_linear(X, y)
 
     def inner_sups(self, X, w, delta: float, rel_tol: float = 1e-4) -> np.ndarray:
         """Closed form: per row, sup over {||X theta|| <= delta sqrt n} of
@@ -377,7 +343,7 @@ class L1BallClass:
             raise ValueError("R must be positive")
 
     def solve(self, X, y) -> ErmResult:
-        return solve_ls_l1(X, y, self.R, probes=0)
+        return solve_ls_l1(X, y, self.R)
 
     def inner_sups(self, X, w, delta: float, rel_tol: float = 1e-4) -> np.ndarray:
         """Dual conditional gradient per row (l1_localized_sup)."""
@@ -551,13 +517,6 @@ def estimate_bad_event_probability(model: RegressionModel, cls, u: float,
 # -- capacity bound via the entropy integral ----------------------------------
 
 
-def discretize_localized_ball(X, cls, delta: float, resolution: int = 200) -> np.ndarray:
-    """Deterministic low-discrepancy point cloud in the empirical-metric image
-    of the localized ball (rows are value vectors divided by sqrt(n))."""
-    return cls.discretize(np.atleast_2d(np.asarray(X, dtype=float)), delta,
-                          resolution)
-
-
 def dudley_capacity_bound(X, cls, delta: float, resolution: int = 200,
                           nodes: int = 64) -> float:
     """24 sqrt2 / sqrt(n) times the entropy integral over (0, 2 delta] of the
@@ -566,7 +525,7 @@ def dudley_capacity_bound(X, cls, delta: float, resolution: int = 200,
         raise ValueError("delta must be positive")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
-    cloud = discretize_localized_ball(X, cls, delta, resolution)
+    cloud = cls.discretize(X, delta, resolution)
     ms = metric.FiniteMetricSet.from_points(cloud)
     integral = metric.entropy_integral(ms, 2.0 * delta, nodes=nodes)
     return float(CAPACITY_CONST / np.sqrt(n) * integral)
@@ -622,7 +581,7 @@ def linear_rate_experiment(grid, sigma: float, trials: int, seed: int,
             theta_star = rng.standard_normal(d)
             w = rng.standard_normal(n)
             y = X @ theta_star + sigma * w
-            res = solve_ls_linear(X, y, probes=0)
+            res = solve_ls_linear(X, y)
             r = design_rank(X)
             rank_seen = max(rank_seen, r)
             err = empirical_norm(X @ (res.theta - theta_star)) ** 2
@@ -668,7 +627,7 @@ def l1_rate_experiment(grid, R: float, sigma: float, trials: int, seed: int,
             theta_star[support] = mags * rng.choice([-1.0, 1.0], size=support.size)
             w = rng.standard_normal(n)
             y = X @ theta_star + sigma * w
-            res = solve_ls_l1(X, y, R, tol=tol, max_iter=max_iter, probes=0)
+            res = solve_ls_l1(X, y, R, tol=tol, max_iter=max_iter)
             rank_seen = max(rank_seen, design_rank(X))
             err = empirical_norm(X @ (res.theta - theta_star)) ** 2
             errs[trial] = err

@@ -36,6 +36,24 @@ NAMED_LIMITS = {
     ("cover", "--points", f"{DATA}/nan_distance.csv", "--dist-matrix"):
         "non-finite entry in row 0",
     ("entropy", "--points", f"{DATA}/overflow.csv"): "overflows to inf",
+    # a float option is finite, from a flag or a config file (json reads
+    # Infinity); a scale list and a grid are checked token by token
+    ("entropy", "--points", f"{DATA}/square.csv", "--D", "inf"):
+        "D must be a finite number, not inf",
+    ("entropy", "--points", f"{DATA}/square.csv", "--config",
+     f"{DATA}/D_infinity.json"): "D must be a finite number, not inf",
+    ("dudley", "--points", f"{DATA}/square.csv", "--sigma", "inf"):
+        "sigma must be a finite number, not inf",
+    ("regress", "--class", "l1", "--R", "inf"): "R must be a finite number, not inf",
+    ("maurey", "--eps", "inf"): "eps must be a finite number, not inf",
+    ("maurey", "--eps", "nan"): "eps must be a finite number, not nan",
+    ("cover", "--points", f"{DATA}/square.csv", "--eps", "inf"):
+        "non-finite scale 'inf'",
+    ("cover", "--points", f"{DATA}/square.csv", "--eps", "0.5,nan"):
+        "non-finite scale 'nan'",
+    ("regress", "--grid", "32:4,32:4"): "the grid repeats the cell 32:4",
+    ("regress", "--class", "l1", "--grid", "32:64,64:128,32:64"):
+        "the grid repeats the cell 32:64",
 }
 
 

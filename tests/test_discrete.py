@@ -1,6 +1,8 @@
 """Exact product-space inequality tests; every expectation is a full
 enumeration, so tolerances are float rounding only."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -240,31 +242,36 @@ class TestBernoulliLsi:
 
 class TestInstanceDump:
     def test_json_roundtrip(self):
-        inst = discrete.DiscreteInstance(
-            family="efron-stein", supports=[[0.0, 1.0]], weights=[[0.5, 0.5]],
-            values=[1.0, -1.0])
-        text = inst.to_json()
-        assert '"family": "efron-stein"' in text
+        doc = discrete.random_instance(derive_rng(21, "dump"))
+        assert doc["family"] == "instance"
+        back = json.loads(json.dumps(doc, sort_keys=True))
+        assert back == doc
+        assert discrete.replay_instance(back) == discrete.replay_instance(doc)
 
     def test_replay_recomputes_gaps(self):
-        import json
-
         rng = derive_rng(20, "replay")
         sp = discrete.random_binary_space(rng, 2)
         f = rng.uniform(-1, 1, size=sp.n_outcomes)
         t = rng.uniform(0.1, 2.0, size=sp.n_outcomes)
         joint = discrete.random_joint_pmf(rng, (2, 2))
         g = rng.uniform(-1, 1, size=4)
-        inst = discrete.DiscreteInstance(
-            family="instance", supports=[list(s) for s in sp.supports],
-            weights=[list(w) for w in sp.weights], values=list(map(float, f)),
-            aux_values=list(map(float, t)),
-            joint=list(map(float, joint.table.reshape(-1))), shape=(2, 2),
-            rademacher_values=list(map(float, g)))
-        gaps = discrete.replay_instance(json.loads(inst.to_json()))
+        doc = {"family": "instance", "supports": [list(s) for s in sp.supports],
+               "weights": [list(w) for w in sp.weights],
+               "values": list(map(float, f)), "aux_values": list(map(float, t)),
+               "joint": list(map(float, joint.table.reshape(-1))),
+               "shape": [2, 2], "rademacher_values": list(map(float, g))}
+        gaps = discrete.replay_instance(json.loads(json.dumps(doc)))
         lhs, rhs = discrete.efron_stein_gap(f, sp)
         assert gaps["efron_stein"] == (lhs, rhs)
         assert set(gaps) == {"efron_stein", "duality", "duality_eq",
                              "tensorization", "han", "bernoulli_lsi"}
         for lhs, rhs in gaps.values():
             assert lhs <= rhs + TOL
+
+    @pytest.mark.parametrize("key", ["aux_values", "joint", "shape",
+                                     "rademacher_values"])
+    def test_replay_names_a_missing_key(self, key):
+        doc = discrete.random_instance(derive_rng(22, "dump"))
+        del doc[key]
+        with pytest.raises(KeyError, match=key):
+            discrete.replay_instance(doc)

@@ -88,7 +88,7 @@ class TestFiniteMetricSet:
             s = metric.FiniteMetricSet.from_points(pts)
             scales = s.diameter * 2.0 ** -np.arange(8)
             for eps in scales:
-                witness = metric.maximal_packing(eps, s, order="farthest")
+                witness = metric.maximal_packing(eps, s)
                 assert metric.is_epsilon_net(witness, eps, s)
             assert metric.covering_counts(s, scales)[-1] == len(witness)
             peak = tracemalloc.get_traced_memory()[1]
@@ -118,7 +118,7 @@ class TestIsEpsilonNet:
 
 
 class TestMaximalPacking:
-    def test_two_points_index_order(self):
+    def test_two_points(self):
         s = line_set(0.0, 1.0)
         assert list(metric.maximal_packing(0.25, s)) == [0, 1]
 
@@ -127,22 +127,12 @@ class TestMaximalPacking:
         for eps in (0.1, 10.0):
             assert list(metric.maximal_packing(eps, s)) == [0]
 
-    @pytest.mark.parametrize("order", ["index", "farthest"])
-    def test_separation_and_coverage(self, grid101, order):
-        pack = metric.maximal_packing(0.3, grid101, order=order)
+    def test_separation_and_coverage(self, grid101):
+        pack = metric.maximal_packing(0.3, grid101)
         sub = grid101.rows(pack)[:, pack]
         off = sub[np.triu_indices(len(pack), 1)]
         assert (off > 0.3).all()
         assert metric.is_epsilon_net(pack, 0.3, grid101)
-
-    def test_explicit_order(self):
-        s = line_set(0.0, 0.5, 1.0)
-        pack = metric.maximal_packing(0.6, s, order=[2, 1, 0])
-        assert list(pack) == [2, 0]
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
-            metric.maximal_packing(0.5, line_set(0.0, 1.0), order=[0, 0])
 
     def test_farthest_counts_monotone(self):
         # the farthest-point prefix structure makes counts monotone in eps
@@ -151,8 +141,7 @@ class TestMaximalPacking:
             pts = rng.uniform(0, 1, size=(30, 2))
             s = metric.FiniteMetricSet.from_points(pts)
             scales = np.geomspace(1e-3, 2.0, 12)
-            counts = [len(metric.maximal_packing(e, s, order="farthest"))
-                      for e in scales]
+            counts = [len(metric.maximal_packing(e, s)) for e in scales]
             assert (np.diff(counts) <= 0).all()
 
 
@@ -167,19 +156,6 @@ class TestCoveringNumbers:
     def test_singleton_bounds(self):
         b = metric.covering_number_bounds(0.5, line_set(2.0))
         assert (b.lower, b.upper) == (1, 1)
-
-    def test_witness_net_type(self):
-        s = line_set(0.0, 0.4, 1.0)
-        b = metric.covering_number_bounds(0.45, s)
-        net = b.witness_net()
-        net.validate(s)  # must not raise
-        assert net.eps == 0.45
-        bad = metric.EpsilonNet(centers=(0,), eps=0.2)
-        with pytest.raises(metric.MetricValidationError):
-            bad.validate(s)
-        alien = metric.EpsilonNet(centers=(7,), eps=1.0)
-        with pytest.raises(metric.MetricValidationError):
-            alien.validate(s)
 
     def test_exact_examples(self):
         assert metric.exact_covering_number(0.4, line_set(0.0, 1.0)) == 2
@@ -206,7 +182,7 @@ class TestCoveringNumbers:
             s = metric.FiniteMetricSet.from_points(pts)
             eps = float(rng.uniform(0.1, 0.8))
             exact = metric.exact_covering_number(eps, s)
-            lower = len(metric.maximal_packing(2 * eps, s, order="farthest"))
+            lower = len(metric.maximal_packing(2 * eps, s))
             upper = metric.covering_number_bounds(eps, s).upper
             assert lower <= exact <= upper
 

@@ -42,8 +42,12 @@ scales = st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=6)
 def test_counts_are_farthest_packing_sizes_and_monotone(points, eps):
     s = metric.FiniteMetricSet.from_points(points)
     counts = metric.covering_counts(s, eps)
-    assert list(counts) == [len(metric.maximal_packing(e, s, order="farthest"))
-                            for e in eps]
+    for e, count in zip(eps, counts):
+        # a maximal packing: more than e apart and an e-net, of `count` points
+        pack = metric.maximal_packing(e, s)
+        assert len(pack) == count
+        assert (s.rows(pack)[:, pack][np.triu_indices(count, 1)] > e).all()
+        assert metric.is_epsilon_net(pack, e, s)
     by_scale = counts[np.argsort(eps, kind="stable")]
     assert (np.diff(by_scale) <= 0).all()
 
