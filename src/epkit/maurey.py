@@ -34,8 +34,13 @@ def _ceil_ratio(R: float, eps: float) -> int:
         raise ValueError("eps must be positive")
     try:
         ratio = R ** 2 / eps ** 2
-    except (OverflowError, ZeroDivisionError):  # R^2 overflows or eps^2 underflows
+    except ZeroDivisionError:  # eps^2 underflows
         ratio = np.inf
+    except OverflowError:  # R^2 or eps^2 overflows, but the ratio may not
+        try:
+            ratio = (R / eps) ** 2
+        except OverflowError:
+            ratio = np.inf
     if not ratio <= SAMPLE_BUDGET:
         raise BudgetError(f"k = ceil(R^2/eps^2) = ceil({ratio:.6g}) exceeds the "
                           f"sample budget {SAMPLE_BUDGET}")

@@ -1,6 +1,7 @@
 """Command-line front end tests: exit codes, report artifacts, config
 handling, and byte-identical reruns."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -255,6 +256,30 @@ class TestRegressSuite:
         summary = json.loads((out / "regress_summary.json").read_text())
         assert summary["cells"][0]["d"] == 48
 
+    def test_l1_traced_reports_match_untraced(self, tmp_path):
+        # the benchmark's tracer wraps solve_ls_l1 and design_rank and reads
+        # counts off each result; a traced run must succeed and write the
+        # same reports
+        path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        args = ["regress", "--class", "l1", "--grid", "8:16", "--trials", "3"]
+        assert cli.main([*args, "--out", str(tmp_path / "plain")]) == 0
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert cli.main([*args, "--out", str(tmp_path / "traced")]) == 0
+        finally:
+            tracer.uninstall()
+        names = {row[0] for row in tracer.spans}
+        assert {"cli.run_regress", "regression.l1_rate_experiment",
+                "regression.design_rank"} <= names
+        plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert plain == sorted(p.name for p in (tmp_path / "traced").iterdir())
+        for name in plain:
+            assert read(tmp_path / "traced" / name) == read(tmp_path / "plain" / name)
+
 
 class TestMaureySuite:
     def test_summary(self, tmp_path):
@@ -266,6 +291,14 @@ class TestMaureySuite:
         assert doc["k"] == 4
         assert doc["bound"] == "2401"
         assert doc["max_observed_error"] <= 0.5
+
+    def test_huge_eps_is_one_atom(self, tmp_path):
+        # eps^2 overflows a float, R^2 / eps^2 does not
+        out = tmp_path / "mau"
+        assert cli.main(["maurey", "--eps", "1e155", "--instances", "5",
+                         "--out", str(out)]) == 0
+        doc = json.loads((out / "maurey_summary.json").read_text())
+        assert doc["k"] == 1
 
 
 class TestReproducibility:

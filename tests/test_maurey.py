@@ -155,6 +155,27 @@ class TestSparsify:
             assert np.abs(recomputed - res.combination.value).max() < 1e-12
 
 
+class TestSampleSize:
+    def test_integer_boundary_is_kept(self):
+        # R^2 / eps^2 whenever it does not overflow: (R / eps)^2 rounds
+        # differently and would give 49 at eps = 1/7 and 6 at eps = 1/sqrt(5)
+        assert maurey.sample_size(1.0, 0.1) == 100
+        assert maurey.sample_size(1.0, 1 / 7) == 50
+        assert maurey.sample_size(1.0, 1 / np.sqrt(5)) == 5
+
+    def test_overflowing_squares_with_a_small_ratio(self):
+        # eps^2, both squares, or R^2 overflows; R / eps does not
+        assert maurey.sample_size(1.0, 1e155) == 1
+        assert maurey.sample_size(1e200, 1e200) == 1
+        assert maurey.sample_size(3e154, 1e154) == 9
+
+    @pytest.mark.parametrize("R, eps", [(1e200, 1.0), (1.0, 1e-200), (1e200, 1e-200)])
+    def test_ratio_beyond_floats_exceeds_the_budget(self, R, eps):
+        # the ratio overflows, or eps^2 underflows to 0
+        with pytest.raises(maurey.BudgetError, match=r"ceil\(inf\)"):
+            maurey.sample_size(R, eps)
+
+
 class TestNetBound:
     def test_reference_values(self):
         assert maurey.l1_hull_net_bound(3, 1.0, 0.5) == 2401

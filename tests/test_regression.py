@@ -3,16 +3,20 @@
 Oracles: normal equations for the dense solver, the scalar clamped solution
 for the 1-D constrained problem, the projection closed form for the linear
 localized complexity, the frozen-panel root 2 sigma mean||Pw||/sqrt(n) for
-the critical radius, the chi-square(1) median for the single-sample cell, and
-a long random feasible search as a lower bound for the l1 inner supremum.
+the critical radius, the chi-square(1) median for the single-sample cell, a
+long random feasible search as a lower bound for the l1 inner supremum, and
+the one-problem Frank-Wolfe loop for every row of the lockstep l1 solver.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from epkit import chaining
 from epkit import regression as rg
-from epkit.rng import derive_rng, l1_ball_point
+from epkit.rng import derive_rng, gaussian_design, l1_ball_point
 
 SEED = 2024
 
@@ -153,6 +157,91 @@ class TestL1Solver:
         y = rng.standard_normal(30) * 3
         res = rg.solve_ls_l1(X, y, R=0.7, tol=1e-12, max_iter=3)
         assert not res.certified
+
+
+def scalar_l1_oracle(X, y, R, tol=1e-6, max_iter=5000):
+    """The one-problem Frank-Wolfe loop that solve_ls_l1_batch replaced,
+    verbatim: every row of a lockstep solve must equal it bit for bit."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+    theta = np.zeros(d)
+    x_theta = np.zeros(n)
+    f0 = float(np.sum(y ** 2))
+    target = tol * f0
+    gap = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        grad = 2.0 * (X.T @ (x_theta - y))
+        j = int(np.argmax(np.abs(grad)))
+        vertex_val = -R * np.sign(grad[j]) if grad[j] != 0 else R
+        gap = float(grad @ theta - grad[j] * vertex_val)
+        if gap <= target:
+            break
+        d_theta = -theta.copy()
+        d_theta[j] += vertex_val
+        x_dir = -x_theta + vertex_val * X[:, j]
+        denom = 2.0 * float(x_dir @ x_dir)
+        if denom <= 0:
+            break
+        gamma = min(1.0, max(0.0, gap / denom))
+        if gamma == 0.0:
+            break
+        theta = theta + gamma * d_theta
+        x_theta = x_theta + gamma * x_dir
+    certified = gap <= target
+    obj = float(np.sum((y - x_theta) ** 2))
+    return rg.ErmResult(theta=theta, objective=obj,
+                        gap=float(gap), iterations=it, certified=certified)
+
+
+def erm_bits(res):
+    return (res.theta.tobytes(), res.objective.hex(), res.gap.hex(),
+            res.iterations, res.certified)
+
+
+@st.composite
+def l1_stacks(draw):
+    """1-6 problems of one shape up to 12 x 12; entries drawn by hypothesis,
+    so zero columns, repeated values and tied gradients occur, and one row
+    may have y = 0 (a zero gradient, the vertex_val = R branch)."""
+    B = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 12))
+    entries = st.floats(-4, 4, allow_nan=False, allow_subnormal=False)
+    Xs = draw(hnp.arrays(np.float64, (B, n, d), elements=entries))
+    ys = draw(hnp.arrays(np.float64, (B, n), elements=entries))
+    zero = draw(st.none() | st.integers(0, B - 1))
+    if zero is not None:
+        ys[zero] = 0.0
+    return Xs, ys
+
+
+@settings(max_examples=60, deadline=None)
+@given(l1_stacks(),
+       st.sampled_from([1e-12, 1e-4, 1e-1]),
+       st.sampled_from([0, 1, 3, 200]),
+       st.floats(-9, 1).map(lambda e: 10.0 ** e))
+def test_lockstep_l1_rows_match_the_one_problem_loop(stack, tol, max_iter, R):
+    Xs, ys = stack
+    results = rg.solve_ls_l1_batch(Xs, ys, R, tol=tol, max_iter=max_iter)
+    assert len(results) == len(Xs)
+    for X, y, res in zip(Xs, ys, results):
+        assert erm_bits(res) == erm_bits(scalar_l1_oracle(X, y, R, tol, max_iter))
+
+
+def test_lockstep_rows_stop_at_their_own_iterations():
+    # rows that certify early keep their results while the others run on
+    rng = derive_rng(13, "lockstep-stops")
+    Xs = np.stack([gaussian_design(rng, 16, 8) for _ in range(4)])
+    ys = Xs @ np.array([0.2, -0.1] + [0.0] * 6) + 0.01 * rng.standard_normal((4, 16))
+    ys[2] = 0.0
+    results = rg.solve_ls_l1_batch(Xs, ys, 1.0, tol=1e-4, max_iter=1500)
+    assert all(res.certified for res in results)
+    assert len({res.iterations for res in results}) == len(results)
+    assert results[2].iterations == 1
+    for X, y, res in zip(Xs, ys, results):
+        assert erm_bits(res) == erm_bits(scalar_l1_oracle(X, y, 1.0, 1e-4, 1500))
 
 
 class TestLocalizedComplexity:
@@ -432,6 +521,51 @@ class TestRateExperiments:
         b = rg.l1_rate_experiment([(32, 64)], 1.0, 1.0, 150, SEED)
         ratio = b.cells[0].median_err / a.cells[0].median_err
         assert ratio <= np.log(64) / np.log(32) * 1.15
+
+    def test_l1_stack_width_cannot_change_cells(self, monkeypatch):
+        grid, trials = [(8, 16), (16, 32)], 7
+        args = (grid, 1.0, 1.0, trials, SEED)
+
+        def cells(rep):
+            return ([(c.n, c.d, c.rank, c.median_err.hex(), c.normalized.hex())
+                     for c in rep.cells],
+                    {d: v.hex() for d, v in rep.slopes.items()})
+
+        buffers = []
+        batch = rg.solve_ls_l1_batch
+
+        def recording(Xs, ys, *a, **kw):
+            buffers.append((Xs.base.nbytes, Xs[0].nbytes, rg.STACK_BYTES))
+            return batch(Xs, ys, *a, **kw)
+
+        monkeypatch.setattr(rg, "solve_ls_l1_batch", recording)
+        default = cells(rg.l1_rate_experiment(*args))
+        # one design per stack; then widths 7 and 3 (3 + 3 + 1, a remainder)
+        for budget in (1, 3 * 8 * 16 * 32):
+            monkeypatch.setattr(rg, "STACK_BYTES", budget)
+            assert cells(rg.l1_rate_experiment(*args)) == default
+        assert all(buf <= max(budget, design) for buf, design, budget in buffers)
+        assert len(buffers) == 2 + 2 * trials + (1 + 3)
+
+        # a loop over trials with the one-problem solver, as before stacking
+        per_trial = []
+        for (n, d) in grid:
+            errs, normd, rank_seen = np.empty(trials), np.empty(trials), 0
+            for trial in range(trials):
+                rng = derive_rng(SEED, "l1-rate", n, d, trial)
+                X = gaussian_design(rng, n, d)
+                support = rng.choice(d, size=min(3, d), replace=False)
+                mags = rng.dirichlet(np.ones(support.size)) * 0.9
+                theta_star = np.zeros(d)
+                theta_star[support] = mags * rng.choice([-1.0, 1.0], size=support.size)
+                y = X @ theta_star + rng.standard_normal(n)
+                res = scalar_l1_oracle(X, y, 1.0, tol=1e-4, max_iter=1500)
+                rank_seen = max(rank_seen, rg.design_rank(X))
+                errs[trial] = rg.empirical_norm(X @ (res.theta - theta_star)) ** 2
+                normd[trial] = errs[trial] / (np.log(d) / n)
+            per_trial.append((n, d, rank_seen, float(np.median(errs)).hex(),
+                              float(np.median(normd)).hex()))
+        assert default[0] == per_trial
 
     def test_l1_guard_small_d(self):
         with pytest.raises(ValueError):
