@@ -1,11 +1,11 @@
 """Dyadic net hierarchies and multiscale bounds on expected suprema of the
 canonical Gaussian-linear process over a finite Euclidean index set.
 
-The test process is X_t(w) = sigma <w, t - t0> with w standard normal: it is
-centered at the basepoint, its increments are Gaussian with standard
-deviation sigma ||s - t||, and it satisfies the moment-generating bound with
-parameter sigma exactly, so every hypothesis of the multiscale bound holds by
-construction.
+The test process is X_t(w) = sigma <w, t - t0>, w standard normal and t0
+the first point: it is centered at t0, its increments are Gaussian with
+standard deviation sigma ||s - t||, and it satisfies the moment-generating
+bound with parameter sigma exactly, so every hypothesis of the multiscale
+bound holds by construction.
 
 Net cardinality certificates use the farthest-point covering upper bounds
 from :mod:`epkit.metric`; the level-k net is the maximal packing at the next
@@ -49,16 +49,15 @@ class DepthError(ValueError):
 
 @dataclass
 class IndexSet:
-    """Finite Euclidean index set with a declared basepoint."""
+    """Finite Euclidean index set; its first point is the basepoint t0."""
 
     points: np.ndarray          # (m, dim)
-    basepoint: int = 0
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         metric.reject_nonfinite(self.points)
-        if not 0 <= self.basepoint < len(self.points):
-            raise ValueError("basepoint must be a member index")
+        if not len(self.points):
+            raise ValueError("an index set needs at least one point")
         self._metric = None
 
     @property
@@ -96,7 +95,7 @@ class CanonicalProcess:
     def realize(self, s: IndexSet, noise: np.ndarray) -> np.ndarray:
         """Process values, shape (m, n_samples); the basepoint row is 0."""
         noise = np.atleast_2d(np.asarray(noise, dtype=float))
-        return self.coefficients(s.points, s.points[s.basepoint]) @ noise.T
+        return self.coefficients(s.points, s.points[0]) @ noise.T
 
 
 def sample_maxima(scaled: np.ndarray, noise: np.ndarray, rows=None) -> np.ndarray:
@@ -119,7 +118,6 @@ class DyadicLevel:
     k: int
     eps: float
     net: np.ndarray        # point indices, a maximal packing at eps_{k+1}
-    card_bound: int        # certified covering upper bound at eps_{k+1}
 
 
 @dataclass
@@ -180,7 +178,7 @@ def build_dyadic_nets(s: IndexSet, D: float = None, K: int = None) -> DyadicNets
     for k in range(K + 1):
         eps_k = D * 2.0 ** (-k)
         net = metric.maximal_packing(eps_k / 2.0, ms)
-        levels.append(DyadicLevel(k=k, eps=eps_k, net=net, card_bound=len(net)))
+        levels.append(DyadicLevel(k=k, eps=eps_k, net=net))
     projections, steps = [], []
     for coarse, fine in zip(levels, levels[1:]):
         pi, step = np.full(s.m, -1), np.full(s.m, np.nan)
@@ -222,9 +220,8 @@ def telescoping_residual(u: int, nets: DyadicNets, proc: CanonicalProcess,
     s = nets.index_set
     x = proc.realize(s, noise[None, :])[:, 0]
     chain = recursive_projection(u, nets)
-    t0 = s.basepoint
-    lhs = x[u] - x[t0]
-    rhs = x[chain[0]] - x[t0]
+    lhs = x[u] - x[0]
+    rhs = x[chain[0]] - x[0]
     for k in range(nets.K):
         rhs += x[chain[k + 1]] - x[chain[k]]
     return float(abs(lhs - rhs))
@@ -243,7 +240,7 @@ def stage1_bound_check(nets: DyadicNets, proc: CanonicalProcess,
     s = nets.index_set
     rng = derive_rng(seed, "stage1", s.m, nets.K)
     noise = rng.standard_normal((n_samples, s.dim))
-    scaled = proc.coefficients(s.points, s.points[s.basepoint])
+    scaled = proc.coefficients(s.points, s.points[0])
     finest = nets.levels[nets.K].net
     rows = None if len(finest) == s.m else finest   # same maxima, no copy
     esup = McEstimate.from_samples(sample_maxima(scaled, noise, rows=rows))
@@ -253,15 +250,15 @@ def stage1_bound_check(nets: DyadicNets, proc: CanonicalProcess,
 
 
 def dudley_bound_check(s: IndexSet, proc: CanonicalProcess, n_samples: int,
-                       seed: int, D: float = None, nodes: int = 64):
+                       seed: int, D: float = None):
     """(E sup over all of s estimate, 12 sqrt2 sigma entropy_integral(s, D))."""
     ms = s.metric_set()
     D = _declared_diameter(ms, D)
     rng = derive_rng(seed, "dudley-sup", s.m)
     noise = rng.standard_normal((n_samples, s.dim))
-    scaled = proc.coefficients(s.points, s.points[s.basepoint])
+    scaled = proc.coefficients(s.points, s.points[0])
     esup = McEstimate.from_samples(sample_maxima(scaled, noise))
-    rhs = FULL_CONST * proc.sigma * metric.entropy_integral(ms, D, nodes=nodes)
+    rhs = FULL_CONST * proc.sigma * metric.entropy_integral(ms, D)
     return esup, float(rhs)
 
 
@@ -332,10 +329,6 @@ class DenseSupCheck:
         return McEstimate(self.fine.mean - self.coarse.mean,
                           self.coarse.stderr + self.fine.stderr, self.fine.n_samples)
 
-    @property
-    def margin(self) -> float:
-        return three_sigma_margin(self.gap, self.gap_bound)
-
 
 def dense_sequence_sup_check(coarse: IndexSet, fine: IndexSet,
                              proc: CanonicalProcess, n_samples: int,
@@ -356,7 +349,7 @@ def dense_sequence_sup_check(coarse: IndexSet, fine: IndexSet,
     rng = derive_rng(seed, "dense-sup", coarse.m, fine.m)
     noise = rng.standard_normal((n_samples, fine.dim))
     # both suprema relative to the same basepoint value
-    base = fine.points[fine.basepoint]
+    base = fine.points[0]
     est_c = McEstimate.from_samples(
         sample_maxima(proc.coefficients(coarse.points, base), noise))
     est_f = McEstimate.from_samples(

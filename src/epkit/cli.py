@@ -10,7 +10,8 @@ defaults and the validation of flag and config-file values come from there.
 Exit codes: 0 all checks passed, 1 at least one inequality check failed,
 2 usage or configuration error (a value of the wrong type, outside its
 choices or below its bound, a zero-size configuration, non-finite input, a
-point cloud whose diameter is 0), 3 internal error.
+point cloud whose diameter is 0, a scale such as sigma^2 that underflows to
+0 or overflows), 3 internal error.
 """
 
 from __future__ import annotations
@@ -151,6 +152,12 @@ def _effective_config(args) -> dict:
     return cfg
 
 
+def _in_float_range(name: str, value: float) -> None:
+    """Reject a scale that underflowed to 0 or overflowed, naming it."""
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} = {value:g} is outside the float range")
+
+
 def _nondegenerate(s):
     """s, unless its diameter is 0, where every check would pass vacuously."""
     if not s.diameter > 0:
@@ -280,7 +287,7 @@ def run_gauss_check(cfg) -> ReportCollector:
                 *gaussian.finite_max_bound_check(m, np.ones(m), n, seed), seed, n)
     grid = np.linspace(-2.0, 2.0, 81)
     for eps in (0.1, 0.05):
-        _, sup_err, c_rho = gaussian.mollify_1d(np.abs, 1.0, eps, grid)
+        _, sup_err, c_rho = gaussian.mollify_1d(np.abs, eps, grid)
         bound = 1.0 * c_rho * eps + 1e-6
         col.add(f"mollify/abs-eps={fmt(eps)}", sup_err, bound, 0.0,
                 bound - sup_err, seed)
@@ -293,16 +300,17 @@ def run_dudley(cfg) -> ReportCollector:
     seed, n_samples = cfg["seed"], cfg["samples"]
     if not cfg["points"]:
         raise ConfigError("dudley requires --points")
-    s = _nondegenerate(chaining.IndexSet(points=metric.load_points_csv(cfg["points"]),
-                                         basepoint=0))
+    s = _nondegenerate(chaining.IndexSet(points=metric.load_points_csv(cfg["points"])))
     proc = chaining.CanonicalProcess(sigma=cfg["sigma"])
     nets = chaining.build_dyadic_nets(s, D=cfg["D"], K=cfg["K"])
+    ms = s.metric_set()
     for lv in nets.levels:
-        ok = metric.is_epsilon_net(lv.net, lv.eps, s.metric_set())
+        ok = metric.is_epsilon_net(lv.net, lv.eps, ms)
         col.add(f"net-valid-k={lv.k}", 0.0 if ok else 1.0, 0.0, 0.0,
                 0.0 if ok else -1.0, seed, s.m)
-        col.add(f"net-card-k={lv.k}", float(len(lv.net)), float(lv.card_bound),
-                0.0, float(lv.card_bound - len(lv.net)), seed, s.m)
+        card = int(metric.covering_counts(ms, lv.eps / 2.0))
+        col.add(f"net-card-k={lv.k}", float(len(lv.net)), float(card),
+                0.0, float(card - len(lv.net)), seed, s.m)
     margins = chaining.projection_step_margins(nets)
     col.add("projection-step", float(-margins.min()), 0.0, 0.0,
             float(margins.min()) + 1e-12, seed, s.m)
@@ -333,8 +341,7 @@ def run_dudley(cfg) -> ReportCollector:
                                                   n_samples, seed)
     col.add("subgaussian-mgf-grid", 0.0, 0.0, 0.0, worst, seed, n_samples)
     if cfg["refine"]:
-        fine = chaining.IndexSet(points=metric.load_points_csv(cfg["refine"]),
-                                 basepoint=0)
+        fine = chaining.IndexSet(points=metric.load_points_csv(cfg["refine"]))
         check = chaining.dense_sequence_sup_check(s, fine, proc, n_samples, seed)
         _add_mc(col, "dense-sup-refinement", check.gap, check.gap_bound, seed,
                 n_samples)
@@ -348,8 +355,13 @@ def run_dudley(cfg) -> ReportCollector:
 def _parse_grid(cfg):
     if not cfg["grid"]:
         return [(cfg["n"], cfg["d"])]
-    cells = (tok.split(":") for tok in cfg["grid"].split(","))
-    cells = [(int(n), int(d)) for n, d in cells]
+    cells = []
+    for tok in cfg["grid"].split(","):
+        try:
+            n, d = map(int, tok.split(":"))
+        except ValueError:
+            raise ConfigError(f"the grid cell {tok!r} is not n:d") from None
+        cells.append((n, d))
     if min(map(min, cells)) < 1:
         raise ConfigError("every grid cell needs n and d of at least 1")
     repeated = [cell for i, cell in enumerate(cells) if cell in cells[:i]]
@@ -361,10 +373,12 @@ def _parse_grid(cfg):
 def run_regress(cfg) -> ReportCollector:
     """localized least-squares rate suite"""
     col = ReportCollector()
-    seed, trials = cfg["seed"], cfg["trials"]
+    seed, trials, R, sigma = cfg["seed"], cfg["trials"], cfg["R"], cfg["sigma"]
     grid = _parse_grid(cfg)
+    # each sweep divides its errors by a scale that must be a positive float
     if cfg["cls"] == "linear":
-        report = regression.linear_rate_experiment(grid, cfg["sigma"], trials, seed)
+        _in_float_range("sigma^2", sigma * sigma)
+        report = regression.linear_rate_experiment(grid, sigma, trials, seed)
         for cell in report.cells:
             col.add(f"linear-normalized-n={cell.n}-d={cell.d}",
                     cell.normalized, 2.0, 0.0, 2.0 - cell.normalized, seed, trials)
@@ -372,8 +386,10 @@ def run_regress(cfg) -> ReportCollector:
             col.add(f"linear-slope-d={d}", slope, -1.0, 0.0,
                     0.15 - abs(slope + 1.0), seed, trials)
     else:
-        report = regression.l1_rate_experiment(grid, cfg["R"], cfg["sigma"],
-                                               trials, seed)
+        for n, d in grid:
+            if d > 1:   # the sweep itself rejects d = 1
+                _in_float_range(f"R^2 log(d)/n at n={n}, d={d}", R * R * math.log(d) / n)
+        report = regression.l1_rate_experiment(grid, R, sigma, trials, seed)
         norms = [c.normalized for c in report.cells]
         if len(norms) > 1 and min(norms) > 0:
             spread = max(norms) / min(norms)
@@ -405,6 +421,8 @@ def run_maurey(cfg) -> ReportCollector:
     col = ReportCollector()
     seed = cfg["seed"]
     d, n, R, eps = cfg["d"], cfg["n"], cfg["R"], cfg["eps"]
+    if R * R == math.inf:   # the atoms' squared norms would overflow
+        raise ConfigError(f"R = {R:g} is too large: R^2 overflows")
     k = maurey.sample_size(R, eps)
     bound = maurey.l1_hull_net_bound(d, R, eps)
     try:
@@ -432,8 +450,9 @@ def run_maurey(cfg) -> ReportCollector:
         max_err = max(max_err, res.error if res.success else np.inf)
         if not res.success:
             col.add(f"sparsify-{idx}", res.error, eps, 0.0, -1.0, seed)
-    col.add("unbiasedness", worst_unbias, 1e-12, 0.0, 1e-12 - worst_unbias, seed)
-    col.add("second-moment", 0.0, 0.0, 0.0, worst_second + 1e-12, seed)
+    tol = 1e-12 * max(1.0, R)   # both checks are exact up to rounding ~ R, R^2
+    col.add("unbiasedness", worst_unbias, tol, 0.0, tol - worst_unbias, seed)
+    col.add("second-moment", 0.0, 0.0, 0.0, worst_second + tol * max(1.0, R), seed)
     col.add("sparsify-max-error", max_err, eps, 0.0, eps - max_err, seed)
     net_size = None
     if bound <= maurey.NET_BUDGET:

@@ -19,6 +19,9 @@ import numpy as np
 
 from .rng import derive_rng
 
+FD_POINTS, FD_STEP, FD_TOL = 100, 1e-5, 1e-4   # the finite-difference check
+LIP_PAIRS, LIP_SCALE = 1000, 2.0   # the Lipschitz check: pairs, normals' scale
+
 
 class IntegrabilityError(RuntimeError):
     """Empirical overflow where an integrability hypothesis is required."""
@@ -71,23 +74,23 @@ class ScalarField:
     grad: callable = None
     lipschitz: float = None
     name: str = ""
-    _grad_checked: bool = field(default=False, repr=False)
-    _lip_checked: bool = field(default=False, repr=False)
+    _grad_checked: bool = field(default=False, init=False, repr=False)
+    _lip_checked: bool = field(default=False, init=False, repr=False)
 
-    def validate_gradient(self, n_points=100, step=1e-5, tol=1e-4):
+    def validate_gradient(self):
         """Central finite differences against the declared gradient."""
         if self.grad is None:
             raise OracleValidationError("field has no gradient oracle")
         rng = derive_rng(0, "fd-check", self.name, self.dim)
-        x = rng.standard_normal((n_points, self.dim))
+        x = rng.standard_normal((FD_POINTS, self.dim))
         g = np.asarray(self.grad(x), dtype=float)
         fd = np.empty_like(g)
         for j in range(self.dim):
             e = np.zeros(self.dim)
-            e[j] = step
-            fd[:, j] = (self.eval(x + e) - self.eval(x - e)) / (2 * step)
+            e[j] = FD_STEP
+            fd[:, j] = (self.eval(x + e) - self.eval(x - e)) / (2 * FD_STEP)
         err = np.linalg.norm(g - fd, axis=1)
-        allow = tol * (1.0 + np.linalg.norm(g, axis=1))
+        allow = FD_TOL * (1.0 + np.linalg.norm(g, axis=1))
         if (err > allow).any():
             worst = int(np.argmax(err - allow))
             raise OracleValidationError(
@@ -95,12 +98,12 @@ class ScalarField:
                 f"|grad-fd|={err[worst]:.3g} at point {worst}")
         self._grad_checked = True
 
-    def validate_lipschitz(self, n_pairs=1000, scale=2.0):
+    def validate_lipschitz(self):
         if self.lipschitz is None:
             raise OracleValidationError("field has no Lipschitz constant")
         rng = derive_rng(0, "lip-check", self.name, self.dim)
-        x = scale * rng.standard_normal((n_pairs, self.dim))
-        y = scale * rng.standard_normal((n_pairs, self.dim))
+        x = LIP_SCALE * rng.standard_normal((LIP_PAIRS, self.dim))
+        y = LIP_SCALE * rng.standard_normal((LIP_PAIRS, self.dim))
         lhs = np.abs(self.eval(x) - self.eval(y))
         rhs = self.lipschitz * np.linalg.norm(x - y, axis=1)
         if (lhs > rhs + 1e-9 * (1.0 + rhs)).any():
@@ -248,12 +251,12 @@ def bump_first_moment(n_nodes=_GL_NODES) -> float:
     return float(np.sum(wn * np.abs(u)))
 
 
-def mollify_1d(f, L: float, eps: float, grid, n_nodes=_GL_NODES):
+def mollify_1d(f, eps: float, grid, n_nodes=_GL_NODES):
     """(smoothed values on grid, sup |smoothed - f| on grid, kernel moment).
 
     The smoothed function is the convolution of f with the unit-mass bump
-    kernel scaled to width eps, computed by Gauss-Legendre quadrature; f must
-    be L-Lipschitz on the grid span extended by eps.
+    kernel scaled to width eps, computed by Gauss-Legendre quadrature; for
+    L-Lipschitz f the sup error is at most L eps times the kernel moment.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -21,6 +21,7 @@ from .rng import derive_rng, l1_ball_point
 
 NET_BUDGET = 10 ** 6
 SAMPLE_BUDGET = 10 ** 4    # largest k, the number of atoms in one average
+MAX_ATTEMPTS = 64          # k-averages drawn per sparsification
 DEDUP_DECIMALS = 9
 
 
@@ -29,7 +30,8 @@ class BudgetError(ValueError):
 
 
 def _ceil_ratio(R: float, eps: float) -> int:
-    """ceil(R^2/eps^2); BudgetError above SAMPLE_BUDGET."""
+    """ceil(R^2/eps^2), which is 1 for R > 0 where the ratio underflows to 0;
+    BudgetError above SAMPLE_BUDGET."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     try:
@@ -44,7 +46,7 @@ def _ceil_ratio(R: float, eps: float) -> int:
     if not ratio <= SAMPLE_BUDGET:
         raise BudgetError(f"k = ceil(R^2/eps^2) = ceil({ratio:.6g}) exceeds the "
                           f"sample budget {SAMPLE_BUDGET}")
-    return int(np.ceil(ratio))
+    return max(int(np.ceil(ratio)), int(R > 0))
 
 
 def sample_size(R: float, eps: float) -> int:
@@ -186,7 +188,7 @@ class SparsifyResult:
 
 
 def maurey_sparsify(theta, R: float, dictionary: ColumnDictionary, eps: float,
-                    max_attempts: int = 64, seed: int = 0) -> SparsifyResult:
+                    seed: int = 0) -> SparsifyResult:
     """Resample k-averages (k = sample_size(R, eps)) until one lands within
     eps of v = X theta / sqrt(n); reports the best attempt on exhaustion."""
     k = sample_size(R, eps)
@@ -196,7 +198,7 @@ def maurey_sparsify(theta, R: float, dictionary: ColumnDictionary, eps: float,
     rng = derive_rng(seed, "maurey-sparsify", k)
     best = None
     best_err = np.inf
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         idx = dist.sample_indices(rng, k)
         avg = atoms[:, idx].mean(axis=1)
         err = float(np.linalg.norm(avg - v))
@@ -207,7 +209,7 @@ def maurey_sparsify(theta, R: float, dictionary: ColumnDictionary, eps: float,
             return SparsifyResult(combination=best, error=best_err,
                                   attempts=attempt, success=True, k=k)
     return SparsifyResult(combination=best, error=best_err,
-                          attempts=max_attempts, success=False, k=k)
+                          attempts=MAX_ATTEMPTS, success=False, k=k)
 
 
 def l1_hull_net_bound(d: int, R: float, eps: float) -> int:
@@ -224,7 +226,6 @@ class NetConstruction:
     k: int
     bound: int
     net: np.ndarray          # (size, n) deduplicated k-averages
-    validated: int           # random hull points checked
     max_error: float         # worst sparsify error among the checks
     max_net_distance: float  # worst distance of a returned average to the net
 
@@ -270,5 +271,5 @@ def l1_hull_net_construct(dictionary: ColumnDictionary, R: float, eps: float,
         max_err = max(max_err, res.error)
         dists = np.linalg.norm(net - res.combination.value[None, :], axis=1)
         max_net_dist = max(max_net_dist, float(dists.min()))
-    return NetConstruction(k=k, bound=bound, net=net, validated=n_validation,
+    return NetConstruction(k=k, bound=bound, net=net,
                            max_error=max_err, max_net_distance=max_net_dist)

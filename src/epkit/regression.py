@@ -10,12 +10,13 @@ interior so the shifted class is star-shaped.
 
 Function classes.  ``LinearClass`` and ``L1BallClass`` hold all that differs
 between the two classes, so no experiment branches on the class:
-``solve(X, y)`` is the ERM, ``inner_sups(X, w, delta, rel_tol)`` the
-supremum of w' X theta / n over the class within the empirical delta-ball
-for each noise row of w, ``reach(X)`` the largest empirical norm the class
-attains, and ``discretize(X, delta, resolution)`` a deterministic point
-cloud in the image of the localized ball.  The class constant ``kind``
-labels the class in derived random streams.
+``solve(X, y)`` is the ERM, ``inner_sups(X, w, delta)`` the supremum of
+w' X theta / n over the class within the empirical delta-ball for each
+noise row of w (to relative accuracy ``REL_TOL`` where it is iterative),
+``reach(X)`` the largest empirical norm the class attains, and
+``discretize(X, delta, resolution)`` a deterministic point cloud in the
+image of the localized ball.  The class constant ``kind`` labels the class
+in derived random streams.
 
 Lockstep l1 solves.  ``solve_ls_l1_batch`` runs the Frank-Wolfe loop over a
 stack of problems of one shape, and ``solve_ls_l1`` is a stack of one.  Each
@@ -43,9 +44,11 @@ from .rng import derive_rng, gaussian_design
 
 RANK_RTOL = 1e-10
 CAPACITY_CONST = 24.0 * np.sqrt(2.0)
-# bytes of designs the l1 rate sweep solves at once (at least one design);
-# see the module docstring
-STACK_BYTES = 1 << 20
+STACK_BYTES = 1 << 20   # of designs the l1 sweep solves at once; see above
+REL_TOL = 1e-4   # of l1_localized_sup, read per call; also the radius's slack
+FW_ITERS, MAX_OUTER = 250, 40   # its inner steps per solve, its bisection steps
+REL_WIDTH = 1e-3   # relative bracket width that ends the radius bisection
+SPARSITY, SWEEP_TOL, SWEEP_MAX_ITER = 3, 1e-4, 1500   # of the l1 rate sweep
 
 
 class BracketError(ValueError):
@@ -227,8 +230,7 @@ def solve_ls_l1_batch(Xs, ys, R: float, tol: float = 1e-6,
 # -- localized Gaussian complexity --------------------------------------------
 
 
-def l1_localized_sup(X, w, R: float, delta: float, rel_tol: float = 1e-4,
-                     fw_iters: int = 250, max_outer: int = 40) -> float:
+def l1_localized_sup(X, w, R: float, delta: float) -> float:
     """sup |w' X theta| / n over the l1 R-ball intersected with the empirical
     delta-ball, by 1-D dual bisection with a conditional-gradient inner solver.
 
@@ -253,7 +255,7 @@ def l1_localized_sup(X, w, R: float, delta: float, rel_tol: float = 1e-4,
 
     d = X.shape[1]
     gram = X.T @ X
-    gap_floor = rel_tol * 0.01 * cmax * R
+    gap_floor = REL_TOL * 0.01 * cmax * R
     b_sq = b * b
 
     # state: active vertex weights over {+-R e_j}, theta, and q = gram theta
@@ -266,7 +268,7 @@ def l1_localized_sup(X, w, R: float, delta: float, rel_tol: float = 1e-4,
         cross-polytope), warm-started across calls."""
         weights, theta, q = state["w"], state["theta"], state["q"]
         fw_gap = np.inf
-        for _ in range(fw_iters):
+        for _ in range(FW_ITERS):
             grad = c - 2.0 * lam * q
             k = int(np.argmax(np.abs(grad)))
             s_val = R * abs(grad[k])
@@ -316,14 +318,14 @@ def l1_localized_sup(X, w, R: float, delta: float, rel_tol: float = 1e-4,
     # bracketing phase with loose inner solves, then certified tight solves
     best_ub = np.inf
     best_lb = 0.0
-    for outer in range(max_outer):
+    for outer in range(MAX_OUTER):
         lam = 0.5 * (lam_lo + lam_hi)
         tight = outer >= 8 or (lam_hi - lam_lo) <= 1e-2 * lam_hi
         norm, ub = inner_max(lam, gap_floor if tight else loose)
         if tight:
             best_ub = min(best_ub, ub)
             best_lb = max(best_lb, feasible_value())
-            if best_ub - best_lb <= rel_tol * max(best_ub, 1e-30):
+            if best_ub - best_lb <= REL_TOL * max(best_ub, 1e-30):
                 break
         if norm > b:
             lam_lo = lam
@@ -355,10 +357,10 @@ class LinearClass:
     def solve(self, X, y) -> ErmResult:
         return solve_ls_linear(X, y)
 
-    def inner_sups(self, X, w, delta: float, rel_tol: float = 1e-4) -> np.ndarray:
+    def inner_sups(self, X, w, delta: float) -> np.ndarray:
         """Closed form: per row, sup over {||X theta|| <= delta sqrt n} of
         |w' X theta| / n equals (delta / sqrt n) ||P w|| with P the
-        column-space projector; being exact, it ignores rel_tol."""
+        column-space projector."""
         return delta / np.sqrt(X.shape[0]) * np.linalg.norm(w @ col_basis(X), axis=1)
 
     def reach(self, X) -> float:
@@ -398,10 +400,9 @@ class L1BallClass:
     def solve(self, X, y) -> ErmResult:
         return solve_ls_l1(X, y, self.R)
 
-    def inner_sups(self, X, w, delta: float, rel_tol: float = 1e-4) -> np.ndarray:
+    def inner_sups(self, X, w, delta: float) -> np.ndarray:
         """Dual conditional gradient per row (l1_localized_sup)."""
-        return np.asarray([l1_localized_sup(X, row, self.R, delta, rel_tol=rel_tol)
-                           for row in w])
+        return np.asarray([l1_localized_sup(X, row, self.R, delta) for row in w])
 
     def reach(self, X) -> float:
         """R max_j ||X_j|| / sqrt(n), attained at a signed vertex."""
@@ -423,7 +424,7 @@ class L1BallClass:
 
 
 def localized_complexity_mc(X, cls, delta: float, n_samples: int,
-                            seed: int, rel_tol: float = 1e-4) -> McEstimate:
+                            seed: int) -> McEstimate:
     """Monte Carlo localized complexity: per noise draw the inner supremum is
     solved (closed form for the linear class, dual conditional gradient for
     the l1 class) and averaged.
@@ -437,7 +438,7 @@ def localized_complexity_mc(X, cls, delta: float, n_samples: int,
     n = X.shape[0]
     rng = derive_rng(seed, "lgc-mc", n, X.shape[1], cls.kind)
     w = rng.standard_normal((n_samples, n))
-    vals = cls.inner_sups(X, w, delta, rel_tol)
+    vals = cls.inner_sups(X, w, delta)
     if not np.isfinite(vals).all():
         raise HneViolationError("inner supremum not finite on some draw")
     return McEstimate.from_samples(vals)
@@ -450,15 +451,12 @@ def localized_complexity_mc(X, cls, delta: float, n_samples: int,
 class CriticalRadius:
     delta_star: float
     degenerate: bool
-    bracket: tuple
-    ratio_deltas: np.ndarray
-    ratios: np.ndarray
+    ratios: np.ndarray         # G(delta)/delta at 8 log-spaced radii
     ratio_monotone: bool
 
 
 def critical_radius(model: RegressionModel, cls, bracket, n_samples: int = 2000,
-                    seed: int = 0, rel_width: float = 1e-3,
-                    rel_tol: float = 1e-4) -> CriticalRadius:
+                    seed: int = 0) -> CriticalRadius:
     """Smallest radius balancing complexity against noise, by bisection of
     h(delta) = G(delta)/delta - delta/(2 sigma) on a frozen noise panel.
 
@@ -473,7 +471,7 @@ def critical_radius(model: RegressionModel, cls, bracket, n_samples: int = 2000,
     panel = derive_rng(seed, "cr-panel", n, model.d).standard_normal((n_samples, n))
 
     def g(delta):
-        return float(np.mean(cls.inner_sups(X, panel, delta, rel_tol)))
+        return float(np.mean(cls.inner_sups(X, panel, delta)))
 
     def h(delta, g_delta):
         return g_delta / delta - delta / (2.0 * model.sigma)
@@ -482,18 +480,17 @@ def critical_radius(model: RegressionModel, cls, bracket, n_samples: int = 2000,
     deltas = np.geomspace(lo, hi, 8)
     g_grid = [g(dd) for dd in deltas]
     ratios = np.asarray([gd / dd for gd, dd in zip(g_grid, deltas)])
-    slack = 2.0 * rel_tol * (np.abs(ratios[:-1]) + 1e-30)
+    slack = 2.0 * REL_TOL * (np.abs(ratios[:-1]) + 1e-30)
     monotone = bool((np.diff(ratios) <= slack).all())
 
     if g_grid[0] <= 1e-15 * (1.0 + model.sigma):
-        return CriticalRadius(delta_star=lo, degenerate=True, bracket=(lo, hi),
-                              ratio_deltas=deltas, ratios=ratios,
+        return CriticalRadius(delta_star=lo, degenerate=True, ratios=ratios,
                               ratio_monotone=monotone)
     h_lo, h_hi = h(lo, g_grid[0]), h(hi, g_grid[-1])
     if not (h_lo > 0 >= h_hi):
         raise BracketError(
             f"invalid bracket: h({lo:.6g}) = {h_lo:.6g}, h({hi:.6g}) = {h_hi:.6g}")
-    while (hi - lo) > rel_width * 0.5 * (hi + lo):
+    while (hi - lo) > REL_WIDTH * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
         if h(mid, g(mid)) > 0:
             lo = mid
@@ -501,9 +498,7 @@ def critical_radius(model: RegressionModel, cls, bracket, n_samples: int = 2000,
             hi = mid
     # the upper endpoint is the certified side: h(hi) <= 0 throughout, so the
     # returned radius satisfies the balance inequality on the panel
-    return CriticalRadius(delta_star=float(hi), degenerate=False,
-                          bracket=(float(bracket[0]), float(bracket[1])),
-                          ratio_deltas=deltas, ratios=ratios,
+    return CriticalRadius(delta_star=float(hi), degenerate=False, ratios=ratios,
                           ratio_monotone=monotone)
 
 
@@ -521,13 +516,9 @@ def auto_bracket(model: RegressionModel) -> tuple:
 
 
 def master_bound_experiment(model: RegressionModel, cls, t: float, trials: int,
-                            seed: int, delta_star: float = None,
-                            n_samples: int = 2000):
+                            seed: int, delta_star: float):
     """(frequency of squared error >= 16 t delta_star, exp(-n t delta_star /
     (2 sigma^2))) over independent noise draws."""
-    if delta_star is None:
-        delta_star = critical_radius(model, cls, auto_bracket(model),
-                                     n_samples=n_samples, seed=seed).delta_star
     if t < delta_star * (1 - 1e-12):
         raise ValueError("t must be at least the critical radius")
     X = model.x
@@ -544,18 +535,15 @@ def master_bound_experiment(model: RegressionModel, cls, t: float, trials: int,
 
 
 def estimate_bad_event_probability(model: RegressionModel, cls, u: float,
-                                   trials: int, seed: int,
-                                   threshold: float = None) -> McEstimate:
+                                   trials: int, seed: int) -> McEstimate:
     """Frequency of {sup over the radius-u localized set of |sigma w'Xtheta/n|
-    >= threshold}, threshold defaulting to 2 u^2.
+    >= 2 u^2}.
 
     Nonemptiness of the empirical sphere at radius u is checked first
     against the class's reach.
     """
     if u <= 0:
         raise ValueError("u must be positive")
-    if threshold is None:
-        threshold = 2.0 * u ** 2
     X = model.x
     n = model.n
     reach = cls.reach(X)
@@ -564,14 +552,13 @@ def estimate_bad_event_probability(model: RegressionModel, cls, u: float,
             f"radius {u:.6g} exceeds the attainable norm {reach:.6g}")
     w = derive_rng(seed, "bad-event", n).standard_normal((trials, n))
     sups = model.sigma * cls.inner_sups(X, w, u)
-    return McEstimate.from_samples((sups >= threshold).astype(float))
+    return McEstimate.from_samples((sups >= 2.0 * u ** 2).astype(float))
 
 
 # -- capacity bound via the entropy integral ----------------------------------
 
 
-def dudley_capacity_bound(X, cls, delta: float, resolution: int = 200,
-                          nodes: int = 64) -> float:
+def dudley_capacity_bound(X, cls, delta: float, resolution: int = 200) -> float:
     """24 sqrt2 / sqrt(n) times the entropy integral over (0, 2 delta] of the
     discretized localized-ball image."""
     if delta <= 0:
@@ -580,7 +567,7 @@ def dudley_capacity_bound(X, cls, delta: float, resolution: int = 200,
     n = X.shape[0]
     cloud = cls.discretize(X, delta, resolution)
     ms = metric.FiniteMetricSet.from_points(cloud)
-    integral = metric.entropy_integral(ms, 2.0 * delta, nodes=nodes)
+    integral = metric.entropy_integral(ms, 2.0 * delta)
     return float(CAPACITY_CONST / np.sqrt(n) * integral)
 
 
@@ -617,10 +604,9 @@ def _slopes_by_dimension(cells):
     return slopes
 
 
-def linear_rate_experiment(grid, sigma: float, trials: int, seed: int,
-                           with_delta_star: bool = True) -> RateReport:
-    """Median normalized error n err / (sigma^2 rank) per (n, d) cell on
-    fresh Gaussian designs, plus log-log slopes of median error in n."""
+def linear_rate_experiment(grid, sigma: float, trials: int, seed: int) -> RateReport:
+    """Median normalized error n err / (sigma^2 rank) and critical radius
+    per (n, d) cell on fresh Gaussian designs, plus log-log slopes in n."""
     cells = []
     for (n, d) in grid:
         if n < d:
@@ -640,13 +626,11 @@ def linear_rate_experiment(grid, sigma: float, trials: int, seed: int,
             err = empirical_norm(X @ (res.theta - theta_star)) ** 2
             errs[trial] = err
             normd[trial] = n * err / (sigma ** 2 * max(r, 1))
-        dstar = np.nan
-        if with_delta_star:
-            rng = derive_rng(seed, "lin-rate-model", n, d)
-            model = RegressionModel(x=rng.standard_normal((n, d)),
-                                    theta_star=np.zeros(d), sigma=sigma)
-            dstar = critical_radius(model, LinearClass(), auto_bracket(model),
-                                    n_samples=500, seed=seed).delta_star
+        rng = derive_rng(seed, "lin-rate-model", n, d)
+        model = RegressionModel(x=rng.standard_normal((n, d)),
+                                theta_star=np.zeros(d), sigma=sigma)
+        dstar = critical_radius(model, LinearClass(), auto_bracket(model),
+                                n_samples=500, seed=seed).delta_star
         cells.append(RateCell(n=n, d=d, rank=rank_seen, delta_star=float(dstar),
                               median_err=float(np.median(errs)),
                               normalized=float(np.median(normd))))
@@ -654,9 +638,8 @@ def linear_rate_experiment(grid, sigma: float, trials: int, seed: int,
                       params={"sigma": sigma, "trials": trials, "seed": seed})
 
 
-def l1_rate_experiment(grid, R: float, sigma: float, trials: int, seed: int,
-                       sparsity: int = 3, tol: float = 1e-4,
-                       max_iter: int = 1500) -> RateReport:
+def l1_rate_experiment(grid, R: float, sigma: float, trials: int,
+                       seed: int) -> RateReport:
     """Median error normalized by R^2 log(d)/n per cell, allowing d > n.
 
     Designs are column-rescaled to norm exactly sqrt(n); the truth is sparse
@@ -681,7 +664,7 @@ def l1_rate_experiment(grid, R: float, sigma: float, trials: int, seed: int,
                 rng = derive_rng(seed, "l1-rate", n, d, trial)
                 X = Xs[k]
                 X[:] = gaussian_design(rng, n, d)
-                support = rng.choice(d, size=min(sparsity, d), replace=False)
+                support = rng.choice(d, size=min(SPARSITY, d), replace=False)
                 mags = rng.dirichlet(np.ones(support.size)) * 0.9 * R
                 theta_star = np.zeros(d)
                 theta_star[support] = mags * rng.choice([-1.0, 1.0], size=support.size)
@@ -689,7 +672,7 @@ def l1_rate_experiment(grid, R: float, sigma: float, trials: int, seed: int,
                 ys[k] = X @ theta_star + sigma * w
                 truths.append(theta_star)
             results = solve_ls_l1_batch(Xs[:len(chunk)], ys[:len(chunk)], R,
-                                        tol=tol, max_iter=max_iter)
+                                        tol=SWEEP_TOL, max_iter=SWEEP_MAX_ITER)
             for k, (trial, res, theta_star) in enumerate(zip(chunk, results, truths)):
                 rank_seen = max(rank_seen, design_rank(Xs[k]))
                 err = empirical_norm(Xs[k] @ (res.theta - theta_star)) ** 2

@@ -205,11 +205,10 @@ class TestCriterion5Regression:
             assert freq.mean <= bound + 3 * freq.stderr
         # linear rate: slope -1 +- 0.15, chi-square(1) median control
         rep = rg.linear_rate_experiment([(64, 8), (128, 8), (256, 8), (512, 8)],
-                                        1.0, 200, SEED, with_delta_star=False)
+                                        1.0, 200, SEED)
         assert rep.slopes[8] == pytest.approx(-1.0, abs=0.15)
         assert max(c.normalized for c in rep.cells) < 2.0
-        ctrl = rg.linear_rate_experiment([(1, 1)], 1.0, 4000, SEED,
-                                         with_delta_star=False)
+        ctrl = rg.linear_rate_experiment([(1, 1)], 1.0, 4000, SEED)
         assert ctrl.cells[0].normalized == pytest.approx(0.455, abs=0.05)
         # l1 rate: normalized medians within a factor-3 band, d > n included
         l1rep = rg.l1_rate_experiment([(32, 64), (64, 128), (128, 256)],

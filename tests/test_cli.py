@@ -1,6 +1,7 @@
 """Command-line front end tests: exit codes, report artifacts, config
 handling, and byte-identical reruns."""
 
+import csv
 import importlib.util
 import json
 import os
@@ -16,6 +17,8 @@ from epkit import chaining, cli, discrete, maurey
 from epkit.reports import CheckReport, ReportCollector
 
 DATA = str(Path(__file__).parent / "data")
+SMALL_REGRESS = ("--n", "8", "--d", "4", "--trials", "2")
+OUTSIDE_SQUARES = ("1e-320", "1e-200", "1e160", "1e200", "1e300")  # x^2: 0 or inf
 
 # rejected configurations whose message must name the bound or budget they
 # break, before any instance runs
@@ -55,6 +58,14 @@ NAMED_LIMITS = {
     ("regress", "--grid", "32:4,32:4"): "the grid repeats the cell 32:4",
     ("regress", "--class", "l1", "--grid", "32:64,64:128,32:64"):
         "the grid repeats the cell 32:64",
+    ("regress", "--grid", "64"): "the grid cell '64' is not n:d",
+    ("regress", "--grid", "32:4,64:8:3"): "the grid cell '64:8:3' is not n:d",
+    # a scale the errors are divided by must not underflow to 0 or overflow
+    **{("regress", "--sigma", v, *SMALL_REGRESS): "sigma^2 = "
+       for v in OUTSIDE_SQUARES},
+    **{("regress", "--class", "l1", "--R", v, *SMALL_REGRESS):
+       "R^2 log(d)/n at n=8, d=4 = " for v in OUTSIDE_SQUARES},
+    ("maurey", "--R", "1e160", "--eps", "1e160"): "R = 1e+160 is too large",
 }
 
 
@@ -299,6 +310,49 @@ class TestMaureySuite:
                          "--out", str(out)]) == 0
         doc = json.loads((out / "maurey_summary.json").read_text())
         assert doc["k"] == 1
+
+    def test_underflowing_ratio_is_one_atom(self, tmp_path):
+        # R^2 / eps^2 underflows to 0, but a radius R > 0 needs one atom
+        out = tmp_path / "mau"
+        assert cli.main(["maurey", "--R", "1", "--eps", "1e300", "--d", "3",
+                         "--instances", "5", "--out", str(out)]) == 0
+        doc = json.loads((out / "maurey_summary.json").read_text())
+        assert (doc["k"], doc["bound"], doc["net_size"]) == (1, "7", 7)
+
+    def test_extreme_radii_and_scales_exit_0_or_2(self, tmp_path):
+        values = ("1e-320", "1e-160", "1", "1e160", "1e300")
+        codes = {(R, eps): cli.main(["maurey", "--R", R, "--eps", eps, "--d", "2",
+                                     "--n", "3", "--instances", "3",
+                                     "--out", str(tmp_path / f"{R}_{eps}")])
+                 for R in values for eps in values}
+        assert set(codes.values()) <= {0, 2}, codes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_checks_pass_at_large_radius(self, tmp_path, seed):
+        # the rounding of both exact checks grows like R and R^2
+        assert cli.main(["maurey", "--R", "100", "--eps", "50", "--instances",
+                         "200", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("R", [1.0, 100.0, 1e6])
+    def test_exact_checks_catch_a_relative_error_of_1e_9(self, monkeypatch,
+                                                         tmp_path, R):
+        def verdicts(out):
+            argv = ["maurey", "--R", str(R), "--eps", str(R / 2), "--instances",
+                    "50", "--out", str(tmp_path / out)]
+            code = cli.main(argv)
+            with open(tmp_path / out / "maurey_reports.csv", newline="") as fh:
+                found = {row["check"]: row["verdict"] for row in csv.DictReader(fh)}
+            return code, found["unbiasedness"], found["second-moment"]
+
+        assert verdicts("exact") == (0, "pass", "pass")
+        second, mean = maurey.maurey_second_moment, maurey.AtomDistribution.expectation
+        monkeypatch.setattr(maurey, "maurey_second_moment",
+                            lambda *args: second(*args) * (1 + 1e-9))
+        assert verdicts("second") == (1, "pass", "fail")
+        monkeypatch.undo()
+        monkeypatch.setattr(maurey.AtomDistribution, "expectation",
+                            lambda dist: mean(dist) * (1 + 1e-9))
+        assert verdicts("mean") == (1, "fail", "pass")
 
 
 class TestReproducibility:

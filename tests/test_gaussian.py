@@ -203,20 +203,19 @@ class TestMollify:
     GRID = np.linspace(-2.0, 2.0, 81)
 
     def test_affine_invariance(self):
-        _, sup_err, _ = gaussian.mollify_1d(lambda x: 2.0 * x - 1.0, 2.0, 0.1,
-                                            self.GRID)
+        _, sup_err, _ = gaussian.mollify_1d(lambda x: 2.0 * x - 1.0, 0.1, self.GRID)
         assert sup_err <= 1e-8
 
     def test_abs_attains_kernel_moment(self):
-        f_eps, sup_err, c_rho = gaussian.mollify_1d(np.abs, 1.0, 0.1, self.GRID)
+        f_eps, sup_err, c_rho = gaussian.mollify_1d(np.abs, 0.1, self.GRID)
         assert sup_err <= 1.0 * c_rho * 0.1 + 1e-6
         # the worst error sits at the kink and equals the kernel moment scale
         assert sup_err == pytest.approx(c_rho * 0.1, rel=1e-9)
         assert 0.2 < c_rho < 0.5
 
     def test_linear_error_in_eps(self):
-        _, e1, _ = gaussian.mollify_1d(np.abs, 1.0, 0.1, self.GRID)
-        _, e2, _ = gaussian.mollify_1d(np.abs, 1.0, 0.05, self.GRID)
+        _, e1, _ = gaussian.mollify_1d(np.abs, 0.1, self.GRID)
+        _, e2, _ = gaussian.mollify_1d(np.abs, 0.05, self.GRID)
         assert e2 / e1 == pytest.approx(0.5, rel=0.1)
 
     def test_kernel_moment_quadrature_stable(self):
@@ -225,4 +224,4 @@ class TestMollify:
 
     def test_span_guard(self):
         with pytest.raises(ValueError):
-            gaussian.mollify_1d(np.abs, 1.0, 5.0, self.GRID)
+            gaussian.mollify_1d(np.abs, 5.0, self.GRID)

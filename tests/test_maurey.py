@@ -182,6 +182,11 @@ class TestNetBound:
         assert maurey.l1_hull_net_bound(3, 0.0, 0.5) == 1
         assert maurey.l1_hull_net_bound(1, 1.0, 1.0) == 3
 
+    def test_underflowing_ratio_needs_one_atom(self):
+        # R^2 / eps^2 underflows to 0, but for R > 0 the exponent is 1
+        assert maurey.l1_hull_net_bound(2, 1.0, 1e300) == 5
+        assert maurey.l1_hull_net_bound(2, 1e-200, 1.0) == 5
+
     def test_big_counts_are_exact_ints(self):
         val = maurey.l1_hull_net_bound(100, 4.0, 0.1)
         assert val == 201 ** 1600

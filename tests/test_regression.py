@@ -287,7 +287,7 @@ class TestL1InnerSup:
         X = derive_rng(17, "zn").standard_normal((6, 3))
         assert rg.l1_localized_sup(X, np.zeros(6), 1.0, 0.5) == 0.0
 
-    def test_single_column_closed_form(self):
+    def test_single_column_closed_form(self, monkeypatch):
         # d = 1: the supremum is |c| min(R, b/||x||)
         rng = derive_rng(27, "d1")
         x = rng.standard_normal((12, 1))
@@ -296,15 +296,17 @@ class TestL1InnerSup:
         b = delta * np.sqrt(12)
         c = float(x[:, 0] @ w) / 12
         expected = abs(c) * min(R, b / np.linalg.norm(x))
-        val = rg.l1_localized_sup(x, w, R, delta, rel_tol=1e-8)
+        monkeypatch.setattr(rg, "REL_TOL", 1e-8)
+        val = rg.l1_localized_sup(x, w, R, delta)
         assert val == pytest.approx(expected, rel=1e-6)
 
-    def test_dominates_random_search(self):
+    def test_dominates_random_search(self, monkeypatch):
         rng = derive_rng(18, "search")
         X = rng.standard_normal((8, 4))
         w = rng.standard_normal(8)
         R, delta = 1.2, 0.25
-        val = rg.l1_localized_sup(X, w, R, delta, rel_tol=1e-6)
+        monkeypatch.setattr(rg, "REL_TOL", 1e-6)
+        val = rg.l1_localized_sup(X, w, R, delta)
         c = X.T @ w / 8
         b = delta * np.sqrt(8)
         search = derive_rng(19, "probe")
@@ -497,13 +499,11 @@ class TestCapacityBound:
 
 class TestRateExperiments:
     def test_chi_square_median_control(self):
-        rep = rg.linear_rate_experiment([(1, 1)], 1.0, 2000, SEED,
-                                        with_delta_star=False)
+        rep = rg.linear_rate_experiment([(1, 1)], 1.0, 2000, SEED)
         assert rep.cells[0].normalized == pytest.approx(0.4549, abs=0.05)
 
     def test_normalized_bounded(self):
-        rep = rg.linear_rate_experiment([(32, 4), (64, 4)], 1.0, 100, SEED,
-                                        with_delta_star=False)
+        rep = rg.linear_rate_experiment([(32, 4), (64, 4)], 1.0, 100, SEED)
         for cell in rep.cells:
             assert cell.normalized < 2.0
         assert 4 in rep.slopes
