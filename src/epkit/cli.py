@@ -11,7 +11,8 @@ Exit codes: 0 all checks passed, 1 at least one inequality check failed,
 2 usage or configuration error (a value of the wrong type, outside its
 choices or below its bound, a zero-size configuration, non-finite input, a
 point cloud whose diameter is 0, a scale such as sigma^2 that underflows to
-0 or overflows), 3 internal error.
+0 or overflows, a linear regress sigma below its rounding floor), 3
+internal error.
 """
 
 from __future__ import annotations
@@ -378,6 +379,17 @@ def run_regress(cfg) -> ReportCollector:
     # each sweep divides its errors by a scale that must be a positive float
     if cfg["cls"] == "linear":
         _in_float_range("sigma^2", sigma * sigma)
+        # responses x'theta* + sigma w have size sqrt(d) and round by about
+        # eps sqrt(d); the noise must exceed that by 1/sqrt(eps), or the
+        # errors measure rounding: at n=8, d=4 the normalized error drifts by
+        # 2e-7 at sigma = 1e-8, by 2e-3 at 1e-12, and reads 7.5e169 at 1e-100
+        d_max = max(d for _, d in grid)
+        floor = math.sqrt(sys.float_info.epsilon * d_max)
+        if sigma < floor:
+            raise ConfigError(
+                f"sigma = {sigma:g} is below the rounding floor sqrt(eps d) = "
+                f"{floor:.3g} at d={d_max}, where the rounding of the responses, "
+                f"not the noise, would set the errors")
         report = regression.linear_rate_experiment(grid, sigma, trials, seed)
         for cell in report.cells:
             col.add(f"linear-normalized-n={cell.n}-d={cell.d}",
@@ -389,6 +401,11 @@ def run_regress(cfg) -> ReportCollector:
         for n, d in grid:
             if d > 1:   # the sweep itself rejects d = 1
                 _in_float_range(f"R^2 log(d)/n at n={n}, d={d}", R * R * math.log(d) / n)
+            # the largest sum of squares the solver forms is ||y - X theta||^2
+            # <= n (1.9 R + sigma max|w_i|)^2 <= 64 n (R + sigma)^2 while every
+            # |w_i| <= 8 (a draw exceeds 8 with probability 1.2e-15)
+            _in_float_range(f"64 n (R + sigma)^2 at n={n}",
+                            64.0 * n * (R + sigma) * (R + sigma))
         report = regression.l1_rate_experiment(grid, R, sigma, trials, seed)
         norms = [c.normalized for c in report.cells]
         if len(norms) > 1 and min(norms) > 0:

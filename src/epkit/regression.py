@@ -28,6 +28,17 @@ cell's trials into one reused stack of at most ``STACK_BYTES`` (1 MiB) of
 designs: stacking whole 40-trial cells raised the benchmark sweep's peak
 RSS by 18%, 1 MiB by 3%, and a 1 MiB stack (four 128 x 256 designs) fits
 in a per-core L2 cache (2 MiB on the Xeon it was measured on).
+
+Localized l1 supremum.  ``l1_localized_sup`` runs each conditional-gradient
+step on Python floats (the gradient read once with ``tolist``, Gram entries
+from a nested list), because numpy's per-call cost dominated steps on
+vectors of d = 6.  Three things stay numpy, for the same digests: the
+gradient c - 2 lam q, formed elementwise into a reused buffer; the update of
+q = Gram theta, a sign-flipped Gram row difference; and every dot product,
+an OpenBLAS ddot, which a Python sum of the same terms misses on 44% of
+random normal 6-vectors.  The away vertex is the first minimum in the
+active set's insertion order, as before, since duplicated design columns
+tie exactly.
 """
 
 from __future__ import annotations
@@ -255,47 +266,57 @@ def l1_localized_sup(X, w, R: float, delta: float) -> float:
 
     d = X.shape[1]
     gram = X.T @ X
+    entries = gram.tolist()
+    # vertex v is +R e_v for v < d and -R e_(v-d) beyond; row v of signed is
+    # its sign times column v mod d of the Gram matrix (a sign flip, exact)
+    signed = np.concatenate((gram.T, -gram.T))
+    grad, scaled_q = np.empty(d), np.empty(d)
     gap_floor = REL_TOL * 0.01 * cmax * R
     b_sq = b * b
 
-    # state: active vertex weights over {+-R e_j}, theta, and q = gram theta
-    state = {"w": {(0, 1.0): 0.5, (0, -1.0): 0.5}, "theta": np.zeros(d),
-             "q": np.zeros(d)}
+    # state: active vertex weights in insertion order, theta, and q = gram theta
+    state = {"w": {0: 0.5, d: 0.5}, "theta": np.zeros(d), "q": np.zeros(d)}
 
     def inner_max(lam, gap_target):
         """max of c.theta - lam (||X theta||^2 - b^2) over the l1 ball by
         pairwise conditional gradient (linearly convergent on the
         cross-polytope), warm-started across calls."""
         weights, theta, q = state["w"], state["theta"], state["q"]
+        lam2 = 2.0 * lam
         fw_gap = np.inf
         for _ in range(FW_ITERS):
-            grad = c - 2.0 * lam * q
-            k = int(np.argmax(np.abs(grad)))
-            s_val = R * abs(grad[k])
-            s_sign = 1.0 if grad[k] >= 0 else -1.0
-            fw_gap = float(s_val - grad @ theta)
+            np.subtract(c, np.multiply(lam2, q, out=scaled_q), out=grad)
+            g = grad.tolist()
+            mags = list(map(abs, g))
+            k = mags.index(max(mags))
+            s_val = R * mags[k]
+            s_sign = 1.0 if g[k] >= 0 else -1.0
+            fw_gap = s_val - float(grad.dot(theta))
             if fw_gap <= gap_target:
                 break
-            away_key = min(weights, key=lambda v: v[1] * grad[v[0]])
-            aj, asgn = away_key
-            lin = float(s_val - asgn * R * grad[aj])
+            # first minimum of sign * grad in insertion order, as min() finds
+            signed_g = g + [-x for x in g]
+            away = min(weights, key=signed_g.__getitem__)
+            aj, asgn = (away, 1.0) if away < d else (away - d, -1.0)
+            lin = s_val - asgn * R * g[aj]
             if lin <= 0:
                 break
-            dir_sq = R * R * (gram[k, k] + gram[aj, aj]
-                              - 2.0 * s_sign * asgn * gram[k, aj])
-            quad = 2.0 * lam * dir_sq
-            step_cap = weights[away_key]
+            row_k = entries[k]
+            dir_sq = R * R * (row_k[k] + entries[aj][aj]
+                              - 2.0 * s_sign * asgn * row_k[aj])
+            quad = lam2 * dir_sq
+            step_cap = weights[away]
             gamma = step_cap if quad <= 0 else min(step_cap, lin / quad)
             if gamma <= 0:
                 break
             theta[k] += gamma * s_sign * R
             theta[aj] -= gamma * asgn * R
-            q += gamma * R * (s_sign * gram[:, k] - asgn * gram[:, aj])
-            weights[away_key] -= gamma
-            if weights[away_key] <= 1e-15:
-                del weights[away_key]
-            skey = (k, s_sign)
-            weights[skey] = weights.get(skey, 0.0) + gamma
+            toward = k if s_sign > 0 else k + d
+            q += gamma * R * (signed[toward] - signed[away])
+            weights[away] -= gamma
+            if weights[away] <= 1e-15:
+                del weights[away]
+            weights[toward] = weights.get(toward, 0.0) + gamma
         norm_sq = float(theta @ q)
         val = float(c @ theta - lam * (norm_sq - b_sq))
         return np.sqrt(max(norm_sq, 0.0)), val + max(fw_gap, 0.0)

@@ -65,6 +65,15 @@ NAMED_LIMITS = {
        for v in OUTSIDE_SQUARES},
     **{("regress", "--class", "l1", "--R", v, *SMALL_REGRESS):
        "R^2 log(d)/n at n=8, d=4 = " for v in OUTSIDE_SQUARES},
+    # the l1 solver's sums of squares would overflow: the first passed
+    # vacuously (tol * sum y^2 = inf certifies theta = 0), the second failed
+    ("regress", "--class", "l1", "--sigma", "1e154", *SMALL_REGRESS):
+        "64 n (R + sigma)^2 at n=8 = inf",
+    ("regress", "--class", "l1", "--sigma", "1e154", "--R", "1e154",
+     *SMALL_REGRESS): "64 n (R + sigma)^2 at n=8 = inf",
+    # the rounding of the responses, not the noise, would set the errors
+    ("regress", "--sigma", "1e-100", *SMALL_REGRESS):
+        "below the rounding floor sqrt(eps d) = 2.98e-08 at d=4",
     ("maurey", "--R", "1e160", "--eps", "1e160"): "R = 1e+160 is too large",
 }
 
@@ -258,6 +267,16 @@ class TestRegressSuite:
         summary = json.loads((out / "regress_summary.json").read_text())
         assert summary["class"] == "linear"
         assert "4" in summary["slopes"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--sigma", "3e-8"],                          # just above sqrt(eps d)
+        ["--class", "l1", "--sigma", "1e150"],        # 64 n (R + sigma)^2 finite
+        ["--class", "l1", "--R", "1e150", "--sigma", "1"],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_scales_inside_the_guards_run(self, argv, tmp_path):
+        out = tmp_path / "edge"
+        assert cli.main(["regress", *argv, *SMALL_REGRESS, "--out", str(out)]) == 0
 
     def test_l1_cell(self, tmp_path):
         out = tmp_path / "regl1"

@@ -330,6 +330,204 @@ class TestL1InnerSup:
         assert mc.mean == pytest.approx(oracle, rel=1e-9)
 
 
+def scalar_sup_oracle(X, w, R, delta):
+    """The l1_localized_sup loop before its steps ran on Python floats,
+    verbatim (module constants read from rg): the kernel must equal it bit
+    for bit."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    w = np.asarray(w, dtype=float)
+    n = X.shape[0]
+    b = delta * np.sqrt(n)
+    c = X.T @ w / n
+    cmax = float(np.max(np.abs(c)))
+    if cmax == 0.0:
+        return 0.0
+    j = int(np.argmax(np.abs(c)))
+    if R * np.linalg.norm(X[:, j]) <= b * (1 + 1e-12):
+        return R * cmax
+
+    d = X.shape[1]
+    gram = X.T @ X
+    gap_floor = rg.REL_TOL * 0.01 * cmax * R
+    b_sq = b * b
+
+    # state: active vertex weights over {+-R e_j}, theta, and q = gram theta
+    state = {"w": {(0, 1.0): 0.5, (0, -1.0): 0.5}, "theta": np.zeros(d),
+             "q": np.zeros(d)}
+
+    def inner_max(lam, gap_target):
+        """max of c.theta - lam (||X theta||^2 - b^2) over the l1 ball by
+        pairwise conditional gradient (linearly convergent on the
+        cross-polytope), warm-started across calls."""
+        weights, theta, q = state["w"], state["theta"], state["q"]
+        fw_gap = np.inf
+        for _ in range(rg.FW_ITERS):
+            grad = c - 2.0 * lam * q
+            k = int(np.argmax(np.abs(grad)))
+            s_val = R * abs(grad[k])
+            s_sign = 1.0 if grad[k] >= 0 else -1.0
+            fw_gap = float(s_val - grad @ theta)
+            if fw_gap <= gap_target:
+                break
+            away_key = min(weights, key=lambda v: v[1] * grad[v[0]])
+            aj, asgn = away_key
+            lin = float(s_val - asgn * R * grad[aj])
+            if lin <= 0:
+                break
+            dir_sq = R * R * (gram[k, k] + gram[aj, aj]
+                              - 2.0 * s_sign * asgn * gram[k, aj])
+            quad = 2.0 * lam * dir_sq
+            step_cap = weights[away_key]
+            gamma = step_cap if quad <= 0 else min(step_cap, lin / quad)
+            if gamma <= 0:
+                break
+            theta[k] += gamma * s_sign * R
+            theta[aj] -= gamma * asgn * R
+            q += gamma * R * (s_sign * gram[:, k] - asgn * gram[:, aj])
+            weights[away_key] -= gamma
+            if weights[away_key] <= 1e-15:
+                del weights[away_key]
+            skey = (k, s_sign)
+            weights[skey] = weights.get(skey, 0.0) + gamma
+        norm_sq = float(theta @ q)
+        val = float(c @ theta - lam * (norm_sq - b_sq))
+        return np.sqrt(max(norm_sq, 0.0)), val + max(fw_gap, 0.0)
+
+    def feasible_value():
+        norm = np.sqrt(max(float(state["theta"] @ state["q"]), 0.0))
+        shrink = min(1.0, b / norm) if norm > 0 else 1.0
+        return float(c @ state["theta"]) * shrink
+
+    loose = max(gap_floor, 1e-3 * cmax * R)
+    lam_lo = 0.0
+    lam_hi = max(n * cmax / (2.0 * b_sq), 1e-12)
+    for _ in range(80):
+        norm, _ = inner_max(lam_hi, loose)
+        if norm <= b:
+            break
+        lam_lo = lam_hi
+        lam_hi *= 2.0
+
+    # bracketing phase with loose inner solves, then certified tight solves
+    best_ub = np.inf
+    best_lb = 0.0
+    for outer in range(rg.MAX_OUTER):
+        lam = 0.5 * (lam_lo + lam_hi)
+        tight = outer >= 8 or (lam_hi - lam_lo) <= 1e-2 * lam_hi
+        norm, ub = inner_max(lam, gap_floor if tight else loose)
+        if tight:
+            best_ub = min(best_ub, ub)
+            best_lb = max(best_lb, feasible_value())
+            if best_ub - best_lb <= rg.REL_TOL * max(best_ub, 1e-30):
+                break
+        if norm > b:
+            lam_lo = lam
+        else:
+            lam_hi = lam
+    return best_lb
+
+
+def bits(x):
+    return float(x).hex()
+
+
+@st.composite
+def sup_rows(draw):
+    """An n x d design (n 2-15, d 1-8) with entries drawn by hypothesis, so
+    zero columns and tied gradients occur, optionally with one column copied
+    onto another (exact away-vertex ties), a noise row, R and delta."""
+    n = draw(st.integers(2, 15))
+    d = draw(st.integers(1, 8))
+    entries = st.floats(-4, 4, allow_nan=False, allow_subnormal=False)
+    X = draw(hnp.arrays(np.float64, (n, d), elements=entries))
+    copy = draw(st.none() | st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+    if copy is not None:
+        X[:, copy[1]] = X[:, copy[0]]
+    w = draw(hnp.arrays(np.float64, n, elements=entries))
+    R = draw(st.floats(-1, 1).map(lambda e: 10.0 ** e))
+    delta = draw(st.floats(-2, 0.5).map(lambda e: 10.0 ** e))
+    return X, w, R, delta
+
+
+# REL_TOL = 0 runs every bisection step and stops inner solves on the sign
+# of a rounded Frank-Wolfe gap, so a dot product that rounds differently
+# changes the result; at the default tolerance it almost never does
+SUP_TOLS = [rg.REL_TOL, 0.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sup_rows(), st.sampled_from(SUP_TOLS))
+def test_l1_sup_matches_the_numpy_scalar_loop(row, rel_tol):
+    X, w, R, delta = row
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rg, "REL_TOL", rel_tol)
+        assert bits(rg.l1_localized_sup(X, w, R, delta)) == bits(
+            scalar_sup_oracle(X, w, R, delta))
+
+
+def _sup_case(kind):
+    rng = derive_rng(31, "sup-oracle", kind)
+    X = rng.standard_normal((10, 6))
+    w = rng.standard_normal(10)
+    if kind == "duplicated-column":
+        X[:, 4] = X[:, 1]
+    elif kind == "zero-column":
+        X[:, 2] = 0.0
+    elif kind == "d=1":
+        X = X[:, :1]
+    elif kind == "zero-noise":
+        w = np.zeros(10)
+    return X, w
+
+
+@pytest.mark.parametrize("rel_tol", SUP_TOLS)
+@pytest.mark.parametrize("kind", ["random", "duplicated-column", "zero-column",
+                                  "d=1", "zero-noise"])
+def test_l1_sup_cases_match_the_oracle(kind, rel_tol, monkeypatch):
+    monkeypatch.setattr(rg, "REL_TOL", rel_tol)
+    X, w = _sup_case(kind)
+    reach = np.linalg.norm(X, axis=0).max() / np.sqrt(10)
+    # below, near and beyond R reach, where the closed form takes over
+    for delta in (0.05, 0.3, 0.6, 0.95 * reach, 1.01 * reach):
+        for R in (0.5, 1.0):
+            got = rg.l1_localized_sup(X, w, R, R * delta)
+            assert bits(got) == bits(scalar_sup_oracle(X, w, R, R * delta)), delta
+
+
+def test_l1_sup_calls_go_through_the_module_attribute(monkeypatch):
+    # perfbench counts regression.l1_localized_sup calls and reads
+    # critical_radius g evaluations as sup calls per draw: both need every
+    # caller to look the function up on the module at call time
+    real_sup, real_sups = rg.l1_localized_sup, rg.L1BallClass.inner_sups
+    sup_calls, panel_rows = [], []
+
+    def counting_sup(*args):
+        sup_calls.append(1)
+        return real_sup(*args)
+
+    def counting_sups(self, X, w, delta):
+        panel_rows.append(len(w))
+        return real_sups(self, X, w, delta)
+
+    monkeypatch.setattr(rg, "l1_localized_sup", counting_sup)
+    X = derive_rng(21, "l1cr").standard_normal((10, 6))
+    cls = rg.L1BallClass(R=1.0)
+    w = derive_rng(32, "rows").standard_normal((5, 10))
+    vals = cls.inner_sups(X, w, 0.5)
+    assert len(sup_calls) == 5
+    assert [bits(v) for v in vals] == [bits(real_sup(X, row, 1.0, 0.5)) for row in w]
+
+    monkeypatch.setattr(rg.L1BallClass, "inner_sups", counting_sups)
+    sup_calls.clear()
+    model = rg.RegressionModel(x=X, theta_star=np.zeros(6), sigma=0.5)
+    rg.critical_radius(model, cls, (0.2, 3.0), n_samples=3, seed=4)
+    # eight grid radii plus the bisection steps, three sup calls each
+    assert len(panel_rows) > 8 and set(panel_rows) == {3}
+    assert len(sup_calls) == 3 * len(panel_rows)
+
+
 class TestCriticalRadius:
     def test_scalar_panel_root(self):
         model = rg.RegressionModel(x=np.array([[1.0]]), theta_star=np.zeros(1),
