@@ -18,8 +18,6 @@ internal error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -30,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import chaining, discrete, fields, gaussian, maurey, metric, regression
-from .reports import ReportCollector, fmt, reports_to_csv, reports_to_json, write_text
+from .reports import ReportCollector, fmt, render, versioned, write_text
 from .rng import derive_rng, gaussian_design, l1_ball_point
 
 EXACT_TOL = 1e-10
@@ -176,25 +174,18 @@ def _load_metric_set(cfg) -> metric.FiniteMetricSet:
 
 
 def _write(cfg, name, content) -> Path:
-    """Write one output file under the --out directory: a string as it is, a
-    list of rows as CSV, anything else as sorted, indented JSON."""
+    """Write one output file, rendered by ``reports.render``, under --out."""
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    if isinstance(content, list):
-        buf = io.StringIO()
-        csv.writer(buf).writerows(content)
-        content = buf.getvalue()
-    elif not isinstance(content, str):
-        content = json.dumps(content, sort_keys=True, indent=2) + "\n"
-    write_text(out / name, content)
+    write_text(out / name, render(content))
     return out / name
 
 
-def _add_mc(col, check, lhs, rhs, seed, n_samples):
+def _add_mc(col, check, lhs, rhs, n_samples):
     """Record the Monte Carlo contract lhs <= rhs + 3 combined stderr."""
     rhs = gaussian.as_estimate(rhs)
     col.add(check, lhs.mean, rhs.mean, lhs.stderr + rhs.stderr,
-            gaussian.three_sigma_margin(lhs, rhs), seed, n_samples)
+            gaussian.three_sigma_margin(lhs, rhs), n_samples)
 
 
 # -- suites -------------------------------------------------------------------
@@ -203,7 +194,7 @@ def _add_mc(col, check, lhs, rhs, seed, n_samples):
 def run_cover(cfg) -> ReportCollector:
     """covering/packing profile of a point cloud"""
     s = _load_metric_set(cfg)
-    col = ReportCollector()
+    col = ReportCollector(cfg["seed"])
     if cfg["eps"]:
         scales = []
         for tok in cfg["eps"].split(","):
@@ -211,6 +202,9 @@ def run_cover(cfg) -> ReportCollector:
             if not math.isfinite(scales[-1]):
                 raise ConfigError(f"eps holds a non-finite scale {tok!r}")
     else:
+        # the smallest scale must not underflow to 0
+        _in_float_range(f"the scale D 2^-(scales-1) at scales={cfg['scales']}",
+                        s.diameter * 2.0 ** (1 - cfg["scales"]))
         scales = [s.diameter * 2.0 ** (-k) for k in range(cfg["scales"])]
     profile = metric.entropy_profile(s, scales)
     for eps, lower, upper in zip(profile.scales, profile.lowers, profile.counts):
@@ -218,38 +212,39 @@ def run_cover(cfg) -> ReportCollector:
         witness = metric.maximal_packing(eps, s)
         valid = metric.is_epsilon_net(witness, eps, s)
         col.add(f"net-valid-eps={fmt(eps)}", lhs=0.0 if valid else 1.0,
-                rhs=0.0, stderr=0.0, margin=0.0 if valid else -1.0,
-                seed=cfg["seed"], n_samples=s.n)
+                rhs=0.0, stderr=0.0, margin=0.0 if valid else -1.0, n_samples=s.n)
         col.add(f"sandwich-eps={fmt(eps)}", lhs=float(lower), rhs=float(upper),
-                stderr=0.0, margin=float(upper - lower), seed=cfg["seed"],
-                n_samples=s.n)
-    _write(cfg, "cover_profile.csv", metric.profile_to_csv(profile))
+                stderr=0.0, margin=float(upper - lower), n_samples=s.n)
+    _write(cfg, "cover_profile.csv",
+           [["eps", "lower", "upper", "entropy"],
+            *zip(profile.scales, profile.lowers, profile.counts, profile.entropies)])
     return col
 
 
 def run_entropy(cfg) -> ReportCollector:
     """entropy integral and dyadic sums"""
     s = _load_metric_set(cfg)
-    col = ReportCollector()
-    D = cfg["D"] or s.diameter
-    nodes = cfg["nodes"]
+    col = ReportCollector(cfg["seed"])
+    D, K, nodes = cfg["D"] or s.diameter, cfg["K"], cfg["nodes"]
+    if K:   # the deepest sum reaches the scale D 2^-(K-1), which must not underflow
+        _in_float_range(f"the scale D 2^-(K-1) at K={K}", D * 2.0 ** (1 - K))
     integral = metric.entropy_integral(s, D, nodes=nodes)
     half = metric.entropy_integral(s, D / 2.0, nodes=nodes)
     col.add("entropy-integral-nonneg", lhs=0.0, rhs=integral, stderr=0.0,
-            margin=integral, seed=cfg["seed"], n_samples=s.n)
+            margin=integral, n_samples=s.n)
     col.add("entropy-integral-monotone-D", lhs=half, rhs=integral, stderr=0.0,
-            margin=integral - half, seed=cfg["seed"], n_samples=s.n)
+            margin=integral - half, n_samples=s.n)
     rows = [["k", "eps_k", "dyadic_sum_k"]]
-    for k in range(cfg["K"] + 1):
-        rows.append([k, fmt(D * 2.0 ** (-k)), fmt(metric.dyadic_sum(s, D, k))])
+    for k in range(K + 1):
+        rows.append([k, D * 2.0 ** (-k), metric.dyadic_sum(s, D, k)])
     _write(cfg, "entropy_sums.csv", rows)
     return col
 
 
 def run_discrete_check(cfg) -> ReportCollector:
     """exact product-space inequalities"""
-    col = ReportCollector()
     seed = cfg["seed"]
+    col = ReportCollector(seed)
     violations = []
     for idx in range(cfg["instances"]):
         rng = derive_rng(seed, "discrete-instance", idx)
@@ -259,7 +254,7 @@ def run_discrete_check(cfg) -> ReportCollector:
         for family, (lhs, rhs) in gaps.items():
             margin = (EXACT_TOL - abs(rhs - lhs) if family == "duality_eq"
                       else rhs + EXACT_TOL - lhs)
-            col.add(f"{family.replace('_', '-')}-{idx}", lhs, rhs, 0.0, margin, seed)
+            col.add(f"{family.replace('_', '-')}-{idx}", lhs, rhs, 0.0, margin)
         if not all(r.passed for r in col.reports[-len(gaps):]):
             violations.append(doc | {"index": idx})
     if violations:
@@ -269,36 +264,33 @@ def run_discrete_check(cfg) -> ReportCollector:
 
 def run_gauss_check(cfg) -> ReportCollector:
     """Gaussian Monte Carlo inequality suite"""
-    col = ReportCollector()
     seed, n, count = cfg["seed"], cfg["samples"], cfg["fields"]
+    col = ReportCollector(seed)
     for f in fields.poincare_battery(count, seed):
-        _add_mc(col, f"poincare/{f.name}", *gaussian.poincare_gap(f, n, seed),
-                seed, n)
+        _add_mc(col, f"poincare/{f.name}", *gaussian.poincare_gap(f, n, seed), n)
     for f in fields.lsi_battery(count, seed):
-        _add_mc(col, f"lsi/{f.name}", *gaussian.gaussian_lsi_gap(f, n, seed),
-                seed, n)
+        _add_mc(col, f"lsi/{f.name}", *gaussian.gaussian_lsi_gap(f, n, seed), n)
     for f in fields.lipschitz_battery(count, seed):
         _add_mc(col, f"herbst/{f.name}",
-                *gaussian.herbst_cgf_gap(f, 0.5 / f.lipschitz, n, seed), seed, n)
+                *gaussian.herbst_cgf_gap(f, 0.5 / f.lipschitz, n, seed), n)
         # the tail estimate holds n - n // 2 samples; the report gives n
         _add_mc(col, f"tail/{f.name}",
-                *gaussian.lipschitz_tail_gap(f, f.lipschitz, n, seed), seed, n)
+                *gaussian.lipschitz_tail_gap(f, f.lipschitz, n, seed), n)
     for m in (1, 2, 16):
         _add_mc(col, f"finite-max/m={m}",
-                *gaussian.finite_max_bound_check(m, np.ones(m), n, seed), seed, n)
+                *gaussian.finite_max_bound_check(m, np.ones(m), n, seed), n)
     grid = np.linspace(-2.0, 2.0, 81)
     for eps in (0.1, 0.05):
         _, sup_err, c_rho = gaussian.mollify_1d(np.abs, eps, grid)
         bound = 1.0 * c_rho * eps + 1e-6
-        col.add(f"mollify/abs-eps={fmt(eps)}", sup_err, bound, 0.0,
-                bound - sup_err, seed)
+        col.add(f"mollify/abs-eps={fmt(eps)}", sup_err, bound, 0.0, bound - sup_err)
     return col
 
 
 def run_dudley(cfg) -> ReportCollector:
     """dyadic chaining suite on a point cloud"""
-    col = ReportCollector()
     seed, n_samples = cfg["seed"], cfg["samples"]
+    col = ReportCollector(seed)
     if not cfg["points"]:
         raise ConfigError("dudley requires --points")
     s = _nondegenerate(chaining.IndexSet(points=metric.load_points_csv(cfg["points"])))
@@ -308,13 +300,13 @@ def run_dudley(cfg) -> ReportCollector:
     for lv in nets.levels:
         ok = metric.is_epsilon_net(lv.net, lv.eps, ms)
         col.add(f"net-valid-k={lv.k}", 0.0 if ok else 1.0, 0.0, 0.0,
-                0.0 if ok else -1.0, seed, s.m)
+                0.0 if ok else -1.0, s.m)
         card = int(metric.covering_counts(ms, lv.eps / 2.0))
         col.add(f"net-card-k={lv.k}", float(len(lv.net)), float(card),
-                0.0, float(card - len(lv.net)), seed, s.m)
+                0.0, float(card - len(lv.net)), s.m)
     margins = chaining.projection_step_margins(nets)
     col.add("projection-step", float(-margins.min()), 0.0, 0.0,
-            float(margins.min()) + 1e-12, seed, s.m)
+            float(margins.min()) + 1e-12, s.m)
     rng = derive_rng(seed, "telescope")
     resid = 0.0
     finest = nets.levels[nets.K].net
@@ -322,14 +314,13 @@ def run_dudley(cfg) -> ReportCollector:
         u = int(finest[rng.integers(len(finest))])
         w = rng.standard_normal(s.dim)
         resid = max(resid, chaining.telescoping_residual(u, nets, proc, w))
-    col.add("telescoping-residual", resid, EXACT_TOL, 0.0, EXACT_TOL - resid,
-            seed, 100)
+    col.add("telescoping-residual", resid, EXACT_TOL, 0.0, EXACT_TOL - resid, 100)
     if nets.K >= 1:
         esup, bound = chaining.stage1_bound_check(nets, proc, n_samples, seed)
-        _add_mc(col, "stage1", esup, bound, seed, n_samples)
+        _add_mc(col, "stage1", esup, bound, n_samples)
     _add_mc(col, "entropy-integral-bound",
             *chaining.dudley_bound_check(s, proc, n_samples, seed, D=cfg["D"]),
-            seed, n_samples)
+            n_samples)
     rng = derive_rng(seed, "mgf-pairs")
     m = s.m
     pairs = [(0, m - 1)]
@@ -340,15 +331,14 @@ def run_dudley(cfg) -> ReportCollector:
     lams = [x / (cfg["sigma"] * s.diameter) for x in (-1.0, -0.5, 0.5, 1.0)]
     worst, _ = chaining.subgaussian_process_check(s, proc, pairs, lams,
                                                   n_samples, seed)
-    col.add("subgaussian-mgf-grid", 0.0, 0.0, 0.0, worst, seed, n_samples)
+    col.add("subgaussian-mgf-grid", 0.0, 0.0, 0.0, worst, n_samples)
     if cfg["refine"]:
         fine = chaining.IndexSet(points=metric.load_points_csv(cfg["refine"]))
         check = chaining.dense_sequence_sup_check(s, fine, proc, n_samples, seed)
-        _add_mc(col, "dense-sup-refinement", check.gap, check.gap_bound, seed,
-                n_samples)
+        _add_mc(col, "dense-sup-refinement", check.gap, check.gap_bound, n_samples)
     rows = [["k", "eps_k", "net_size"]]
     for lv in nets.levels:
-        rows.append([lv.k, fmt(lv.eps), len(lv.net)])
+        rows.append([lv.k, lv.eps, len(lv.net)])
     _write(cfg, "dudley_profile.csv", rows)
     return col
 
@@ -373,8 +363,8 @@ def _parse_grid(cfg):
 
 def run_regress(cfg) -> ReportCollector:
     """localized least-squares rate suite"""
-    col = ReportCollector()
     seed, trials, R, sigma = cfg["seed"], cfg["trials"], cfg["R"], cfg["sigma"]
+    col = ReportCollector(seed)
     grid = _parse_grid(cfg)
     # each sweep divides its errors by a scale that must be a positive float
     if cfg["cls"] == "linear":
@@ -393,10 +383,10 @@ def run_regress(cfg) -> ReportCollector:
         report = regression.linear_rate_experiment(grid, sigma, trials, seed)
         for cell in report.cells:
             col.add(f"linear-normalized-n={cell.n}-d={cell.d}",
-                    cell.normalized, 2.0, 0.0, 2.0 - cell.normalized, seed, trials)
+                    cell.normalized, 2.0, 0.0, 2.0 - cell.normalized, trials)
         for d, slope in report.slopes.items():
             col.add(f"linear-slope-d={d}", slope, -1.0, 0.0,
-                    0.15 - abs(slope + 1.0), seed, trials)
+                    0.15 - abs(slope + 1.0), trials)
     else:
         for n, d in grid:
             if d > 1:   # the sweep itself rejects d = 1
@@ -410,33 +400,31 @@ def run_regress(cfg) -> ReportCollector:
         norms = [c.normalized for c in report.cells]
         if len(norms) > 1 and min(norms) > 0:
             spread = max(norms) / min(norms)
-            col.add("l1-normalized-band", spread, 3.0, 0.0, 3.0 - spread,
-                    seed, trials)
+            col.add("l1-normalized-band", spread, 3.0, 0.0, 3.0 - spread, trials)
         for cell in report.cells:
             finite = np.isfinite(cell.normalized) and cell.normalized >= 0
             col.add(f"l1-normalized-finite-n={cell.n}-d={cell.d}",
-                    cell.normalized, 0.0, 0.0, 0.0 if finite else -1.0,
-                    seed, trials)
+                    cell.normalized, 0.0, 0.0, 0.0 if finite else -1.0, trials)
     rows = [["n", "d", "r", "delta_star", "median_err", "normalized", "slope"]]
     for cell in report.cells:
         slope = report.slopes.get(cell.d, float("nan"))
-        rows.append([cell.n, cell.d, cell.rank, fmt(cell.delta_star),
-                     fmt(cell.median_err), fmt(cell.normalized), fmt(slope)])
+        rows.append([cell.n, cell.d, cell.rank, cell.delta_star, cell.median_err,
+                     cell.normalized, slope])
     _write(cfg, "regress_cells.csv", rows)
-    summary = {"schema_version": 1, "class": cfg["cls"], "params": report.params,
-               "slopes": {str(k): v for k, v in report.slopes.items()},
-               "cells": [{"n": c.n, "d": c.d, "r": c.rank,
-                          "delta_star": c.delta_star,
-                          "median_err": c.median_err,
-                          "normalized": c.normalized} for c in report.cells]}
+    summary = versioned({"class": cfg["cls"], "params": report.params,
+                         "slopes": {str(k): v for k, v in report.slopes.items()},
+                         "cells": [{"n": c.n, "d": c.d, "r": c.rank,
+                                    "delta_star": c.delta_star,
+                                    "median_err": c.median_err,
+                                    "normalized": c.normalized} for c in report.cells]})
     _write(cfg, "regress_summary.json", summary)
     return col
 
 
 def run_maurey(cfg) -> ReportCollector:
     """l1-hull sparsification suite"""
-    col = ReportCollector()
     seed = cfg["seed"]
+    col = ReportCollector(seed)
     d, n, R, eps = cfg["d"], cfg["n"], cfg["R"], cfg["eps"]
     if R * R == math.inf:   # the atoms' squared norms would overflow
         raise ConfigError(f"R = {R:g} is too large: R^2 overflows")
@@ -453,7 +441,7 @@ def run_maurey(cfg) -> ReportCollector:
     for idx in range(cfg["instances"]):
         rng = derive_rng(seed, "maurey-instance", idx)
         X = gaussian_design(rng, n, d)
-        dic = maurey.ColumnDictionary(X, normalized=True)
+        dic = maurey.ColumnDictionary(X)
         theta = l1_ball_point(rng, d, R)
         dist = maurey.maurey_distribution(theta, R, dic)
         v = X @ theta / np.sqrt(n)
@@ -466,25 +454,25 @@ def run_maurey(cfg) -> ReportCollector:
         attempts.append(res.attempts)
         max_err = max(max_err, res.error if res.success else np.inf)
         if not res.success:
-            col.add(f"sparsify-{idx}", res.error, eps, 0.0, -1.0, seed)
+            col.add(f"sparsify-{idx}", res.error, eps, 0.0, -1.0)
     tol = 1e-12 * max(1.0, R)   # both checks are exact up to rounding ~ R, R^2
-    col.add("unbiasedness", worst_unbias, tol, 0.0, tol - worst_unbias, seed)
-    col.add("second-moment", 0.0, 0.0, 0.0, worst_second + tol * max(1.0, R), seed)
-    col.add("sparsify-max-error", max_err, eps, 0.0, eps - max_err, seed)
+    col.add("unbiasedness", worst_unbias, tol, 0.0, tol - worst_unbias)
+    col.add("second-moment", 0.0, 0.0, 0.0, worst_second + tol * max(1.0, R))
+    col.add("sparsify-max-error", max_err, eps, 0.0, eps - max_err)
     net_size = None
     if bound <= maurey.NET_BUDGET:
         rng = derive_rng(seed, "maurey-net")
-        dic = maurey.ColumnDictionary(gaussian_design(rng, n, d), normalized=True)
+        dic = maurey.ColumnDictionary(gaussian_design(rng, n, d))
         net = maurey.l1_hull_net_construct(dic, R, eps, n_validation=100,
                                            seed=seed)
         net_size = len(net.net)
         col.add("net-cardinality", float(net_size), float(bound), 0.0,
-                float(bound - net_size), seed)
-    summary = {"schema_version": 1, "k": k, "bound": bound_text,
-               "net_size": net_size, "instances": cfg["instances"],
-               "max_attempts_seen": max(attempts),
-               "mean_attempts": float(np.mean(attempts)),
-               "max_observed_error": max_err}
+                float(bound - net_size))
+    summary = versioned({"k": k, "bound": bound_text, "net_size": net_size,
+                         "instances": cfg["instances"],
+                         "max_attempts_seen": max(attempts),
+                         "mean_attempts": float(np.mean(attempts)),
+                         "max_observed_error": max_err})
     _write(cfg, "maurey_summary.json", summary)
     return col
 
@@ -505,9 +493,8 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         collector = SUITES[args.command](cfg)
         elapsed = time.perf_counter() - start
-        to_text = reports_to_json if cfg["format"] == "json" else reports_to_csv
         name = f"{args.command.replace('-', '_')}_reports.{cfg['format']}"
-        path = _write(cfg, name, to_text(collector.reports))
+        path = _write(cfg, name, collector.content(cfg["format"]))
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

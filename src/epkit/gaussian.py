@@ -271,4 +271,4 @@ def mollify_1d(f, eps: float, grid, n_nodes=_GL_NODES):
     f_eps = np.asarray(f(shifted), dtype=float) @ wn
     base = np.asarray(f(grid), dtype=float)
     sup_err = float(np.max(np.abs(f_eps - base)))
-    return f_eps, sup_err, bump_first_moment(n_nodes)
+    return f_eps, sup_err, float(np.sum(wn * np.abs(u)))

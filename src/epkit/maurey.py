@@ -57,17 +57,15 @@ def sample_size(R: float, eps: float) -> int:
 
 @dataclass
 class ColumnDictionary:
-    """An n x d column dictionary, optionally normalized to ||col|| <= sqrt(n)."""
+    """An n x d column dictionary, normalized to ||col|| <= sqrt(n)."""
 
     X: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        if self.normalized:
-            norms = np.linalg.norm(self.X, axis=0)
-            if (norms > np.sqrt(self.n) * (1 + 1e-12)).any():
-                raise ValueError("columns exceed sqrt(n) on a normalized dictionary")
+        norms = np.linalg.norm(self.X, axis=0)
+        if (norms > np.sqrt(self.n) * (1 + 1e-12)).any():
+            raise ValueError("columns exceed sqrt(n) on a normalized dictionary")
 
     @property
     def n(self) -> int:
@@ -83,7 +81,7 @@ class ColumnDictionary:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         norms = np.linalg.norm(X, axis=0)
         scale = np.minimum(1.0, np.sqrt(X.shape[0]) / np.where(norms > 0, norms, 1.0))
-        return cls(X * scale, normalized=True)
+        return cls(X * scale)
 
     def atom_matrix(self, R: float) -> np.ndarray:
         """Columns of the 2d+1 atoms: zero, then +-R col_j / sqrt(n)."""
@@ -134,8 +132,6 @@ def maurey_distribution(theta, R: float, dictionary: ColumnDictionary) -> AtomDi
 
 def maurey_second_moment(theta, R: float, dictionary: ColumnDictionary) -> float:
     """Exact E||Z||^2 = R sum_j |theta_j| ||col_j||^2 / n <= R ||theta||_1."""
-    if not dictionary.normalized:
-        raise ValueError("second-moment bound needs a normalized dictionary")
     theta, _ = _check_theta(theta, R)
     col_sq = np.sum(dictionary.X ** 2, axis=0) / dictionary.n
     return float(R * np.sum(np.abs(theta) * col_sq))
@@ -239,8 +235,6 @@ def l1_hull_net_construct(dictionary: ColumnDictionary, R: float, eps: float,
     Coverage is certified statistically: random hull points must sparsify to
     within eps using net members only.
     """
-    if not dictionary.normalized:
-        raise ValueError("net construction needs a normalized dictionary")
     bound = l1_hull_net_bound(dictionary.d, R, eps)
     if bound > NET_BUDGET:
         raise BudgetError(

@@ -16,8 +16,6 @@ fixed ordering and the covering upper bounds are monotone in eps.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -384,16 +382,6 @@ def entropy_profile(s: FiniteMetricSet, scales) -> EntropyProfile:
     counts = covering_counts(s, scales)
     return EntropyProfile(scales=scales, lowers=covering_counts(s, 2.0 * scales),
                           counts=counts, entropies=entropies(counts))
-
-
-def profile_to_csv(profile: EntropyProfile) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["eps", "lower", "upper", "entropy"])
-    for eps, lo, up, h in zip(profile.scales, profile.lowers,
-                              profile.counts, profile.entropies):
-        writer.writerow([format(eps, ".12g"), lo, up, format(h, ".12g")])
-    return buf.getvalue()
 
 
 def load_points_csv(path) -> np.ndarray:

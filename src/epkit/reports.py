@@ -1,11 +1,12 @@
-"""Check reports and their CSV/JSON serialization.
+"""Check reports, and the one place where the files epkit writes are rendered.
 
 A CheckReport records one verified inequality: lhs, rhs, Monte Carlo standard
 error (0 for exact checks), and the margin left by the owning contract.  The
 verdict is pass iff margin >= 0.
 
-File output is deterministic: identical inputs produce byte-identical files,
-so no timing is ever written to a report.
+The CSV dialect, the 12 significant digits of a float, the JSON layout and the
+schema version are set here only.  Identical inputs render byte-identical
+files, so no timing is ever written to a report.
 """
 
 from __future__ import annotations
@@ -46,37 +47,27 @@ class CheckReport:
         return "pass" if self.passed else "fail"
 
     def row(self):
-        return [self.check, fmt(self.lhs), fmt(self.rhs), fmt(self.stderr),
-                fmt(self.margin), self.verdict, self.seed, self.n_samples]
+        return [self.check, self.lhs, self.rhs, self.stderr, self.margin,
+                self.verdict, self.seed, self.n_samples]
 
 
-def reports_to_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # csv default lineterminator is RFC-4180 CRLF
-    writer.writerow(CSV_COLUMNS)
-    for r in reports:
-        writer.writerow(r.row())
-    return buf.getvalue()
+def render(content) -> str:
+    """A file's text: a string as it is, a list of rows as CSV (the default
+    dialect, CRLF line ends, float cells through ``fmt``), anything else as
+    sorted, indented JSON."""
+    if isinstance(content, str):
+        return content
+    if isinstance(content, list):
+        buf = io.StringIO()
+        csv.writer(buf).writerows([fmt(c) if isinstance(c, float) else c for c in row]
+                                  for row in content)
+        return buf.getvalue()
+    return json.dumps(content, sort_keys=True, indent=2) + "\n"
 
 
-def reports_to_json(reports) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "reports": [
-            {
-                "check": r.check,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "stderr": r.stderr,
-                "margin": r.margin,
-                "verdict": r.verdict,
-                "seed": r.seed,
-                "n_samples": r.n_samples,
-            }
-            for r in reports
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def versioned(doc: dict) -> dict:
+    """A JSON document tagged with the schema version of the report files."""
+    return {"schema_version": SCHEMA_VERSION, **doc}
 
 
 def write_text(path, text: str) -> None:
@@ -86,15 +77,23 @@ def write_text(path, text: str) -> None:
 
 @dataclass
 class ReportCollector:
-    """Accumulates CheckReports for one suite run."""
+    """Accumulates the CheckReports of one suite run, all under its seed."""
 
+    seed: int
     reports: list = field(default_factory=list)
 
-    def add(self, check, lhs, rhs, stderr, margin, seed, n_samples=0) -> CheckReport:
+    def add(self, check, lhs, rhs, stderr, margin, n_samples=0) -> CheckReport:
         rep = CheckReport(check, float(lhs), float(rhs), float(stderr),
-                          float(margin), int(seed), int(n_samples))
+                          float(margin), int(self.seed), int(n_samples))
         self.reports.append(rep)
         return rep
+
+    def content(self, file_format: str):
+        """The report file's content, csv or json, for ``render``."""
+        rows = [r.row() for r in self.reports]
+        if file_format == "csv":
+            return [CSV_COLUMNS, *rows]
+        return versioned({"reports": [dict(zip(CSV_COLUMNS, row)) for row in rows]})
 
     @property
     def all_passed(self) -> bool:

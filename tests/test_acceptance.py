@@ -230,7 +230,7 @@ class TestCriterion6Sparsification:
             d = int(rng.integers(2, 21))
             X = rng.standard_normal((n, d))
             X *= np.sqrt(n) / np.linalg.norm(X, axis=0)
-            dic = maurey.ColumnDictionary(X, normalized=True)
+            dic = maurey.ColumnDictionary(X)
             R = float(rng.uniform(0.5, 1.5))
             raw = rng.standard_normal(d)
             theta = raw / np.abs(raw).sum() * R * float(rng.uniform(0, 1))
@@ -247,7 +247,7 @@ class TestCriterion6Sparsification:
         rng = derive_rng(SEED, "acc6-mc")
         X = rng.standard_normal((15, 5))
         X *= np.sqrt(15) / np.linalg.norm(X, axis=0)
-        dic = maurey.ColumnDictionary(X, normalized=True)
+        dic = maurey.ColumnDictionary(X)
         raw = rng.standard_normal(5)
         theta = raw / np.abs(raw).sum() * 0.9
         r1 = maurey.maurey_average_error(theta, 1.0, dic, k=4, n_mc=3000, seed=1)

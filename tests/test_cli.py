@@ -75,6 +75,14 @@ NAMED_LIMITS = {
     ("regress", "--sigma", "1e-100", *SMALL_REGRESS):
         "below the rounding floor sqrt(eps d) = 2.98e-08 at d=4",
     ("maurey", "--R", "1e160", "--eps", "1e160"): "R = 1e+160 is too large",
+    # the deepest dyadic scale D 2^-k underflows to 0 (2^-1075 is 0, and so
+    # is 0.3 * 2^-1074); test_deepest_scale_above_0_runs holds the boundary
+    ("cover", "--points", f"{DATA}/square.csv", "--scales", "1076"):
+        "the scale D 2^-(scales-1) at scales=1076 = 0",
+    ("entropy", "--points", f"{DATA}/square.csv", "--K", "1076"):
+        "the scale D 2^-(K-1) at K=1076 = 0",
+    ("entropy", "--points", f"{DATA}/square.csv", "--D", "0.3", "--K", "1075"):
+        "the scale D 2^-(K-1) at K=1075 = 0",
 }
 
 
@@ -103,7 +111,7 @@ class TestExitCodes:
 
     def test_failing_check_flips_exit(self, tmp_path, monkeypatch):
         def broken(cfg):
-            col = ReportCollector()
+            col = ReportCollector(0)
             col.reports.append(CheckReport("forced", 1.0, 0.0, 0.0, -1.0, 0))
             return col
 
@@ -169,6 +177,13 @@ class TestExitCodes:
         assert cli.main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
         assert limit in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["cover", "--scales", "1075"],
+                                      ["entropy", "--K", "1075"],
+                                      ["entropy", "--D", "0.3", "--K", "1074"]])
+    def test_deepest_scale_above_0_runs(self, argv, tmp_path):
+        assert cli.main([*argv, "--points", f"{DATA}/square.csv",
+                         "--out", str(tmp_path)]) == 0
 
 
 class TestCover:

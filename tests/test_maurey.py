@@ -11,7 +11,7 @@ from epkit.rng import derive_rng
 def normalized_dict(rng, n, d):
     X = rng.standard_normal((n, d))
     X *= np.sqrt(n) / np.linalg.norm(X, axis=0)
-    return maurey.ColumnDictionary(X, normalized=True)
+    return maurey.ColumnDictionary(X)
 
 
 def random_theta(rng, d, R, fill=0.8):
@@ -23,7 +23,7 @@ class TestColumnDictionary:
     def test_normalization_guard(self):
         X = np.ones((4, 2)) * 10
         with pytest.raises(ValueError):
-            maurey.ColumnDictionary(X, normalized=True)
+            maurey.ColumnDictionary(X)
 
     def test_normalized_from_rescales(self):
         X = derive_rng(1, "dic").standard_normal((6, 3)) * 5
@@ -31,7 +31,7 @@ class TestColumnDictionary:
         assert (np.linalg.norm(dic.X, axis=0) <= np.sqrt(6) * (1 + 1e-12)).all()
 
     def test_atom_matrix_layout(self):
-        dic = maurey.ColumnDictionary(np.eye(2), normalized=True)
+        dic = maurey.ColumnDictionary(np.eye(2))
         atoms = dic.atom_matrix(2.0)
         assert atoms.shape == (2, 5)
         assert (atoms[:, 0] == 0).all()
@@ -81,7 +81,7 @@ class TestSecondMoment:
         X = np.zeros((4, 2))
         X[:, 0] = 1.0  # norm exactly sqrt(4)
         X[0, 1] = 1.0
-        dic = maurey.ColumnDictionary(X, normalized=True)
+        dic = maurey.ColumnDictionary(X)
         theta = np.array([2.0, 0.0])
         val = maurey.maurey_second_moment(theta, 2.0, dic)
         assert val == pytest.approx(4.0)  # R^2, the bound is tight

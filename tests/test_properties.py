@@ -276,10 +276,10 @@ maurey_inputs = dict(n=st.integers(1, 8), d=st.integers(1, 6), R=st.floats(0.1, 
 @given(**maurey_inputs)
 def test_maurey_atoms_average_to_the_hull_point(n, d, R, seed):
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, d))
+    dic = maurey.ColumnDictionary.normalized_from(rng.standard_normal((n, d)))
     theta = l1_ball_point(rng, d, R)
-    dist = maurey.maurey_distribution(theta, R, maurey.ColumnDictionary(X))
-    np.testing.assert_allclose(dist.expectation(), X @ theta / np.sqrt(n),
+    dist = maurey.maurey_distribution(theta, R, dic)
+    np.testing.assert_allclose(dist.expectation(), dic.X @ theta / np.sqrt(n),
                                rtol=0, atol=1e-12)
 
 
@@ -287,7 +287,7 @@ def test_maurey_atoms_average_to_the_hull_point(n, d, R, seed):
 @given(k=st.integers(1, 20), **maurey_inputs)
 def test_maurey_average_error_falls_as_one_over_k(k, n, d, R, seed):
     rng = np.random.default_rng(seed)
-    dic = maurey.ColumnDictionary(gaussian_design(rng, n, d), normalized=True)
+    dic = maurey.ColumnDictionary(gaussian_design(rng, n, d))
     theta = l1_ball_point(rng, d, R)
     v = dic.X @ theta / np.sqrt(n)
     res = maurey.maurey_average_error(theta, R, dic, k, n_mc=2, seed=seed)
