@@ -1,6 +1,9 @@
 """Dyadic net hierarchies and multiscale bounds on expected suprema of the
 canonical Gaussian-linear process over a finite Euclidean index set.
 
+An index set is a ``metric.FiniteMetricSet`` made by ``from_points``.  The
+nets read only its distances; the process and its checks read its points.
+
 The test process is X_t(w) = sigma <w, t - t0>, w standard normal and t0
 the first point: it is centered at t0, its increments are Gaussian with
 standard deviation sigma ||s - t||, and it satisfies the moment-generating
@@ -47,35 +50,13 @@ class DepthError(ValueError):
     pass
 
 
-@dataclass
-class IndexSet:
-    """Finite Euclidean index set; its first point is the basepoint t0."""
-
-    points: np.ndarray          # (m, dim)
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        metric.reject_nonfinite(self.points)
-        if not len(self.points):
-            raise ValueError("an index set needs at least one point")
-        self._metric = None
-
-    @property
-    def m(self) -> int:
-        return len(self.points)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def metric_set(self) -> metric.FiniteMetricSet:
-        if self._metric is None:
-            self._metric = metric.FiniteMetricSet.from_points(self.points)
-        return self._metric
-
-    @property
-    def diameter(self) -> float:
-        return self.metric_set().diameter
+def _cloud(ms: metric.FiniteMetricSet) -> np.ndarray:
+    """The points of ms, a nonempty point cloud; the first is the basepoint t0."""
+    if ms.points is None:
+        raise ValueError("the process needs a point cloud, not a distance matrix")
+    if not ms.n:
+        raise ValueError("an index set needs at least one point")
+    return ms.points
 
 
 @dataclass
@@ -92,10 +73,11 @@ class CanonicalProcess:
         """Rows sigma (t - t0), so that X_t(w) = coefficients @ w."""
         return self.sigma * (points - base)
 
-    def realize(self, s: IndexSet, noise: np.ndarray) -> np.ndarray:
+    def realize(self, ms: metric.FiniteMetricSet, noise: np.ndarray) -> np.ndarray:
         """Process values, shape (m, n_samples); the basepoint row is 0."""
         noise = np.atleast_2d(np.asarray(noise, dtype=float))
-        return self.coefficients(s.points, s.points[0]) @ noise.T
+        points = _cloud(ms)
+        return self.coefficients(points, points[0]) @ noise.T
 
 
 def sample_maxima(scaled: np.ndarray, noise: np.ndarray, rows=None) -> np.ndarray:
@@ -122,7 +104,7 @@ class DyadicLevel:
 
 @dataclass
 class DyadicNets:
-    index_set: IndexSet
+    metric_set: metric.FiniteMetricSet
     D: float
     K: int
     levels: list  # DyadicLevel for k = 0..K
@@ -130,13 +112,13 @@ class DyadicNets:
     steps: list        # dist(pi_k(v), v) likewise
 
 
-def default_depth(s: IndexSet, D: float) -> int:
+def default_depth(ms: metric.FiniteMetricSet, D: float) -> int:
     """Smallest K >= 1 with eps_K below half the minimal positive distance.
 
     Beyond that scale the packing picks up every point, so the hierarchy
     stops changing.
     """
-    min_pos = s.metric_set().min_positive_distance()
+    min_pos = ms.min_positive_distance()
     if min_pos <= 0:
         return 1
     k = 1
@@ -149,6 +131,8 @@ def default_depth(s: IndexSet, D: float) -> int:
 
 def _declared_diameter(ms: metric.FiniteMetricSet, D: float) -> float:
     """D, by default the diameter (1.0 for one point), checked to bound it."""
+    if not ms.n:
+        raise ValueError("an index set needs at least one point")
     diam = ms.diameter
     if D is None:
         D = diam if diam > 0 else 1.0
@@ -159,7 +143,8 @@ def _declared_diameter(ms: metric.FiniteMetricSet, D: float) -> float:
     return D
 
 
-def build_dyadic_nets(s: IndexSet, D: float = None, K: int = None) -> DyadicNets:
+def build_dyadic_nets(ms: metric.FiniteMetricSet, D: float = None,
+                      K: int = None) -> DyadicNets:
     """Hierarchy T_0..T_K with T_k the maximal packing at scale D 2^-(k+1).
 
     Each T_k is an eps_{k+1}-net, hence also an eps_k-net, and its size
@@ -168,10 +153,9 @@ def build_dyadic_nets(s: IndexSet, D: float = None, K: int = None) -> DyadicNets
     of T_k, a strict packing, is its own, so only the new members are read;
     the step distance of a member is the exact 0.0 of a distance diagonal.
     """
-    ms = s.metric_set()
     D = _declared_diameter(ms, D)
     if K is None:
-        K = default_depth(s, D)
+        K = default_depth(ms, D)
     if not 0 <= K <= MAX_DEPTH:
         raise DepthError(f"K={K} is outside the supported depths 0..{MAX_DEPTH}")
     levels = []
@@ -181,17 +165,17 @@ def build_dyadic_nets(s: IndexSet, D: float = None, K: int = None) -> DyadicNets
         levels.append(DyadicLevel(k=k, eps=eps_k, net=net))
     projections, steps = [], []
     for coarse, fine in zip(levels, levels[1:]):
-        pi, step = np.full(s.m, -1), np.full(s.m, np.nan)
+        pi, step = np.full(ms.n, -1), np.full(ms.n, np.nan)
         pi[coarse.net], step[coarse.net] = coarse.net, 0.0
         members = np.sort(coarse.net)
         new = fine.net[len(coarse.net):]   # the nets are traversal prefixes
-        for b in metric.blocks(len(new), 8 * s.m):
+        for b in metric.blocks(len(new), 8 * ms.n):
             d = ms.rows(new[b])[:, members]
             pi[new[b]] = members[d.argmin(axis=1)]
             step[new[b]] = d.min(axis=1)
         projections.append(pi)
         steps.append(step)
-    return DyadicNets(s, float(D), int(K), levels, projections, steps)
+    return DyadicNets(ms, float(D), int(K), levels, projections, steps)
 
 
 def recursive_projection(u: int, nets: DyadicNets) -> list:
@@ -217,11 +201,9 @@ def projection_step_margins(nets: DyadicNets) -> np.ndarray:
 def telescoping_residual(u: int, nets: DyadicNets, proc: CanonicalProcess,
                          noise: np.ndarray) -> float:
     """| (X_u - X_t0) - base - sum of chained increments | for one noise draw."""
-    s = nets.index_set
-    x = proc.realize(s, noise[None, :])[:, 0]
+    x = proc.realize(nets.metric_set, noise[None, :])[:, 0]
     chain = recursive_projection(u, nets)
-    lhs = x[u] - x[0]
-    rhs = x[chain[0]] - x[0]
+    lhs, rhs = x[u] - x[0], x[chain[0]] - x[0]
     for k in range(nets.K):
         rhs += x[chain[k + 1]] - x[chain[k]]
     return float(abs(lhs - rhs))
@@ -237,26 +219,25 @@ def stage1_bound_check(nets: DyadicNets, proc: CanonicalProcess,
     """
     if nets.K < 1:
         raise ValueError("stage-1 check needs depth K >= 1")
-    s = nets.index_set
-    rng = derive_rng(seed, "stage1", s.m, nets.K)
-    noise = rng.standard_normal((n_samples, s.dim))
-    scaled = proc.coefficients(s.points, s.points[0])
+    ms, points = nets.metric_set, _cloud(nets.metric_set)
+    rng = derive_rng(seed, "stage1", ms.n, nets.K)
+    noise = rng.standard_normal((n_samples, points.shape[1]))
+    scaled = proc.coefficients(points, points[0])
     finest = nets.levels[nets.K].net
-    rows = None if len(finest) == s.m else finest   # same maxima, no copy
+    rows = None if len(finest) == ms.n else finest   # same maxima, no copy
     esup = McEstimate.from_samples(sample_maxima(scaled, noise, rows=rows))
-    bound = STAGE1_CONST * proc.sigma * metric.dyadic_sum(
-        s.metric_set(), nets.D, nets.K + 1)
+    bound = STAGE1_CONST * proc.sigma * metric.dyadic_sum(ms, nets.D, nets.K + 1)
     return esup, float(bound)
 
 
-def dudley_bound_check(s: IndexSet, proc: CanonicalProcess, n_samples: int,
-                       seed: int, D: float = None):
-    """(E sup over all of s estimate, 12 sqrt2 sigma entropy_integral(s, D))."""
-    ms = s.metric_set()
+def dudley_bound_check(ms: metric.FiniteMetricSet, proc: CanonicalProcess,
+                       n_samples: int, seed: int, D: float = None):
+    """(E sup over all of ms estimate, 12 sqrt2 sigma entropy_integral(ms, D))."""
+    points = _cloud(ms)
     D = _declared_diameter(ms, D)
-    rng = derive_rng(seed, "dudley-sup", s.m)
-    noise = rng.standard_normal((n_samples, s.dim))
-    scaled = proc.coefficients(s.points, s.points[0])
+    rng = derive_rng(seed, "dudley-sup", ms.n)
+    noise = rng.standard_normal((n_samples, points.shape[1]))
+    scaled = proc.coefficients(points, points[0])
     esup = McEstimate.from_samples(sample_maxima(scaled, noise))
     rhs = FULL_CONST * proc.sigma * metric.entropy_integral(ms, D)
     return esup, float(rhs)
@@ -280,23 +261,23 @@ class MgfRow:
                                   self.bound)
 
 
-def subgaussian_process_check(s: IndexSet, proc: CanonicalProcess, pairs,
-                              lambdas, n_samples: int, seed: int):
+def subgaussian_process_check(ms: metric.FiniteMetricSet, proc: CanonicalProcess,
+                              pairs, lambdas, n_samples: int, seed: int):
     """Empirical increment MGFs against exp(l^2 sigma^2 d^2 / 2) per (pair, l).
 
     Returns (worst margin, rows); an overflow is recorded per row rather than
     aborting the grid.
     """
-    pairs = list(pairs)
-    lambdas = list(lambdas)
+    pairs, lambdas = list(pairs), list(lambdas)
     if not pairs or not lambdas:
         raise ValueError("need at least one pair and one lambda")
-    rng = derive_rng(seed, "mgf", s.m)
-    noise = rng.standard_normal((n_samples, s.dim))
+    points = _cloud(ms)
+    rng = derive_rng(seed, "mgf", ms.n)
+    noise = rng.standard_normal((n_samples, points.shape[1]))
     rows = []
     for (i, j) in pairs:
-        z = proc.sigma * (s.points[i] - s.points[j]) @ noise.T
-        d = s.metric_set().rows(i)[j]
+        z = proc.sigma * (points[i] - points[j]) @ noise.T
+        d = ms.rows(i)[j]
         for lam in lambdas:
             bound = float(np.exp(0.5 * lam ** 2 * proc.sigma ** 2 * d ** 2))
             with np.errstate(over="ignore"):
@@ -306,8 +287,7 @@ def subgaussian_process_check(s: IndexSet, proc: CanonicalProcess, pairs,
                 continue
             est = McEstimate.from_samples(e)
             rows.append(MgfRow(i, j, lam, est.mean, est.stderr, bound))
-    worst = min(r.margin for r in rows)
-    return float(worst), rows
+    return float(min(r.margin for r in rows)), rows
 
 
 def chi_mean(dim: int) -> float:
@@ -330,29 +310,29 @@ class DenseSupCheck:
                           self.coarse.stderr + self.fine.stderr, self.fine.n_samples)
 
 
-def dense_sequence_sup_check(coarse: IndexSet, fine: IndexSet,
+def dense_sequence_sup_check(coarse: np.ndarray, fine: np.ndarray,
                              proc: CanonicalProcess, n_samples: int,
                              seed: int) -> DenseSupCheck:
-    """E sup over two discretizations of the same set, on shared noise.
+    """E sup over two discretizations of the same set, point arrays, on
+    shared noise.
 
     The refinement can raise the expected supremum by at most sigma times the
     directed mesh gap times E||w||, the desk-scale version of passing to a
     dense sequence.
     """
-    if coarse.dim != fine.dim:
+    for cloud in (coarse, fine):
+        metric.reject_nonfinite(cloud)
+    if coarse.shape[1] != fine.shape[1]:
         raise ValueError("dimension mismatch")
-    scale = 1.0 + float(np.abs(fine.points).max(initial=0.0))
-    containment = metric.nearest_distances(coarse.points, fine.points)
+    scale = 1.0 + float(np.abs(fine).max(initial=0.0))
+    containment = metric.nearest_distances(coarse, fine)
     if containment.max(initial=0.0) > 1e-9 * scale:
         raise ValueError("the coarse set must be contained in the fine set")
-    mesh = float(metric.nearest_distances(fine.points, coarse.points).max())
-    rng = derive_rng(seed, "dense-sup", coarse.m, fine.m)
-    noise = rng.standard_normal((n_samples, fine.dim))
+    mesh = float(metric.nearest_distances(fine, coarse).max())
+    rng = derive_rng(seed, "dense-sup", len(coarse), len(fine))
+    noise = rng.standard_normal((n_samples, fine.shape[1]))
     # both suprema relative to the same basepoint value
-    base = fine.points[0]
-    est_c = McEstimate.from_samples(
-        sample_maxima(proc.coefficients(coarse.points, base), noise))
-    est_f = McEstimate.from_samples(
-        sample_maxima(proc.coefficients(fine.points, base), noise))
-    bound = proc.sigma * mesh * chi_mean(fine.dim)
+    est_c, est_f = (McEstimate.from_samples(sample_maxima(
+        proc.coefficients(cloud, fine[0]), noise)) for cloud in (coarse, fine))
+    bound = proc.sigma * mesh * chi_mean(fine.shape[1])
     return DenseSupCheck(coarse=est_c, fine=est_f, mesh=mesh, gap_bound=bound)

@@ -167,7 +167,7 @@ def _nondegenerate(s):
 def _load_metric_set(cfg) -> metric.FiniteMetricSet:
     if not cfg["points"]:
         raise ConfigError("this suite requires --points")
-    if cfg["dist_matrix"]:
+    if cfg.get("dist_matrix"):   # dudley reads points only
         return _nondegenerate(metric.load_distance_matrix_csv(cfg["points"]))
     points = metric.load_points_csv(cfg["points"])
     return _nondegenerate(metric.FiniteMetricSet.from_points(points))
@@ -235,8 +235,8 @@ def run_entropy(cfg) -> ReportCollector:
     col.add("entropy-integral-monotone-D", lhs=half, rhs=integral, stderr=0.0,
             margin=integral - half, n_samples=s.n)
     rows = [["k", "eps_k", "dyadic_sum_k"]]
-    for k in range(K + 1):
-        rows.append([k, D * 2.0 ** (-k), metric.dyadic_sum(s, D, k)])
+    for k, total in enumerate(metric.dyadic_sums(s, D, K)):
+        rows.append([k, D * 2.0 ** (-k), total])
     _write(cfg, "entropy_sums.csv", rows)
     return col
 
@@ -280,8 +280,9 @@ def run_gauss_check(cfg) -> ReportCollector:
         _add_mc(col, f"finite-max/m={m}",
                 *gaussian.finite_max_bound_check(m, np.ones(m), n, seed), n)
     grid = np.linspace(-2.0, 2.0, 81)
+    c_rho = gaussian.bump_first_moment()
     for eps in (0.1, 0.05):
-        _, sup_err, c_rho = gaussian.mollify_1d(np.abs, eps, grid)
+        _, sup_err = gaussian.mollify_1d(np.abs, eps, grid)
         bound = 1.0 * c_rho * eps + 1e-6
         col.add(f"mollify/abs-eps={fmt(eps)}", sup_err, bound, 0.0, bound - sup_err)
     return col
@@ -289,52 +290,58 @@ def run_gauss_check(cfg) -> ReportCollector:
 
 def run_dudley(cfg) -> ReportCollector:
     """dyadic chaining suite on a point cloud"""
-    seed, n_samples = cfg["seed"], cfg["samples"]
+    seed, n_samples, sigma = cfg["seed"], cfg["samples"], cfg["sigma"]
     col = ReportCollector(seed)
-    if not cfg["points"]:
-        raise ConfigError("dudley requires --points")
-    s = _nondegenerate(chaining.IndexSet(points=metric.load_points_csv(cfg["points"])))
-    proc = chaining.CanonicalProcess(sigma=cfg["sigma"])
-    nets = chaining.build_dyadic_nets(s, D=cfg["D"], K=cfg["K"])
-    ms = s.metric_set()
+    ms = _load_metric_set(cfg)
+    # the MGF grid squares sigma and lam = x / (sigma diam), |x| <= 1; the
+    # estimates sum squared deviations of maxima, below (8 sigma diam)^2
+    # unless a draw strays by 8 standard deviations (sigma diam bounds one)
+    sd = sigma * ms.diameter
+    _in_float_range("sigma^2", sigma * sigma)
+    _in_float_range(f"64 samples (sigma diam)^2 at samples={n_samples}",
+                    64.0 * n_samples * sd * sd)
+    _in_float_range("1/(sigma diam)^2", 1.0 / sd / sd)
+    proc = chaining.CanonicalProcess(sigma=sigma)
+    nets = chaining.build_dyadic_nets(ms, D=cfg["D"], K=cfg["K"])
     for lv in nets.levels:
         ok = metric.is_epsilon_net(lv.net, lv.eps, ms)
         col.add(f"net-valid-k={lv.k}", 0.0 if ok else 1.0, 0.0, 0.0,
-                0.0 if ok else -1.0, s.m)
+                0.0 if ok else -1.0, ms.n)
         card = int(metric.covering_counts(ms, lv.eps / 2.0))
         col.add(f"net-card-k={lv.k}", float(len(lv.net)), float(card),
-                0.0, float(card - len(lv.net)), s.m)
+                0.0, float(card - len(lv.net)), ms.n)
     margins = chaining.projection_step_margins(nets)
     col.add("projection-step", float(-margins.min()), 0.0, 0.0,
-            float(margins.min()) + 1e-12, s.m)
+            float(margins.min()) + 1e-12, ms.n)
     rng = derive_rng(seed, "telescope")
     resid = 0.0
     finest = nets.levels[nets.K].net
     for _ in range(100):
         u = int(finest[rng.integers(len(finest))])
-        w = rng.standard_normal(s.dim)
+        w = rng.standard_normal(ms.points.shape[1])
         resid = max(resid, chaining.telescoping_residual(u, nets, proc, w))
     col.add("telescoping-residual", resid, EXACT_TOL, 0.0, EXACT_TOL - resid, 100)
     if nets.K >= 1:
         esup, bound = chaining.stage1_bound_check(nets, proc, n_samples, seed)
         _add_mc(col, "stage1", esup, bound, n_samples)
     _add_mc(col, "entropy-integral-bound",
-            *chaining.dudley_bound_check(s, proc, n_samples, seed, D=cfg["D"]),
+            *chaining.dudley_bound_check(ms, proc, n_samples, seed, D=cfg["D"]),
             n_samples)
     rng = derive_rng(seed, "mgf-pairs")
-    m = s.m
+    m = ms.n
     pairs = [(0, m - 1)]
     for _ in range(min(4, m * (m - 1) // 2)):
         i, j = rng.integers(0, m, size=2)
         if i != j:
             pairs.append((int(i), int(j)))
-    lams = [x / (cfg["sigma"] * s.diameter) for x in (-1.0, -0.5, 0.5, 1.0)]
-    worst, _ = chaining.subgaussian_process_check(s, proc, pairs, lams,
+    lams = [x / sd for x in (-1.0, -0.5, 0.5, 1.0)]
+    worst, _ = chaining.subgaussian_process_check(ms, proc, pairs, lams,
                                                   n_samples, seed)
     col.add("subgaussian-mgf-grid", 0.0, 0.0, 0.0, worst, n_samples)
     if cfg["refine"]:
-        fine = chaining.IndexSet(points=metric.load_points_csv(cfg["refine"]))
-        check = chaining.dense_sequence_sup_check(s, fine, proc, n_samples, seed)
+        fine = metric.load_points_csv(cfg["refine"])
+        check = chaining.dense_sequence_sup_check(ms.points, fine, proc,
+                                                  n_samples, seed)
         _add_mc(col, "dense-sup-refinement", check.gap, check.gap_bound, n_samples)
     rows = [["k", "eps_k", "net_size"]]
     for lv in nets.levels:

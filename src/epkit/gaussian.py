@@ -251,12 +251,12 @@ def bump_first_moment(n_nodes=_GL_NODES) -> float:
     return float(np.sum(wn * np.abs(u)))
 
 
-def mollify_1d(f, eps: float, grid, n_nodes=_GL_NODES):
-    """(smoothed values on grid, sup |smoothed - f| on grid, kernel moment).
+def mollify_1d(f, eps: float, grid):
+    """(smoothed values on grid, sup |smoothed - f| on grid).
 
     The smoothed function is the convolution of f with the unit-mass bump
     kernel scaled to width eps, computed by Gauss-Legendre quadrature; for
-    L-Lipschitz f the sup error is at most L eps times the kernel moment.
+    L-Lipschitz f the sup error is at most L eps times bump_first_moment().
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -266,9 +266,9 @@ def mollify_1d(f, eps: float, grid, n_nodes=_GL_NODES):
     span = float(grid.max() - grid.min())
     if span < eps:
         raise ValueError("grid span too small relative to eps")
-    u, wn = _bump_quadrature(n_nodes)
+    u, wn = _bump_quadrature()
     shifted = grid[:, None] - eps * u[None, :]
     f_eps = np.asarray(f(shifted), dtype=float) @ wn
     base = np.asarray(f(grid), dtype=float)
     sup_err = float(np.max(np.abs(f_eps - base)))
-    return f_eps, sup_err, float(np.sum(wn * np.abs(u)))
+    return f_eps, sup_err

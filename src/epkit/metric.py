@@ -342,17 +342,22 @@ def entropy_integral(s: FiniteMetricSet, D: float, nodes: int = 64) -> float:
     return float(np.sum(np.sqrt(ent) * widths) + head)
 
 
-def dyadic_sum(s: FiniteMetricSet, D: float, K: int) -> float:
-    """sum_{k<K} eps_k sqrt(metric_entropy(eps_k)) at scales eps_k = D 2^-k."""
+def dyadic_sums(s: FiniteMetricSet, D: float, K: int) -> list:
+    """[dyadic_sum(s, D, k) for k = 0..K], the prefixes of one running sum."""
     if D <= 0:
         raise ValueError("D must be positive")
     if K < 0:
         raise ValueError("K must be nonnegative")
     scales = D * 2.0 ** (-np.arange(K))
-    total = 0.0
+    sums = [0.0]
     for eps_k, ent in zip(scales, entropies(covering_counts(s, scales))):
-        total += eps_k * np.sqrt(ent)
-    return float(total)
+        sums.append(sums[-1] + eps_k * np.sqrt(ent))
+    return [float(total) for total in sums]
+
+
+def dyadic_sum(s: FiniteMetricSet, D: float, K: int) -> float:
+    """sum_{k<K} eps_k sqrt(metric_entropy(eps_k)) at scales eps_k = D 2^-k."""
+    return dyadic_sums(s, D, K)[-1]
 
 
 def euclidean_ball_covering_bound(R: float, eps: float, dim: int) -> float:

@@ -136,7 +136,7 @@ class TestCriterion4Chaining:
     def test_identities_bounds_and_closed_forms(self):
         start = time.perf_counter()
         rng = derive_rng(SEED, "acc4-paths")
-        s = chaining.IndexSet(points=rng.uniform(-1, 1, size=(30, 2)))
+        s = metric.FiniteMetricSet.from_points(rng.uniform(-1, 1, size=(30, 2)))
         nets = chaining.build_dyadic_nets(s)
         proc = chaining.CanonicalProcess(sigma=1.2)
         finest = nets.levels[nets.K].net
@@ -149,7 +149,8 @@ class TestCriterion4Chaining:
             grng = derive_rng(SEED, "acc4-geom", g)
             m = int(grng.integers(5, 51))
             dim = int(grng.integers(1, 4))
-            cloud = chaining.IndexSet(points=grng.uniform(-1, 1, size=(m, dim)))
+            cloud = metric.FiniteMetricSet.from_points(
+                grng.uniform(-1, 1, size=(m, dim)))
             sigma = float(grng.uniform(0.5, 2.0))
             cproc = chaining.CanonicalProcess(sigma=sigma)
             cnets = chaining.build_dyadic_nets(cloud)
@@ -162,7 +163,7 @@ class TestCriterion4Chaining:
                                                         seed)
                 assert esup.mean <= rhs + 3 * esup.stderr, (g, seed)
         # two-point closed form
-        two = chaining.IndexSet(points=np.array([[0.0], [1.0]]))
+        two = metric.FiniteMetricSet.from_points(np.array([[0.0], [1.0]]))
         esup, rhs = chaining.dudley_bound_check(
             two, chaining.CanonicalProcess(sigma=1.0), 200000, SEED)
         assert esup.mean == pytest.approx(1 / np.sqrt(2 * np.pi), abs=0.005)

@@ -18,11 +18,11 @@ SEED = 2024
 
 
 def two_point():
-    return chaining.IndexSet(points=np.array([[0.0], [1.0]]))
+    return metric.FiniteMetricSet.from_points(np.array([[0.0], [1.0]]))
 
 
 def random_cloud(rng, m, dim):
-    return chaining.IndexSet(points=rng.uniform(-1, 1, size=(m, dim)))
+    return metric.FiniteMetricSet.from_points(rng.uniform(-1, 1, size=(m, dim)))
 
 
 class TestCanonicalProcess:
@@ -48,19 +48,18 @@ class TestCanonicalProcess:
 
 class TestDyadicNets:
     def test_singleton_levels(self):
-        s = chaining.IndexSet(points=np.array([[0.3, 0.3]]))
+        s = metric.FiniteMetricSet.from_points(np.array([[0.3, 0.3]]))
         nets = chaining.build_dyadic_nets(s, D=1.0, K=3)
         for lv in nets.levels:
             assert list(lv.net) == [0]
 
     def test_grid_hierarchy_valid(self):
-        s = chaining.IndexSet(points=np.linspace(0, 1, 101)[:, None])
+        s = metric.FiniteMetricSet.from_points(np.linspace(0, 1, 101)[:, None])
         nets = chaining.build_dyadic_nets(s, D=1.0, K=3)
-        ms = s.metric_set()
         sizes = []
         for lv in nets.levels:
-            assert metric.is_epsilon_net(lv.net, lv.eps, ms)
-            assert len(lv.net) == metric.covering_counts(ms, lv.eps / 2.0)
+            assert metric.is_epsilon_net(lv.net, lv.eps, s)
+            assert len(lv.net) == metric.covering_counts(s, lv.eps / 2.0)
             sizes.append(len(lv.net))
         assert (np.diff(sizes) >= 0).all()
 
@@ -81,16 +80,15 @@ class TestDyadicNets:
         for _ in range(10):
             s = random_cloud(rng, int(rng.integers(5, 20)), 2)
             nets = chaining.build_dyadic_nets(s, K=3)
-            ms = s.metric_set()
             for lv in nets.levels:
-                exact = metric.exact_covering_number(lv.eps / 4.0, ms)
+                exact = metric.exact_covering_number(lv.eps / 4.0, s)
                 assert len(lv.net) <= exact
 
     def test_default_depth_saturates(self):
         rng = derive_rng(6, "depth")
         s = random_cloud(rng, 12, 2)
         nets = chaining.build_dyadic_nets(s)
-        assert len(nets.levels[nets.K].net) == s.m
+        assert len(nets.levels[nets.K].net) == s.n
 
 
 class TestRecursiveProjection:
@@ -171,7 +169,7 @@ class TestSampleMaxima:
 
 class TestStage1:
     def test_singleton(self):
-        s = chaining.IndexSet(points=np.array([[0.0]]))
+        s = metric.FiniteMetricSet.from_points(np.array([[0.0]]))
         nets = chaining.build_dyadic_nets(s, D=1.0, K=1)
         proc = chaining.CanonicalProcess(sigma=1.0)
         esup, bound = chaining.stage1_bound_check(nets, proc, 1000, SEED)
@@ -190,14 +188,15 @@ class TestStage1:
         # points coincide
         proc = chaining.CanonicalProcess(sigma=1.3)
         cloud = random_cloud(derive_rng(16, "stage1-rows"), 30, 2)
-        dup = chaining.IndexSet(points=np.vstack([cloud.points, cloud.points[:5]]))
+        dup = metric.FiniteMetricSet.from_points(
+            np.vstack([cloud.points, cloud.points[:5]]))
         for s, K, every in ((cloud, None, True), (cloud, 2, False),
                             (dup, None, False)):
             nets = chaining.build_dyadic_nets(s, K=K)
             finest = nets.levels[nets.K].net
-            assert (len(finest) == s.m) == every
+            assert (len(finest) == s.n) == every
             esup, _ = chaining.stage1_bound_check(nets, proc, 3000, SEED)
-            noise = derive_rng(SEED, "stage1", s.m, nets.K).standard_normal((3000, 2))
+            noise = derive_rng(SEED, "stage1", s.n, nets.K).standard_normal((3000, 2))
             expected = McEstimate.from_samples(
                 proc.realize(s, noise)[finest].max(axis=0))
             assert (hexes([esup.mean, esup.stderr])
@@ -234,7 +233,7 @@ class TestDudleyBound:
                 two_point(), chaining.CanonicalProcess(sigma=1.0), 100, SEED, D=0.5)
 
     def test_singleton(self):
-        s = chaining.IndexSet(points=np.array([[1.0, 2.0]]))
+        s = metric.FiniteMetricSet.from_points(np.array([[1.0, 2.0]]))
         esup, rhs = chaining.dudley_bound_check(
             s, chaining.CanonicalProcess(sigma=1.0), 1000, SEED)
         assert esup.mean == 0.0
@@ -293,15 +292,15 @@ class TestSubGaussianCheck:
 
 class TestDenseSequence:
     def test_identical_sets(self):
-        s = two_point()
+        s = two_point().points
         chk = chaining.dense_sequence_sup_check(
             s, s, chaining.CanonicalProcess(sigma=1.0), 5000, SEED)
         assert chk.fine.mean == pytest.approx(chk.coarse.mean, abs=1e-12)
         assert chk.mesh == 0.0
 
     def test_grid_refinement(self):
-        coarse = chaining.IndexSet(points=np.linspace(0, 1, 11)[:, None])
-        fine = chaining.IndexSet(points=np.linspace(0, 1, 101)[:, None])
+        coarse = np.linspace(0, 1, 11)[:, None]
+        fine = np.linspace(0, 1, 101)[:, None]
         proc = chaining.CanonicalProcess(sigma=1.0)
         chk = chaining.dense_sequence_sup_check(coarse, fine, proc, 100000, SEED)
         assert chk.mesh == pytest.approx(0.05, abs=1e-12)
@@ -314,19 +313,42 @@ class TestDenseSequence:
         rng = derive_rng(12, "dense2d")
         base = rng.uniform(0, 1, size=(15, 2))
         extra = rng.uniform(0, 1, size=(60, 2))
-        coarse = chaining.IndexSet(points=base)
-        fine = chaining.IndexSet(points=np.vstack([base, extra]))
+        coarse = base
+        fine = np.vstack([base, extra])
         chk = chaining.dense_sequence_sup_check(
             coarse, fine, chaining.CanonicalProcess(sigma=1.5), 40000, SEED)
         assert three_sigma_margin(chk.gap, chk.gap_bound) >= 0.0
 
     def test_containment_required(self):
         rng = derive_rng(13, "densebad")
-        coarse = chaining.IndexSet(points=rng.uniform(0, 1, size=(5, 2)))
-        fine = chaining.IndexSet(points=rng.uniform(0, 1, size=(20, 2)))
+        coarse = rng.uniform(0, 1, size=(5, 2))
+        fine = rng.uniform(0, 1, size=(20, 2))
         with pytest.raises(ValueError):
             chaining.dense_sequence_sup_check(
                 coarse, fine, chaining.CanonicalProcess(sigma=1.0), 100, SEED)
+
+
+class TestIndexSetGuard:
+    """The process reads coordinates: a distance matrix, or an empty cloud,
+    is refused where chaining reads the points."""
+
+    @pytest.mark.parametrize("ms, match", [
+        (metric.FiniteMetricSet(np.array([[0.0, 1.0], [1.0, 0.0]])),
+         "not a distance matrix"),
+        (metric.FiniteMetricSet.from_points(np.zeros((0, 2))),
+         "at least one point"),
+    ])
+    def test_entry_points_refuse(self, ms, match):
+        proc = chaining.CanonicalProcess(sigma=1.0)
+        calls = [lambda: proc.realize(ms, np.ones((3, 2))),
+                 lambda: chaining.dudley_bound_check(ms, proc, 100, SEED),
+                 lambda: chaining.subgaussian_process_check(
+                     ms, proc, [(0, 1)], [1.0], 100, SEED),
+                 lambda: chaining.stage1_bound_check(
+                     chaining.build_dyadic_nets(ms, D=1.0, K=1), proc, 100, SEED)]
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
+                call()
 
 
 class TestDepthDefault:
@@ -334,5 +356,5 @@ class TestDepthDefault:
         assert chaining.default_depth(two_point(), 1.0) == 2
 
     def test_coincident_points(self):
-        s = chaining.IndexSet(points=np.zeros((3, 2)))
+        s = metric.FiniteMetricSet.from_points(np.zeros((3, 2)))
         assert chaining.default_depth(s, 1.0) == 1

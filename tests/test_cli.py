@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from epkit import chaining, cli, discrete, maurey
-from epkit.reports import CheckReport, ReportCollector
+from epkit import chaining, cli, discrete, maurey, metric
+from epkit.reports import CheckReport, ReportCollector, render
 
 DATA = str(Path(__file__).parent / "data")
 SMALL_REGRESS = ("--n", "8", "--d", "4", "--trials", "2")
@@ -83,6 +83,19 @@ NAMED_LIMITS = {
         "the scale D 2^-(K-1) at K=1076 = 0",
     ("entropy", "--points", f"{DATA}/square.csv", "--D", "0.3", "--K", "1075"):
         "the scale D 2^-(K-1) at K=1075 = 0",
+    # the MGF grid squares sigma and 1/(sigma diam); the estimates sum
+    # squares of maxima of size sigma diam.  These ended in an OverflowError
+    # (exit 3), and --sigma 1e153 passed with stderr inf
+    ("dudley", "--points", f"{DATA}/square.csv", "--sigma", "1e-155"):
+        "1/(sigma diam)^2 = inf",
+    ("dudley", "--points", f"{DATA}/square.csv", "--sigma", "1e154"):
+        "64 samples (sigma diam)^2 at samples=100000 = inf",
+    ("dudley", "--points", f"{DATA}/square.csv", "--sigma", "1e153",
+     "--samples", "1000"): "64 samples (sigma diam)^2 at samples=1000 = inf",
+    ("dudley", "--points", f"{DATA}/square.csv", "--sigma", "1e200"):
+        "sigma^2 = inf",
+    ("dudley", "--points", f"{DATA}/square.csv", "--sigma", "1e-320"):
+        "sigma^2 = 0",
 }
 
 
@@ -213,6 +226,28 @@ class TestEntropySuite:
         assert sums[0] == "k,eps_k,dyadic_sum_k"
         assert len(sums) == 5
 
+    def test_sums_are_the_per_depth_dyadic_sums(self, points_csv, tmp_path,
+                                                monkeypatch):
+        written = {}
+
+        def keep(cfg, name, content):
+            written[name] = content
+            return write(cfg, name, content)
+
+        write = cli._write
+        monkeypatch.setattr(cli, "_write", keep)
+        out = tmp_path / "ent200"
+        assert cli.main(["entropy", "--points", points_csv, "--K", "200",
+                         "--out", str(out)]) == 0
+        s = metric.FiniteMetricSet.from_points(np.loadtxt(points_csv, delimiter=","))
+        expected = [metric.dyadic_sum(s, s.diameter, k) for k in range(201)]
+        rows = written["entropy_sums.csv"][1:]
+        assert [k for k, _, _ in rows] == list(range(201))
+        assert [total.hex() for _, _, total in rows] == [x.hex() for x in expected]
+        assert read(out / "entropy_sums.csv") == render(
+            [["k", "eps_k", "dyadic_sum_k"],
+             *([k, eps, x] for (k, eps, _), x in zip(rows, expected))]).encode()
+
 
 class TestDiscreteSuite:
     def test_all_pass(self, tmp_path):
@@ -268,6 +303,13 @@ class TestDudleySuite:
                          "--samples", "10000", "--seed", "2",
                          "--out", str(out)]) == 0
         assert "dense-sup-refinement" in (out / "dudley_reports.csv").read_text()
+
+    @pytest.mark.parametrize("sigma", ["1e-150", "1e150"])
+    @pytest.mark.filterwarnings("error")
+    def test_scales_inside_the_guards_run(self, sigma, tmp_path):
+        out = tmp_path / "edge"
+        assert cli.main(["dudley", "--points", f"{DATA}/square.csv", "--sigma",
+                         sigma, "--samples", "1000", "--out", str(out)]) == 0
 
 
 class TestRegressSuite:

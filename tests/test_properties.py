@@ -81,12 +81,12 @@ def test_linear_inner_sup_is_projected_noise_norm(n, d, seed, delta, zero):
 @PROPERTY
 @given(points=clouds(12), depth=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
 def test_telescoping_residual_is_exact(points, depth, seed):
-    s = chaining.IndexSet(points=points)
+    s = metric.FiniteMetricSet.from_points(points)
     nets = chaining.build_dyadic_nets(s, K=depth)
     proc = chaining.CanonicalProcess(sigma=1.0)
     rng = np.random.default_rng(seed)
     for u in nets.levels[depth].net:
-        w = rng.standard_normal(s.dim)
+        w = rng.standard_normal(s.points.shape[1])
         assert chaining.telescoping_residual(int(u), nets, proc, w) <= EXACT_TOL
 
 
@@ -101,7 +101,7 @@ def grid_clouds(max_points, side, max_dim=3):
 
 def reference_chain(u, nets):
     """pi_0(u)..pi_K(u), each level's nearest member found by its own scan."""
-    ms = nets.index_set.metric_set()
+    ms = nets.metric_set
     chain = [u]
     for lv in reversed(nets.levels[:-1]):
         row = ms.rows(chain[-1])[lv.net]
@@ -113,8 +113,8 @@ def reference_chain(u, nets):
 @given(points=st.one_of(grid_clouds(40, 2), grid_clouds(40, 2 ** 10)),
        depth=st.one_of(st.none(), st.integers(0, 6)), budget=st.integers(1, 400))
 def test_projection_maps_match_per_point_chains(points, depth, budget):
-    s = chaining.IndexSet(points=points)
     with mock.patch.object(metric, "BLOCK_BYTES", budget):
+        s = metric.FiniteMetricSet.from_points(points)
         nets = chaining.build_dyadic_nets(s, K=depth)
     dmat = cdist(s.points, s.points)
     finest = [int(u) for u in nets.levels[nets.K].net]
@@ -168,11 +168,9 @@ def test_point_cloud_form_matches_its_distance_matrix(points, scale, depth,
                 assert metric.is_epsilon_net(net, radius, t)
                 assert not metric.is_epsilon_net(
                     net, np.nextafter(radius, 0.0), t)
-        nets = chaining.build_dyadic_nets(chaining.IndexSet(points=points),
-                                          K=depth)
-        ref_set = chaining.IndexSet(points=points)
-        ref_set._metric = ref
-        ref_nets = chaining.build_dyadic_nets(ref_set, K=depth)
+        nets = chaining.build_dyadic_nets(
+            metric.FiniteMetricSet.from_points(points), K=depth)
+        ref_nets = chaining.build_dyadic_nets(ref, K=depth)
     assert [list(lv.net) for lv in nets.levels] == [
         list(lv.net) for lv in ref_nets.levels]
     assert all((a == b).all() for a, b in zip(nets.projections,

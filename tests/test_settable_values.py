@@ -34,7 +34,6 @@ SETTABLE = {
     "gaussian.ScalarField.name",
     "gaussian.finite_max_bound_check.budget",
     "gaussian.bump_first_moment.n_nodes",
-    "gaussian.mollify_1d.n_nodes",
     "maurey.maurey_sparsify.seed",
     "maurey.l1_hull_net_construct.n_validation",
     "maurey.l1_hull_net_construct.seed",
@@ -87,4 +86,4 @@ def test_settable_values_are_the_listed_ones():
     added, removed = sorted(found - SETTABLE), sorted(SETTABLE - found)
     assert not added and not removed, (
         f"settable values added: {added}; removed: {removed}")
-    assert len(SETTABLE) == 37
+    assert len(SETTABLE) == 36
