@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import metric
 from .gaussian import McEstimate, three_sigma_margin
@@ -292,6 +291,8 @@ def subgaussian_process_check(ms: metric.FiniteMetricSet, proc: CanonicalProcess
 
 def chi_mean(dim: int) -> float:
     """E ||w|| for a standard normal dim-vector."""
+    from scipy.special import gammaln   # see regression._halton_normals
+
     return float(np.exp(0.5 * np.log(2.0)
                         + gammaln((dim + 1) / 2.0) - gammaln(dim / 2.0)))
 

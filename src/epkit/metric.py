@@ -7,7 +7,9 @@ here is also an upper bound for the ambient-center formulation.
 
 A set is a distance matrix or a Euclidean point cloud, and every distance is
 read as rows on demand: a cloud's n×n matrix is never formed, so its memory
-follows the block budget ``BLOCK_BYTES``, not n².
+follows the block budget ``BLOCK_BYTES``, not n².  A cloud's distances come
+from scipy's ``cdist``, imported on the first call (see ``_distances``), so
+suites that never read a cloud do not load ``scipy.spatial``.
 
 Maximal packings come from one farthest-point traversal.  Its insertion
 radii are nonincreasing, so the packing at scale eps is a prefix of one
@@ -16,10 +18,11 @@ fixed ordering and the covering upper bounds are monotone in eps.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 class MetricValidationError(ValueError):
@@ -55,9 +58,45 @@ def blocks(n: int, row_bytes: int, align: int = 1) -> list:
             for i in range(count)]
 
 
+@functools.cache
+def _cdist():
+    """scipy's cdist, imported once per process on first use: scipy.spatial
+    takes longer to import than numpy, and only the point-cloud suites call
+    it.  A function-level import in ``rows`` would cost its sys.modules
+    lookup on every row read, thousands of times per traversal."""
+    from scipy.spatial.distance import cdist
+    return cdist
+
+
+def _scale_exponent(*arrays) -> int:
+    """The power of two e by which ``_distances`` scales a cloud: 0 while the
+    largest |coordinate| of arrays lies in [2^-500, 2^500], so squared
+    differences neither overflow nor underflow; otherwise the binary exponent
+    of that coordinate, which scales it into [1/2, 1)."""
+    top = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
+    if top == 0.0 or 2.0 ** -500 <= top <= 2.0 ** 500:
+        return 0
+    return math.frexp(top)[1]
+
+
+def _distances(a, b, exp: int) -> np.ndarray:
+    """Euclidean distances between the rows of a 2^exp and b 2^exp, from
+    cdist(a, b) scaled by 2^exp.  A power-of-two scaling is exact while the
+    result stays normal, so for exp = 0 these are cdist's own bits and
+    otherwise they round like cdist on a cloud of moderate scale."""
+    d = _cdist()(a, b)
+    if not exp:
+        return d
+    with np.errstate(over="ignore"):   # a true distance above the float max
+        return np.ldexp(d, exp, out=d)
+
+
 def nearest_distances(points, targets) -> np.ndarray:
     """Distance from each row of points to its nearest row of targets."""
-    return np.concatenate([cdist(points[b], targets).min(axis=1)
+    exp = _scale_exponent(points, targets)
+    if exp:
+        points, targets = np.ldexp(points, -exp), np.ldexp(targets, -exp)
+    return np.concatenate([_distances(points[b], targets, exp).min(axis=1)
                            for b in blocks(len(points), 8 * len(targets))])
 
 
@@ -79,8 +118,11 @@ class FiniteMetricSet:
     symmetry, a zero diagonal and nonnegativity; a cloud has them by
     construction, because cdist computes each pair on its own and
     x - y = -(y - x) exactly in IEEE arithmetic, so d(i, j) and d(j, i) are
-    the same number.  Both forms check the triangle inequality, exhaustively
-    for up to 200 points and on sampled triples beyond that.
+    the same number.  A cloud whose coordinates are far from 1 is read
+    through one exact power-of-two rescaling (``_scale_exponent``), so its
+    distances neither vanish nor overflow before the true ones would.  Both
+    forms check the triangle inequality, exhaustively for up to 200 points
+    and on sampled triples beyond that.
     """
 
     def __init__(self, dmat=None, *, points=None):
@@ -93,6 +135,9 @@ class FiniteMetricSet:
         data = dmat if points is None else points
         self.n = len(data)
         reject_nonfinite(data)
+        if points is not None:   # the cloud as _distances reads it
+            self._exp = _scale_exponent(points)
+            self._scaled = np.ldexp(points, -self._exp) if self._exp else points
         self._traversal = None
         self._validate()
 
@@ -103,13 +148,14 @@ class FiniteMetricSet:
 
     def rows(self, idx) -> np.ndarray:
         """Distance rows of the points idx (an index, slice or index array):
-        the matrix rows, or those of cdist(points, points) bit for bit."""
+        the matrix rows, or those of cdist(points, points) bit for bit when
+        the cloud is not rescaled."""
         if self.points is None:
             return self.dmat[idx]
-        block = self.points[idx]
+        block = self._scaled[idx]
         if block.ndim == 1:
-            return cdist(block[None], self.points)[0]
-        return cdist(block, self.points)
+            return _distances(block[None], self._scaled, self._exp)[0]
+        return _distances(block, self._scaled, self._exp)
 
     def _validate(self):
         if self.points is not None:  # symmetric, zero diagonal: by construction
@@ -133,20 +179,23 @@ class FiniteMetricSet:
 
     def _check_triangles(self, tol):
         n = self.n
-        if n <= _EXHAUSTIVE_TRIANGLE_LIMIT:
-            d = self.rows(slice(None))   # at most 320 KB
-            for k in range(n):
-                if (d - (d[:, k:k + 1] + d[k:k + 1, :])).max(initial=0.0) > tol:
-                    raise MetricValidationError(
-                        f"triangle inequality fails through point {k}")
-        else:
-            rng = np.random.default_rng(0)
-            i, j, k = rng.integers(0, n, size=(3, _SAMPLED_TRIANGLES))
-            p = self.points
-            d = ((lambda a, b: self.dmat[a, b]) if p is None
-                 else (lambda a, b: np.linalg.norm(p[a] - p[b], axis=1)))
-            if (d(i, j) - d(i, k) - d(k, j)).max(initial=0.0) > tol:
-                raise MetricValidationError("triangle inequality fails (sampled)")
+        # a sum of two distances above the float maximum reads inf, and the
+        # triangle through it holds
+        with np.errstate(over="ignore"):
+            if n <= _EXHAUSTIVE_TRIANGLE_LIMIT:
+                d = self.rows(slice(None))   # at most 320 KB
+                for k in range(n):
+                    if (d - (d[:, k:k + 1] + d[k:k + 1, :])).max(initial=0.0) > tol:
+                        raise MetricValidationError(
+                            f"triangle inequality fails through point {k}")
+            else:
+                rng = np.random.default_rng(0)
+                i, j, k = rng.integers(0, n, size=(3, _SAMPLED_TRIANGLES))
+                d = ((lambda a, b: self.dmat[a, b]) if self.points is None
+                     else (lambda a, b: np.ldexp(np.linalg.norm(
+                         self._scaled[a] - self._scaled[b], axis=1), self._exp)))
+                if (d(i, j) - d(i, k) - d(k, j)).max(initial=0.0) > tol:
+                    raise MetricValidationError("triangle inequality fails (sampled)")
 
     @property
     def diameter(self) -> float:

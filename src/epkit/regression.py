@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import metric
 from .gaussian import McEstimate
@@ -361,8 +360,11 @@ def l1_localized_sup(X, w, R: float, delta: float) -> float:
 def _halton_normals(dim: int, resolution: int):
     """First `resolution` unscrambled Halton points in [0, 1]^(dim + 1): the
     first dim coordinates as standard normal quantiles, and the last one."""
-    # imported here: scipy.stats is the heaviest import in epkit and nothing
-    # else needs it, so `import epkit.cli` does not pay for it
+    # epkit imports scipy where it calls it, so `import epkit.cli` loads no
+    # scipy module: scipy.special, scipy.spatial and scipy.stats each take
+    # longer to import than numpy, and only this discretization,
+    # chaining.chi_mean and the distances of a point cloud call them
+    from scipy.special import ndtri
     from scipy.stats import qmc
 
     pts = qmc.Halton(d=dim + 1, scramble=False).random(resolution)
@@ -695,7 +697,8 @@ def l1_rate_experiment(grid, R: float, sigma: float, trials: int,
             results = solve_ls_l1_batch(Xs[:len(chunk)], ys[:len(chunk)], R,
                                         tol=SWEEP_TOL, max_iter=SWEEP_MAX_ITER)
             for k, (trial, res, theta_star) in enumerate(zip(chunk, results, truths)):
-                rank_seen = max(rank_seen, design_rank(Xs[k]))
+                if rank_seen < min(n, d):   # no design has a higher rank
+                    rank_seen = max(rank_seen, design_rank(Xs[k]))
                 err = empirical_norm(Xs[k] @ (res.theta - theta_star)) ** 2
                 errs[trial] = err
                 normd[trial] = err / (R ** 2 * np.log(d) / n)

@@ -39,6 +39,7 @@ NAMED_LIMITS = {
      f"{DATA}/nan_point.csv"): "non-finite entry in row 1",
     ("cover", "--points", f"{DATA}/nan_distance.csv", "--dist-matrix"):
         "non-finite entry in row 0",
+    # two points 2e308 apart: the distance itself exceeds the float maximum
     ("entropy", "--points", f"{DATA}/overflow.csv"): "overflows to inf",
     # a float option is finite, from a flag or a config file (json reads
     # Infinity); a scale list and a grid are checked token by token
@@ -247,6 +248,21 @@ class TestEntropySuite:
         assert read(out / "entropy_sums.csv") == render(
             [["k", "eps_k", "dyadic_sum_k"],
              *([k, eps, x] for (k, eps, _), x in zip(rows, expected))]).encode()
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_extreme_scale_clouds(scale, tmp_path, capsys):
+    # the squared sides underflow to 0 or overflow to inf, the sides do not;
+    # dudley still rejects the square through its guard on sigma diam
+    path = tmp_path / "square.csv"
+    np.savetxt(path, np.loadtxt(f"{DATA}/square.csv", delimiter=",") * scale,
+               delimiter=",", fmt="%.17g")
+    for suite in ("cover", "entropy"):
+        assert cli.main([suite, "--points", str(path),
+                         "--out", str(tmp_path / suite)]) == 0
+    assert cli.main(["dudley", "--points", str(path),
+                     "--out", str(tmp_path / "dudley")]) == 2
+    assert "64 samples (sigma diam)^2" in capsys.readouterr().err
 
 
 class TestDiscreteSuite:
@@ -498,11 +514,44 @@ class TestDiscreteReplay:
         assert replayed == len(rows) == 18
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def fresh_interpreter(code: str) -> str:
+    """stdout of code run in a new Python process that imports epkit from
+    this checkout: test modules import scipy submodules themselves, so only
+    a fresh process shows what epkit loads on its own."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, epkit.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout
+
+
+LOADED_SCIPY = ("print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+
+
+def test_import_loads_no_scipy():
+    assert fresh_interpreter(f"import sys, epkit.cli; {LOADED_SCIPY}").strip() == "[]"
+
+
+def test_suites_without_a_cloud_load_no_scipy(tmp_path):
+    # the Gaussian, discrete and regression suites never call scipy
+    runs = [["discrete-check", "--instances", "3"],
+            ["gauss-check", "--fields", "1", "--samples", "200"],
+            ["maurey", "--instances", "2"],
+            ["regress", *SMALL_REGRESS],
+            ["regress", "--class", "l1", "--grid", "8:16", "--trials", "2"]]
+    code = ("import sys\nfrom epkit import cli\n"
+            f"for i, argv in enumerate({runs!r}):\n"
+            f"    if cli.main(argv + ['--out', {str(tmp_path)!r} + '/' + str(i)]):\n"
+            "        sys.exit(1)\n"
+            + LOADED_SCIPY)
+    assert fresh_interpreter(code).splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("suite", ["cover", "entropy", "dudley"])
+def test_point_cloud_suites_load_scipy_themselves(suite, points_csv, tmp_path):
+    # a lazy import that leaned on a test module's imports would fail here
+    code = ("import sys\nfrom epkit import cli\n"
+            f"sys.exit(cli.main([{suite!r}, '--points', {points_csv!r}, "
+            f"'--samples', '2000', '--out', {str(tmp_path)!r}]))")
+    fresh_interpreter(code)

@@ -80,6 +80,38 @@ class TestFiniteMetricSet:
         with pytest.raises(metric.MetricValidationError, match="row 2"):
             metric.FiniteMetricSet(pts[:, [0, 1, 1, 0]])   # a 4 x 4 matrix
 
+    def test_extreme_scale_distances_keep_their_digits(self):
+        # cdist sums squares, which underflow below about 1e-154; the cloud
+        # is read through a power-of-two rescaling instead
+        s = metric.FiniteMetricSet.from_points([[0.0, 0.0], [1e-200, 0.0],
+                                                [0.0, 1e-160]])
+        d = s.rows(slice(None))
+        assert abs(d[0, 1] - 1e-200) <= np.spacing(1e-200)
+        assert abs(d[0, 2] - 1e-160) <= np.spacing(1e-160)
+        assert s.min_positive_distance() == d[0, 1]
+        near = metric.nearest_distances(s.points[1:], s.points[:1])
+        assert near.tolist() == [d[0, 1], d[0, 2]]
+
+    @pytest.mark.parametrize("k", [-664, -531, 531, 664, 1023])
+    def test_rescaled_cloud_reads_the_scaled_distances(self, k):
+        # a power-of-two scale is exact, so the distances are those of the
+        # unscaled cloud scaled the same way, bit for bit; 250 points take
+        # the sampled triangle check
+        pts = derive_rng(0, "big-cloud").uniform(0, 1, size=(250, 2))
+        s = metric.FiniteMetricSet.from_points(np.ldexp(pts, k))
+        assert s._scaled is not s.points
+        assert np.array_equal(s.rows(slice(None)), np.ldexp(cdist(pts, pts), k))
+
+    def test_moderate_clouds_are_not_rescaled(self):
+        # every cloud with its largest |coordinate| in [2^-500, 2^500] reads
+        # cdist's own bits
+        pts = derive_rng(1, "moderate").uniform(-1, 1, size=(30, 3))
+        pts /= np.abs(pts).max()
+        for k in (-500, 0, 500):
+            s = metric.FiniteMetricSet.from_points(np.ldexp(pts, k))
+            assert s._scaled is s.points
+            assert np.array_equal(s.rows(slice(None)), cdist(s.points, s.points))
+
     def test_point_cloud_memory_follows_the_block_budget(self):
         # the distance matrix of 4000 points would take 128 MB
         pts = derive_rng(2, "memory").uniform(0, 1, size=(4000, 2))

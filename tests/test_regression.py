@@ -765,6 +765,34 @@ class TestRateExperiments:
                               float(np.median(normd)).hex()))
         assert default[0] == per_trial
 
+    def test_l1_rank_reads_stop_at_full_rank(self, monkeypatch):
+        # a cell's rank is at most min(n, d), so once a design reaches it no
+        # later design can raise it; a Gaussian design does on the first trial
+        grid, calls = [(8, 16), (16, 12)], []
+        rank = rg.design_rank
+
+        def counting(X):
+            calls.append(X.shape)
+            return rank(X)
+
+        monkeypatch.setattr(rg, "design_rank", counting)
+        rep = rg.l1_rate_experiment(grid, 1.0, 1.0, 5, SEED)
+        assert calls == grid
+        assert [c.rank for c in rep.cells] == [8, 12]
+
+        # a design read below full rank keeps the reads going, until one
+        # reaches min(n, d)
+        calls.clear()
+        ranks = iter([3, 5, 8])
+
+        def rising(X):
+            calls.append(X.shape)
+            return next(ranks)
+
+        monkeypatch.setattr(rg, "design_rank", rising)
+        rep = rg.l1_rate_experiment(grid[:1], 1.0, 1.0, 5, SEED)
+        assert len(calls) == 3 and rep.cells[0].rank == 8
+
     def test_l1_guard_small_d(self):
         with pytest.raises(ValueError):
             rg.l1_rate_experiment([(8, 1)], 1.0, 1.0, 2, SEED)
