@@ -187,18 +187,15 @@ def han_inequality_gap(p: JointPmf):
     return lhs, rhs
 
 
-def bernoulli_lsi_gap(values, sp: FiniteProductSpace):
-    """(Ent(f^2), half the summed squared coordinate-flip differences).
-
-    Requires the uniform product on {-1,+1}^n with n <= 12.
-    """
-    if sp.n > 12:
-        raise SpaceValidationError("two-point LSI check limited to n <= 12")
-    if sp.sizes != (2,) * sp.n or not np.allclose(np.stack(sp.supports), [-1.0, 1.0]):
-        raise SpaceValidationError("space must be a {-1,+1} product")
-    if not np.allclose(np.stack(sp.weights), 0.5, atol=WEIGHT_TOL):
-        raise SpaceValidationError("space must be uniform")
+def bernoulli_lsi_gap(values):
+    """(Ent(f^2), half the summed squared coordinate-flip differences) for
+    the table f of 2^n values, 1 <= n <= 12, on the uniform {-1,+1}^n."""
     f = np.asarray(values, dtype=float)
+    n = f.size.bit_length() - 1
+    if not 1 <= n <= 12 or f.size != 2 ** n:
+        raise SpaceValidationError(
+            f"two-point LSI check needs 2^n values with 1 <= n <= 12, got {f.size}")
+    sp = FiniteProductSpace.rademacher(n)
     lhs = entropy_functional(f ** 2, sp)
     grid = f.reshape(sp.sizes)
     dirichlet = np.zeros(sp.sizes)
@@ -227,9 +224,7 @@ def replay_instance(doc: dict) -> dict:
     out["tensorization"] = tensorization_gap(y, sp)
     table = np.asarray(doc["joint"], dtype=float).reshape(doc["shape"])
     out["han"] = han_inequality_gap(JointPmf(table))
-    g = np.asarray(doc["rademacher_values"], dtype=float)
-    n = int(np.log2(g.size))
-    out["bernoulli_lsi"] = bernoulli_lsi_gap(g, FiniteProductSpace.rademacher(n))
+    out["bernoulli_lsi"] = bernoulli_lsi_gap(doc["rademacher_values"])
     return out
 
 

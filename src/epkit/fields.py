@@ -1,6 +1,9 @@
 """Deterministic batteries of test fields with exact gradients or Lipschitz
 constants, for the Gaussian Monte Carlo suites.
 
+Every differentiable field is a ridge h(<u, x>) built by ``ridge_field``,
+the one place its gradient h'(<u, x>) u is written; the others declare none.
+
 Each battery starts with a linear field: linear functions attain the
 variance/derivative-energy and cumulant bounds with equality, so they are the
 positive controls showing check tolerances are not vacuous.
@@ -14,62 +17,37 @@ from .gaussian import ScalarField
 from .rng import derive_rng
 
 
-def linear_field(u, name="linear"):
+def ridge_field(u, h, dh, lip_h, name):
+    """h(<u, x>) with gradient dh(<u, x>) u; its Lipschitz constant is
+    lip_h ||u||, or None when lip_h (a bound on |h'|) is None."""
     u = np.asarray(u, dtype=float)
+    lip = None if lip_h is None else float(lip_h * np.linalg.norm(u))
+    return ScalarField(dim=u.size, eval=lambda x: h(np.atleast_2d(x) @ u),
+                       grad=lambda x: dh(np.atleast_2d(x) @ u)[:, None] * u,
+                       lipschitz=lip, name=name)
 
-    def ev(x):
-        return np.atleast_2d(x) @ u
 
-    def gr(x):
-        x = np.atleast_2d(x)
-        return np.broadcast_to(u, (x.shape[0], u.size)).copy()
-
-    return ScalarField(dim=u.size, eval=ev, grad=gr,
-                       lipschitz=float(np.linalg.norm(u)), name=name)
+def linear_field(u, name="linear"):
+    return ridge_field(u, lambda t: t, np.ones_like, 1.0, name)
 
 
 def sine_field(a, b, c, e, g, name="sine"):
-    """1-D field a sin(bx) + c cos(ex) + g x."""
-
-    def ev(x):
-        x = np.atleast_2d(x)[:, 0]
-        return a * np.sin(b * x) + c * np.cos(e * x) + g * x
-
-    def gr(x):
-        x = np.atleast_2d(x)[:, 0]
-        d = a * b * np.cos(b * x) - c * e * np.sin(e * x) + g
-        return d[:, None]
-
-    return ScalarField(dim=1, eval=ev, grad=gr, name=name)
+    """1-D field a sin(bx) + c cos(ex) + g x, the ridge along u = [1]."""
+    return ridge_field([1.0], lambda t: a * np.sin(b * t) + c * np.cos(e * t) + g * t,
+                       lambda t: a * b * np.cos(b * t) - c * e * np.sin(e * t) + g,
+                       None, name)
 
 
 def tanh_ridge_field(u, c, name="tanh-ridge"):
     """tanh(<u, x>) + c in dim = len(u)."""
-    u = np.asarray(u, dtype=float)
-
-    def ev(x):
-        return np.tanh(np.atleast_2d(x) @ u) + c
-
-    def gr(x):
-        t = np.tanh(np.atleast_2d(x) @ u)
-        return (1.0 - t ** 2)[:, None] * u
-
-    return ScalarField(dim=u.size, eval=ev, grad=gr,
-                       lipschitz=float(np.linalg.norm(u)), name=name)
+    return ridge_field(u, lambda t: np.tanh(t) + c,
+                       lambda t: 1.0 - np.tanh(t) ** 2, 1.0, name)
 
 
 def sine_ridge_field(a, u, c, name="sine-ridge"):
     """a sin(<u, x>) + c with gradient a cos(<u, x>) u."""
-    u = np.asarray(u, dtype=float)
-
-    def ev(x):
-        return a * np.sin(np.atleast_2d(x) @ u) + c
-
-    def gr(x):
-        return (a * np.cos(np.atleast_2d(x) @ u))[:, None] * u
-
-    return ScalarField(dim=u.size, eval=ev, grad=gr,
-                       lipschitz=float(abs(a) * np.linalg.norm(u)), name=name)
+    return ridge_field(u, lambda t: a * np.sin(t) + c, lambda t: a * np.cos(t),
+                       abs(a), name)
 
 
 def norm_field(center, name="distance"):

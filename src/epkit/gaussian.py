@@ -216,7 +216,7 @@ def finite_max_bound_check(m: int, scales, n_samples: int, seed: int,
     if scales.size != m:
         raise ValueError("need one scale per variable")
     if budget is None:
-        budget = float(scales.max()) if m else 0.0
+        budget = float(scales.max())
     if (scales > budget + 1e-12).any():
         raise ValueError("scales exceed the sub-Gaussian budget")
     rng = derive_rng(seed, "finite-max", m)

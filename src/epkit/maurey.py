@@ -211,10 +211,9 @@ def maurey_sparsify(theta, R: float, dictionary: ColumnDictionary, eps: float,
 def l1_hull_net_bound(d: int, R: float, eps: float) -> int:
     """(2d+1)^ceil(R^2/eps^2) as an exact (arbitrary precision) integer; 1
     when the exponent is 0, as a hull of radius 0 is one point."""
-    k = _ceil_ratio(R, eps)
     if R < 0:
         raise ValueError("R must be nonnegative")
-    return (2 * d + 1) ** k
+    return (2 * d + 1) ** _ceil_ratio(R, eps)
 
 
 @dataclass

@@ -36,7 +36,7 @@ class SizeLimitError(ValueError):
 _EXHAUSTIVE_TRIANGLE_LIMIT = 200
 _SAMPLED_TRIANGLES = 20000
 _EXACT_COVER_LIMIT = 25
-# relative tolerance of the pseudo-metric checks, scaled by 1 + the diameter
+# relative tolerance of the pseudo-metric checks (see _tolerance)
 _FP_TOL = 1e-9
 # octaves below the top scale covered by the entropy integral's quadrature;
 # it needs at least two nodes per octave
@@ -100,6 +100,12 @@ def nearest_distances(points, targets) -> np.ndarray:
                            for b in blocks(len(points), 8 * len(targets))])
 
 
+def _tolerance(scale: float) -> float:
+    """Slack of the pseudo-metric checks at diameter scale: _FP_TOL (1 + scale)
+    from 1 up, and the relative 2 _FP_TOL scale below, as strict as at 1."""
+    return _FP_TOL * (scale + min(scale, 1.0))
+
+
 def reject_nonfinite(rows) -> None:
     """Raise MetricValidationError naming the first row with a NaN or inf."""
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
@@ -161,11 +167,11 @@ class FiniteMetricSet:
         if self.points is not None:  # symmetric, zero diagonal: by construction
             if not np.isfinite(self.diameter):
                 raise MetricValidationError("a distance overflows to inf")
-            self._check_triangles(_FP_TOL * (1.0 + self.diameter))
+            self._check_triangles(_tolerance(self.diameter))
             return
         d = self.dmat
         scale = float(d.max(initial=0.0))
-        tol = _FP_TOL * (1.0 + scale)
+        tol = _tolerance(scale)
         if d.min(initial=0.0) < -tol:
             raise MetricValidationError("negative distances")
         if np.abs(np.diag(d)).max(initial=0.0) > tol:
@@ -204,16 +210,15 @@ class FiniteMetricSet:
         return self._traversal[2]
 
     def min_positive_distance(self) -> float:
-        """Smallest nonzero pairwise distance; 0.0 if all pairs coincide."""
-        if self.n < 2:
-            return 0.0
-        lows = []
-        for b in blocks(self.n, 8 * self.n):
-            upper = np.triu(self.rows(b), b.start + 1)  # the pairs i < j
-            pos = upper[upper > 0]
-            if pos.size:
-                lows.append(pos.min())
-        return float(min(lows)) if lows else 0.0
+        """Smallest nonzero pairwise distance; 0.0 if all pairs coincide.
+
+        It is the smallest positive traversal radius: the later of the two
+        closest distinct points (or of the points they coincide with) is
+        inserted at exactly their distance.
+        """
+        _, radii = self.farthest_point_order()
+        pos = radii[1:][radii[1:] > 0]
+        return float(pos.min()) if pos.size else 0.0
 
     # -- farthest-point traversal -------------------------------------------
 
@@ -223,22 +228,29 @@ class FiniteMetricSet:
         radii[i] is the distance of order[i] to the previously selected
         points (inf for the first).  The sequence is nonincreasing, so
         {order[j] : radii[j] > eps} is a maximal eps-packing for every eps.
-        It reads each row once, and the diameter is the maximum of those rows.
+        order is a permutation: once every point lies at distance 0 from the
+        selection, the rest follow in index order with radius 0.  It reads
+        each selected row once, and the diameter is the maximum of those rows
+        (a point at distance 0 from a selected one has that one's row).
         """
         if self._traversal is not None:
             return self._traversal[:2]
         n = self.n
         order = np.empty(n, dtype=int)
-        radii = np.empty(n, dtype=float)
-        mind = np.full(n, np.inf)
+        radii = np.zeros(n)
+        mind = np.full(n, np.inf)   # -inf marks a selected point
         diameter = -np.inf
         for i in range(n):
             # argmax takes the lowest index on ties, so index 0 comes first
-            order[i] = nxt = int(np.argmax(mind))
-            radii[i] = mind[nxt]
+            nxt = int(np.argmax(mind))
+            if mind[nxt] <= 0:
+                order[i:] = np.flatnonzero(mind > -np.inf)
+                break
+            order[i], radii[i] = nxt, mind[nxt]
             row = self.rows(nxt)
             diameter = max(diameter, float(row.max()))
             np.minimum(mind, row, out=mind)
+            mind[nxt] = -np.inf
         self._traversal = (order, radii, diameter if n else 0.0)
         return order, radii
 

@@ -207,37 +207,59 @@ class TestHanInequality:
             assert lhs <= rhs + TOL
 
 
+def former_bernoulli_lsi_gap(values, sp):
+    """The former discrete.bernoulli_lsi_gap, verbatim but for the module
+    prefixes."""
+    if sp.n > 12:
+        raise discrete.SpaceValidationError("two-point LSI check limited to n <= 12")
+    if sp.sizes != (2,) * sp.n or not np.allclose(np.stack(sp.supports), [-1.0, 1.0]):
+        raise discrete.SpaceValidationError("space must be a {-1,+1} product")
+    if not np.allclose(np.stack(sp.weights), 0.5, atol=discrete.WEIGHT_TOL):
+        raise discrete.SpaceValidationError("space must be uniform")
+    f = np.asarray(values, dtype=float)
+    lhs = discrete.entropy_functional(f ** 2, sp)
+    grid = f.reshape(sp.sizes)
+    dirichlet = np.zeros(sp.sizes)
+    for i in range(sp.n):
+        dirichlet = dirichlet + (grid - np.flip(grid, axis=i)) ** 2
+    rhs = 0.5 * sp.expectation(dirichlet.reshape(-1))
+    return lhs, rhs
+
+
 class TestBernoulliLsi:
     def test_constant(self):
-        sp = discrete.FiniteProductSpace.rademacher(2)
-        lhs, rhs = discrete.bernoulli_lsi_gap(np.full(sp.n_outcomes, 2.0), sp)
+        lhs, rhs = discrete.bernoulli_lsi_gap(np.full(4, 2.0))
         assert lhs == pytest.approx(0.0, abs=1e-13)
         assert rhs == pytest.approx(0.0, abs=1e-13)
 
     def test_identity_function(self):
-        sp = discrete.FiniteProductSpace.rademacher(1)
-        f = sp.tabulate(lambda x: x[0])
-        lhs, rhs = discrete.bernoulli_lsi_gap(f, sp)
+        f = discrete.FiniteProductSpace.rademacher(1).tabulate(lambda x: x[0])
+        lhs, rhs = discrete.bernoulli_lsi_gap(f)
         assert lhs == pytest.approx(0.0, abs=1e-13)
         assert rhs == pytest.approx(2.0, abs=1e-13)
 
     def test_random_sweep(self):
-        sp = discrete.FiniteProductSpace.rademacher(3)
         rng = derive_rng(12, "blsi-sweep")
         for _ in range(50):
-            f = rng.uniform(-2, 2, size=sp.n_outcomes)
-            lhs, rhs = discrete.bernoulli_lsi_gap(f, sp)
+            f = rng.uniform(-2, 2, size=8)
+            lhs, rhs = discrete.bernoulli_lsi_gap(f)
             assert lhs <= rhs + TOL
 
-    def test_rejects_non_rademacher(self):
-        sp = discrete.FiniteProductSpace.uniform_bits(2)
-        with pytest.raises(discrete.SpaceValidationError):
-            discrete.bernoulli_lsi_gap(np.ones(sp.n_outcomes), sp)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_former_check_on_its_cube(self, n):
+        rng = derive_rng(13, "blsi-oracle", n)
+        sp = discrete.FiniteProductSpace.rademacher(n)
+        tables = [rng.uniform(-2, 2, size=2 ** n) for _ in range(20)]
+        tables += [np.full(2 ** n, 1.5), np.full(2 ** n, -0.25), np.zeros(2 ** n)]
+        for f in tables:
+            new = discrete.bernoulli_lsi_gap(f)
+            old = former_bernoulli_lsi_gap(f, sp)
+            assert [v.hex() for v in new] == [v.hex() for v in old]
 
-    def test_rejects_biased_weights(self):
-        sp = discrete.FiniteProductSpace([[-1.0, 1.0]], [[0.3, 0.7]])
-        with pytest.raises(discrete.SpaceValidationError):
-            discrete.bernoulli_lsi_gap(np.ones(2), sp)
+    @pytest.mark.parametrize("size", [0, 1, 3, 6, 8192])
+    def test_rejects_a_size_that_is_not_a_small_cube(self, size):
+        with pytest.raises(discrete.SpaceValidationError, match=f"got {size}"):
+            discrete.bernoulli_lsi_gap(np.ones(size))
 
 
 class TestInstanceDump:

@@ -191,6 +191,11 @@ class TestNetBound:
         val = maurey.l1_hull_net_bound(100, 4.0, 0.1)
         assert val == 201 ** 1600
 
+    def test_negative_radius_is_named_before_the_budget(self):
+        # R^2 / eps^2 = 1e8 is over the sample budget, but R < 0 comes first
+        with pytest.raises(ValueError, match="R must be nonnegative"):
+            maurey.l1_hull_net_bound(3, -1000.0, 0.1)
+
 
 class TestNetConstruct:
     def test_single_sample_net(self):

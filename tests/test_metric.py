@@ -35,6 +35,16 @@ class TestFiniteMetricSet:
         assert s.rows(0)[1] == 0.0
         assert s.min_positive_distance() == pytest.approx(1.0)
 
+    def test_traversal_orders_coincident_points_last(self):
+        # once every point is at distance 0 from the selection, the rest
+        # follow in index order and no row is read again
+        s = metric.FiniteMetricSet.from_points(
+            [[0, 0], [0, 0], [1, 0], [1, 0], [0, 1]])
+        order, radii = s.farthest_point_order()
+        assert order.tolist() == [0, 2, 4, 1, 3]
+        assert radii.tolist() == [np.inf, 1.0, 1.0, 0.0, 0.0]
+        assert s.min_positive_distance() == 1.0
+
     def test_rejects_asymmetry(self):
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(metric.MetricValidationError):
@@ -62,6 +72,24 @@ class TestFiniteMetricSet:
         bad = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
         with pytest.raises(metric.MetricValidationError):
             metric.FiniteMetricSet(bad)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-12, 1e-200])
+    @pytest.mark.parametrize("bad, fault", [
+        ([[0.0, 1.0], [2.0, 0.0]], "asymmetric"),
+        ([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]], "triangle")])
+    def test_small_sets_are_checked_as_strictly(self, bad, fault, scale):
+        # the tolerance shrinks with a diameter below 1, so a small set is
+        # held to the same relative accuracy as a unit one
+        with pytest.raises(metric.MetricValidationError, match=fault):
+            metric.FiniteMetricSet(np.array(bad) * scale)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-100, 1e-200])
+    @pytest.mark.parametrize("n", [60, 250])
+    def test_accepts_small_scale_clouds(self, scale, n):
+        # 250 points take the sampled triangle check
+        pts = derive_rng(2, "small-cloud").uniform(0, 1, size=(n, 2)) * scale
+        s = metric.FiniteMetricSet.from_points(pts)
+        metric.FiniteMetricSet(s.rows(slice(None)))   # must not raise
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(metric.MetricValidationError):
