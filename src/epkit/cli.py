@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from collections import namedtuple
@@ -262,20 +263,42 @@ def run_discrete_check(cfg) -> ReportCollector:
     return col
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (macOS has no sched_getaffinity)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_gauss_check(cfg) -> ReportCollector:
     """Gaussian Monte Carlo inequality suite"""
+    from concurrent.futures import ThreadPoolExecutor
+
     seed, n, count = cfg["seed"], cfg["samples"], cfg["fields"]
     col = ReportCollector(seed)
-    for f in fields.poincare_battery(count, seed):
-        _add_mc(col, f"poincare/{f.name}", *gaussian.poincare_gap(f, n, seed), n)
-    for f in fields.lsi_battery(count, seed):
-        _add_mc(col, f"lsi/{f.name}", *gaussian.gaussian_lsi_gap(f, n, seed), n)
-    for f in fields.lipschitz_battery(count, seed):
-        _add_mc(col, f"herbst/{f.name}",
-                *gaussian.herbst_cgf_gap(f, 0.5 / f.lipschitz, n, seed), n)
+
+    # One job per field, each on its own (seed, label, field) streams and
+    # writing only its own field's check flags, so the estimates do not
+    # depend on the schedule; map hands them back in battery order.
+    def poincare(f):
+        return [(f"poincare/{f.name}", gaussian.poincare_gap(f, n, seed))]
+
+    def lsi(f):
+        return [(f"lsi/{f.name}", gaussian.gaussian_lsi_gap(f, n, seed))]
+
+    def lipschitz(f):
         # the tail estimate holds n - n // 2 samples; the report gives n
-        _add_mc(col, f"tail/{f.name}",
-                *gaussian.lipschitz_tail_gap(f, f.lipschitz, n, seed), n)
+        herbst = gaussian.herbst_cgf_gap(f, 0.5 / f.lipschitz, n, seed)
+        tail = gaussian.lipschitz_tail_gap(f, f.lipschitz, n, seed)
+        return [(f"herbst/{f.name}", herbst), (f"tail/{f.name}", tail)]
+
+    jobs = ([(poincare, f) for f in fields.poincare_battery(count, seed)]
+            + [(lsi, f) for f in fields.lsi_battery(count, seed)]
+            + [(lipschitz, f) for f in fields.lipschitz_battery(count, seed)])
+    with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(jobs))) as pool:
+        for rows in pool.map(lambda job: job[0](job[1]), jobs):
+            for check, (lhs, rhs) in rows:
+                _add_mc(col, check, lhs, rhs, n)
     for m in (1, 2, 16):
         _add_mc(col, f"finite-max/m={m}",
                 *gaussian.finite_max_bound_check(m, np.ones(m), n, seed), n)

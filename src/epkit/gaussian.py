@@ -8,7 +8,10 @@ substreams from :mod:`epkit.rng`; identical (seed, parameters) reproduce every
 estimate bit-for-bit on a fixed numpy version.
 
 Vectorization contract: a field's ``eval`` maps an (m, dim) array to (m,) and
-``grad`` maps (m, dim) to (m, dim).
+``grad`` maps (m, dim) to (m, dim).  Both must be pure functions of their
+input arrays, and a field belongs to one job at a time: ``gauss-check`` runs
+the checks of different fields on different threads, and a check sets only
+its own field's ``_grad_checked`` and ``_lip_checked``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .rng import derive_rng
 
 FD_POINTS, FD_STEP, FD_TOL = 100, 1e-5, 1e-4   # the finite-difference check
 LIP_PAIRS, LIP_SCALE = 1000, 2.0   # the Lipschitz check: pairs, normals' scale
+_BLOCK_BYTES = 1 << 17   # the finite-max panel is drawn in blocks of 128 KiB
 
 
 class IntegrabilityError(RuntimeError):
@@ -220,8 +224,15 @@ def finite_max_bound_check(m: int, scales, n_samples: int, seed: int,
     if (scales > budget + 1e-12).any():
         raise ValueError("scales exceed the sub-Gaussian budget")
     rng = derive_rng(seed, "finite-max", m)
-    block = rng.standard_normal((n_samples, m)) * scales
-    emax = McEstimate.from_samples(block.max(axis=1))
+    # row blocks of the (n_samples, m) panel, drawn in order: the same stream
+    # as one draw, without holding the panel
+    rows = max(1, _BLOCK_BYTES // (8 * m))
+    maxima = np.empty(n_samples)
+    for start in range(0, n_samples, rows):
+        block = rng.standard_normal((min(rows, n_samples - start), m))
+        block *= scales
+        block.max(axis=1, out=maxima[start:start + rows])
+    emax = McEstimate.from_samples(maxima)
     bound = 0.0 if m == 1 else float(budget * np.sqrt(2.0 * np.log(m)))
     return emax, bound
 

@@ -11,6 +11,7 @@ import pytest
 from scipy.stats import norm
 
 from epkit import fields, gaussian
+from epkit.rng import derive_rng
 
 SEED = 2024
 N = 100000
@@ -197,6 +198,21 @@ class TestFiniteMax:
     def test_scales_must_fit_budget(self):
         with pytest.raises(ValueError):
             gaussian.finite_max_bound_check(2, [1.0, 2.0], 100, SEED, budget=1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 16, 100])
+    def test_row_blocks_match_one_draw(self, m):
+        # the former one-block formula, verbatim, on a panel that ends in a
+        # partial block
+        n = 40001
+        rows = gaussian._BLOCK_BYTES // (8 * m)
+        assert n > rows and n % rows
+        scales = np.random.default_rng(m).uniform(0.5, 1.0, size=m)
+        rng = derive_rng(SEED, "finite-max", m)
+        block = rng.standard_normal((n, m)) * scales
+        want = gaussian.McEstimate.from_samples(block.max(axis=1))
+        got, _ = gaussian.finite_max_bound_check(m, scales, n, SEED)
+        assert (got.mean.hex(), got.stderr.hex(), got.n_samples) == \
+            (want.mean.hex(), want.stderr.hex(), want.n_samples)
 
 
 class TestMollify:
