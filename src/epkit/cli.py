@@ -182,13 +182,6 @@ def _write(cfg, name, content) -> Path:
     return out / name
 
 
-def _add_mc(col, check, lhs, rhs, n_samples):
-    """Record the Monte Carlo contract lhs <= rhs + 3 combined stderr."""
-    rhs = gaussian.as_estimate(rhs)
-    col.add(check, lhs.mean, rhs.mean, lhs.stderr + rhs.stderr,
-            gaussian.three_sigma_margin(lhs, rhs), n_samples)
-
-
 # -- suites -------------------------------------------------------------------
 
 
@@ -212,10 +205,8 @@ def run_cover(cfg) -> ReportCollector:
         eps = float(eps)
         witness = metric.maximal_packing(eps, s)
         valid = metric.is_epsilon_net(witness, eps, s)
-        col.add(f"net-valid-eps={fmt(eps)}", lhs=0.0 if valid else 1.0,
-                rhs=0.0, stderr=0.0, margin=0.0 if valid else -1.0, n_samples=s.n)
-        col.add(f"sandwich-eps={fmt(eps)}", lhs=float(lower), rhs=float(upper),
-                stderr=0.0, margin=float(upper - lower), n_samples=s.n)
+        col.at_most(f"net-valid-eps={fmt(eps)}", float(not valid), 0.0, 0.0, s.n)
+        col.at_most(f"sandwich-eps={fmt(eps)}", float(lower), float(upper), 0.0, s.n)
     _write(cfg, "cover_profile.csv",
            [["eps", "lower", "upper", "entropy"],
             *zip(profile.scales, profile.lowers, profile.counts, profile.entropies)])
@@ -231,10 +222,8 @@ def run_entropy(cfg) -> ReportCollector:
         _in_float_range(f"the scale D 2^-(K-1) at K={K}", D * 2.0 ** (1 - K))
     integral = metric.entropy_integral(s, D, nodes=nodes)
     half = metric.entropy_integral(s, D / 2.0, nodes=nodes)
-    col.add("entropy-integral-nonneg", lhs=0.0, rhs=integral, stderr=0.0,
-            margin=integral, n_samples=s.n)
-    col.add("entropy-integral-monotone-D", lhs=half, rhs=integral, stderr=0.0,
-            margin=integral - half, n_samples=s.n)
+    col.at_most("entropy-integral-nonneg", 0.0, integral, 0.0, s.n)
+    col.at_most("entropy-integral-monotone-D", half, integral, 0.0, s.n)
     rows = [["k", "eps_k", "dyadic_sum_k"]]
     for k, total in enumerate(metric.dyadic_sums(s, D, K)):
         rows.append([k, D * 2.0 ** (-k), total])
@@ -253,9 +242,8 @@ def run_discrete_check(cfg) -> ReportCollector:
         doc = discrete.random_instance(rng)
         gaps = discrete.replay_instance(doc)
         for family, (lhs, rhs) in gaps.items():
-            margin = (EXACT_TOL - abs(rhs - lhs) if family == "duality_eq"
-                      else rhs + EXACT_TOL - lhs)
-            col.add(f"{family.replace('_', '-')}-{idx}", lhs, rhs, 0.0, margin)
+            contract = col.within if family == "duality_eq" else col.at_most
+            contract(f"{family.replace('_', '-')}-{idx}", lhs, rhs, EXACT_TOL, 0)
         if not all(r.passed for r in col.reports[-len(gaps):]):
             violations.append(doc | {"index": idx})
     if violations:
@@ -277,9 +265,9 @@ def run_gauss_check(cfg) -> ReportCollector:
     seed, n, count = cfg["seed"], cfg["samples"], cfg["fields"]
     col = ReportCollector(seed)
 
-    # One job per field, each on its own (seed, label, field) streams and
-    # writing only its own field's check flags, so the estimates do not
-    # depend on the schedule; map hands them back in battery order.
+    # One job per field, each on its own (seed, label, field) streams, so the
+    # estimates do not depend on the schedule; map hands them back in battery
+    # order.
     def poincare(f):
         return [(f"poincare/{f.name}", gaussian.poincare_gap(f, n, seed))]
 
@@ -298,16 +286,16 @@ def run_gauss_check(cfg) -> ReportCollector:
     with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(jobs))) as pool:
         for rows in pool.map(lambda job: job[0](job[1]), jobs):
             for check, (lhs, rhs) in rows:
-                _add_mc(col, check, lhs, rhs, n)
+                col.mc(check, lhs, rhs, n)
     for m in (1, 2, 16):
-        _add_mc(col, f"finite-max/m={m}",
-                *gaussian.finite_max_bound_check(m, np.ones(m), n, seed), n)
+        col.mc(f"finite-max/m={m}",
+               *gaussian.finite_max_bound_check(m, np.ones(m), n, seed), n)
     grid = np.linspace(-2.0, 2.0, 81)
     c_rho = gaussian.bump_first_moment()
     for eps in (0.1, 0.05):
         _, sup_err = gaussian.mollify_1d(np.abs, eps, grid)
         bound = 1.0 * c_rho * eps + 1e-6
-        col.add(f"mollify/abs-eps={fmt(eps)}", sup_err, bound, 0.0, bound - sup_err)
+        col.at_most(f"mollify/abs-eps={fmt(eps)}", sup_err, bound, 0.0, 0)
     return col
 
 
@@ -328,14 +316,12 @@ def run_dudley(cfg) -> ReportCollector:
     nets = chaining.build_dyadic_nets(ms, D=cfg["D"], K=cfg["K"])
     for lv in nets.levels:
         ok = metric.is_epsilon_net(lv.net, lv.eps, ms)
-        col.add(f"net-valid-k={lv.k}", 0.0 if ok else 1.0, 0.0, 0.0,
-                0.0 if ok else -1.0, ms.n)
+        col.at_most(f"net-valid-k={lv.k}", float(not ok), 0.0, 0.0, ms.n)
         card = int(metric.covering_counts(ms, lv.eps / 2.0))
-        col.add(f"net-card-k={lv.k}", float(len(lv.net)), float(card),
-                0.0, float(card - len(lv.net)), ms.n)
+        col.at_most(f"net-card-k={lv.k}", float(len(lv.net)), float(card), 0.0,
+                    ms.n)
     margins = chaining.projection_step_margins(nets)
-    col.add("projection-step", float(-margins.min()), 0.0, 0.0,
-            float(margins.min()) + 1e-12, ms.n)
+    col.at_most("projection-step", float(-margins.min()), 0.0, 1e-12, ms.n)
     rng = derive_rng(seed, "telescope")
     resid = 0.0
     finest = nets.levels[nets.K].net
@@ -343,13 +329,13 @@ def run_dudley(cfg) -> ReportCollector:
         u = int(finest[rng.integers(len(finest))])
         w = rng.standard_normal(ms.points.shape[1])
         resid = max(resid, chaining.telescoping_residual(u, nets, proc, w))
-    col.add("telescoping-residual", resid, EXACT_TOL, 0.0, EXACT_TOL - resid, 100)
+    col.at_most("telescoping-residual", resid, EXACT_TOL, 0.0, 100)
     if nets.K >= 1:
         esup, bound = chaining.stage1_bound_check(nets, proc, n_samples, seed)
-        _add_mc(col, "stage1", esup, bound, n_samples)
-    _add_mc(col, "entropy-integral-bound",
-            *chaining.dudley_bound_check(ms, proc, n_samples, seed, D=cfg["D"]),
-            n_samples)
+        col.mc("stage1", esup, bound, n_samples)
+    col.mc("entropy-integral-bound",
+           *chaining.dudley_bound_check(ms, proc, n_samples, seed, D=cfg["D"]),
+           n_samples)
     rng = derive_rng(seed, "mgf-pairs")
     m = ms.n
     pairs = [(0, m - 1)]
@@ -365,7 +351,7 @@ def run_dudley(cfg) -> ReportCollector:
         fine = metric.load_points_csv(cfg["refine"])
         check = chaining.dense_sequence_sup_check(ms.points, fine, proc,
                                                   n_samples, seed)
-        _add_mc(col, "dense-sup-refinement", check.gap, check.gap_bound, n_samples)
+        col.mc("dense-sup-refinement", check.gap, check.gap_bound, n_samples)
     rows = [["k", "eps_k", "net_size"]]
     for lv in nets.levels:
         rows.append([lv.k, lv.eps, len(lv.net)])
@@ -412,11 +398,10 @@ def run_regress(cfg) -> ReportCollector:
                 f"not the noise, would set the errors")
         report = regression.linear_rate_experiment(grid, sigma, trials, seed)
         for cell in report.cells:
-            col.add(f"linear-normalized-n={cell.n}-d={cell.d}",
-                    cell.normalized, 2.0, 0.0, 2.0 - cell.normalized, trials)
+            col.at_most(f"linear-normalized-n={cell.n}-d={cell.d}",
+                        cell.normalized, 2.0, 0.0, trials)
         for d, slope in report.slopes.items():
-            col.add(f"linear-slope-d={d}", slope, -1.0, 0.0,
-                    0.15 - abs(slope + 1.0), trials)
+            col.within(f"linear-slope-d={d}", slope, -1.0, 0.15, trials)
     else:
         for n, d in grid:
             if d > 1:   # the sweep itself rejects d = 1
@@ -430,7 +415,7 @@ def run_regress(cfg) -> ReportCollector:
         norms = [c.normalized for c in report.cells]
         if len(norms) > 1 and min(norms) > 0:
             spread = max(norms) / min(norms)
-            col.add("l1-normalized-band", spread, 3.0, 0.0, 3.0 - spread, trials)
+            col.at_most("l1-normalized-band", spread, 3.0, 0.0, trials)
         for cell in report.cells:
             finite = np.isfinite(cell.normalized) and cell.normalized >= 0
             col.add(f"l1-normalized-finite-n={cell.n}-d={cell.d}",
@@ -486,9 +471,9 @@ def run_maurey(cfg) -> ReportCollector:
         if not res.success:
             col.add(f"sparsify-{idx}", res.error, eps, 0.0, -1.0)
     tol = 1e-12 * max(1.0, R)   # both checks are exact up to rounding ~ R, R^2
-    col.add("unbiasedness", worst_unbias, tol, 0.0, tol - worst_unbias)
+    col.at_most("unbiasedness", worst_unbias, tol, 0.0, 0)
     col.add("second-moment", 0.0, 0.0, 0.0, worst_second + tol * max(1.0, R))
-    col.add("sparsify-max-error", max_err, eps, 0.0, eps - max_err)
+    col.at_most("sparsify-max-error", max_err, eps, 0.0, 0)
     net_size = None
     if bound <= maurey.NET_BUDGET:
         rng = derive_rng(seed, "maurey-net")
@@ -496,8 +481,7 @@ def run_maurey(cfg) -> ReportCollector:
         net = maurey.l1_hull_net_construct(dic, R, eps, n_validation=100,
                                            seed=seed)
         net_size = len(net.net)
-        col.add("net-cardinality", float(net_size), float(bound), 0.0,
-                float(bound - net_size))
+        col.at_most("net-cardinality", float(net_size), float(bound), 0.0, 0)
     summary = versioned({"k": k, "bound": bound_text, "net_size": net_size,
                          "instances": cfg["instances"],
                          "max_attempts_seen": max(attempts),

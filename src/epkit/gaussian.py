@@ -9,14 +9,12 @@ estimate bit-for-bit on a fixed numpy version.
 
 Vectorization contract: a field's ``eval`` maps an (m, dim) array to (m,) and
 ``grad`` maps (m, dim) to (m, dim).  Both must be pure functions of their
-input arrays, and a field belongs to one job at a time: ``gauss-check`` runs
-the checks of different fields on different threads, and a check sets only
-its own field's ``_grad_checked`` and ``_lip_checked``.
+input arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,8 +76,6 @@ class ScalarField:
     grad: callable = None
     lipschitz: float = None
     name: str = ""
-    _grad_checked: bool = field(default=False, init=False, repr=False)
-    _lip_checked: bool = field(default=False, init=False, repr=False)
 
     def validate_gradient(self):
         """Central finite differences against the declared gradient."""
@@ -100,7 +96,6 @@ class ScalarField:
             raise OracleValidationError(
                 f"gradient check failed for {self.name or 'field'}: "
                 f"|grad-fd|={err[worst]:.3g} at point {worst}")
-        self._grad_checked = True
 
     def validate_lipschitz(self):
         if self.lipschitz is None:
@@ -113,15 +108,6 @@ class ScalarField:
         if (lhs > rhs + 1e-9 * (1.0 + rhs)).any():
             raise OracleValidationError(
                 f"Lipschitz check failed for {self.name or 'field'}")
-        self._lip_checked = True
-
-    def require_gradient(self):
-        if not self._grad_checked:
-            self.validate_gradient()
-
-    def require_lipschitz(self):
-        if not self._lip_checked:
-            self.validate_lipschitz()
 
 
 def sample_std_gaussian(dim: int, count: int, seed: int) -> np.ndarray:
@@ -136,7 +122,7 @@ def poincare_gap(f: ScalarField, n_samples: int, seed: int):
     """(variance estimate, derivative-energy estimate) on one shared sample."""
     if f.dim != 1:
         raise ValueError("the derivative-energy check is one-dimensional")
-    f.require_gradient()
+    f.validate_gradient()
     rng = derive_rng(seed, "poincare", f.name)
     x = rng.standard_normal((n_samples, 1))
     vals = np.asarray(f.eval(x), dtype=float)
@@ -148,7 +134,7 @@ def poincare_gap(f: ScalarField, n_samples: int, seed: int):
 
 def gaussian_lsi_gap(f: ScalarField, n_samples: int, seed: int):
     """(plug-in Ent(f^2) estimate, 2 E||grad f||^2 estimate)."""
-    f.require_gradient()
+    f.validate_gradient()
     rng = derive_rng(seed, "lsi", f.name)
     x = rng.standard_normal((n_samples, f.dim))
     sq = np.asarray(f.eval(x), dtype=float) ** 2
@@ -171,7 +157,7 @@ def gaussian_lsi_gap(f: ScalarField, n_samples: int, seed: int):
 
 def herbst_cgf_gap(f: ScalarField, lam: float, n_samples: int, seed: int):
     """(log-MGF estimate at lam around the empirical mean, lam^2 L^2 / 2)."""
-    f.require_lipschitz()
+    f.validate_lipschitz()
     rng = derive_rng(seed, "herbst", f.name, format(lam, ".17g"))
     x = rng.standard_normal((n_samples, f.dim))
     vals = np.asarray(f.eval(x), dtype=float)
@@ -195,7 +181,7 @@ def lipschitz_tail_gap(f: ScalarField, t: float, n_samples: int, seed: int):
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    f.require_lipschitz()
+    f.validate_lipschitz()
     rng = derive_rng(seed, "lip-tail", f.name, format(t, ".17g"))
     x = rng.standard_normal((n_samples, f.dim))
     half = n_samples // 2

@@ -2,7 +2,10 @@
 
 A CheckReport records one verified inequality: lhs, rhs, Monte Carlo standard
 error (0 for exact checks), and the margin left by the owning contract.  The
-verdict is pass iff margin >= 0.
+verdict is pass iff margin >= 0.  A suite records a row through one of the
+three contracts of ``ReportCollector``, which compute the margin:
+``at_most`` (lhs <= rhs + tol), ``within`` (|rhs - lhs| <= tol) and ``mc``
+(lhs <= rhs + 3 combined Monte Carlo stderr).
 
 The CSV dialect, the 12 significant digits of a float, the JSON layout and the
 schema version are set here only.  Identical inputs render byte-identical
@@ -15,6 +18,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+
+from . import gaussian
 
 SCHEMA_VERSION = 1
 
@@ -87,6 +92,21 @@ class ReportCollector:
                           float(margin), int(self.seed), int(n_samples))
         self.reports.append(rep)
         return rep
+
+    def at_most(self, check, lhs, rhs, tol, n_samples) -> CheckReport:
+        """The exact contract lhs <= rhs + tol."""
+        return self.add(check, lhs, rhs, 0.0, rhs + tol - lhs, n_samples)
+
+    def within(self, check, lhs, rhs, tol, n_samples) -> CheckReport:
+        """The exact contract |rhs - lhs| <= tol."""
+        return self.add(check, lhs, rhs, 0.0, tol - abs(rhs - lhs), n_samples)
+
+    def mc(self, check, lhs, rhs, n_samples) -> CheckReport:
+        """The Monte Carlo contract lhs <= rhs + 3 combined stderr; rhs is an
+        estimate or exact."""
+        rhs = gaussian.as_estimate(rhs)
+        return self.add(check, lhs.mean, rhs.mean, lhs.stderr + rhs.stderr,
+                        gaussian.three_sigma_margin(lhs, rhs), n_samples)
 
     def content(self, file_format: str):
         """The report file's content, csv or json, for ``render``."""

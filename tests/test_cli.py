@@ -283,6 +283,16 @@ class TestDiscreteSuite:
         assert len(doc["reports"]) == 30
         assert all(r["verdict"] == "pass" for r in doc["reports"])
 
+    def test_only_the_equality_rows_are_two_sided(self):
+        reports = cli.run_discrete_check({"seed": 3, "instances": 25}).reports
+        for r in reports:
+            if r.check.startswith("duality-eq-"):
+                assert r.margin == cli.EXACT_TOL - abs(r.rhs - r.lhs)
+            else:
+                assert r.margin == r.rhs + cli.EXACT_TOL - r.lhs
+        assert any(r.check.startswith("duality-eq-") and r.rhs > r.lhs
+                   for r in reports)
+
 
 class TestGaussSuite:
     def test_small_battery(self, tmp_path):

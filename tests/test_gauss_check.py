@@ -12,8 +12,14 @@ import numpy as np
 import pytest
 
 from epkit import cli, fields, gaussian
-from epkit.cli import _add_mc
 from epkit.reports import ReportCollector, fmt
+
+
+def _add_mc(col, check, lhs, rhs, n_samples):
+    """The former cli._add_mc, verbatim."""
+    rhs = gaussian.as_estimate(rhs)
+    col.add(check, lhs.mean, rhs.mean, lhs.stderr + rhs.stderr,
+            gaussian.three_sigma_margin(lhs, rhs), n_samples)
 
 
 def former_run_gauss_check(cfg) -> ReportCollector:
