@@ -53,11 +53,10 @@ _D = Option("D", float, None, 0.0, "diameter bound; default: the diameter")
 _R = Option("R", float, 1.0, 0.0, "radius of the l1 ball")
 _SIGMA = Option("sigma", float, 1.0, 0.0, "scale of the Gaussian noise")
 _INSTANCES = Option("instances", int, 200, 1, "random instances")
+# the tail estimate of gauss-check keeps n - n // 2 samples, and an estimate
+# needs two
+_SAMPLES = Option("samples", int, 100000, 3, "Monte Carlo samples per estimate")
 COMMON = (Option("seed", int, 0, None, "seed of every random stream"),
-          # the tail estimate of gauss-check keeps n - n // 2 samples, and an
-          # estimate needs two
-          Option("samples", int, 100000, 3, "Monte Carlo samples per estimate"),
-          Option("trials", int, 200, 2, "regression trials per cell"),
           Option("out", str, ".", None, "directory of the output files"),
           Option("format", ("csv", "json"), "csv", None, "report file format"),
           Option("config", str, None, None, "JSON file of option values"))
@@ -70,15 +69,16 @@ OPTIONS = {
                 Option("nodes", int, 64, 2 * metric.FLOOR_OCTAVES,
                        "quadrature nodes of the integral")),
     "discrete-check": (_INSTANCES,),
-    "gauss-check": (Option("fields", int, 20, 1, "fields per battery"),),
-    "dudley": (_POINTS, _SIGMA, _D,
+    "gauss-check": (Option("fields", int, 20, 1, "fields per battery"), _SAMPLES),
+    "dudley": (_POINTS, _SIGMA, _D, _SAMPLES,
                Option("K", int, None, 0,
                       f"depth of the nets, at most {chaining.MAX_DEPTH}"),
                Option("refine", str, None, None, "finer cloud containing --points")),
     "regress": (Option("cls", ("linear", "l1"), "linear", None, "function class"),
                 Option("grid", str, None, None, "cells as n1:d1,n2:d2,..."),
                 Option("n", int, 64, 1, "observations without --grid"),
-                Option("d", int, 8, 1, "dimension without --grid"), _R, _SIGMA),
+                Option("d", int, 8, 1, "dimension without --grid"), _R, _SIGMA,
+                Option("trials", int, 200, 2, "regression trials per cell")),
     "maurey": (Option("d", int, 3, 1, "dictionary columns"),
                Option("n", int, 20, 1, "dictionary rows"), _R,
                Option("eps", float, 0.5, 0.0, "target distance"), _INSTANCES),

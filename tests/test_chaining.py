@@ -137,7 +137,7 @@ def hexes(values):
 
 
 class TestSampleMaxima:
-    @pytest.mark.parametrize("m", [1, 2, 33])
+    @pytest.mark.parametrize("m", [1, 2, 4, 5, 33, 65, 1000])
     @pytest.mark.parametrize("n", [1, 2, 3, 1025, 2049, 4097])
     def test_blocked_maxima_equal_dense_maxima(self, monkeypatch, m, n):
         monkeypatch.setattr(metric, "BLOCK_BYTES", 1)  # 1024-row blocks
@@ -151,6 +151,67 @@ class TestSampleMaxima:
         for rows in (np.arange(0, m, 2), np.array([m - 1])):
             assert (hexes(chaining.sample_maxima(scaled, noise, rows=rows))
                     == hexes(x[rows].max(axis=0)))
+
+    @pytest.mark.parametrize("k", [7, 11])
+    def test_points_on_a_facet_between_vertices_are_kept(self, k):
+        # the integer triangle x, y >= 0, x + y <= k: every point of the
+        # hypotenuse attains the exact maximum along (0.7, 0.7), and one
+        # between its two vertices rounds highest
+        points = np.array([(x, y) for x in range(k + 1) for y in range(k + 1 - x)],
+                          dtype=float)
+        noise = derive_rng(16, "facet", k).standard_normal((chaining.BLAS_ALIGN, 2))
+        noise[0] = 0.7
+        x = points @ noise.T
+        assert (hexes(chaining.sample_maxima(points, noise))
+                == hexes(x.max(axis=0)))
+
+    def test_points_just_inside_a_slanted_facet_are_kept(self):
+        # integer points of 5x + 6y <= 510 at spacing 0.1: qhull puts some
+        # points of the slanted facet a rounding error inside it, and along
+        # its normal one of them rounds highest
+        points = 0.1 * np.array([(x, y) for x in range(103) for y in range(86)
+                                 if 5 * x + 6 * y <= 510], dtype=float)
+        rng = derive_rng(18, "slanted")
+        noise = rng.standard_normal((chaining.BLAS_ALIGN, 2))
+        noise[:64] = np.outer(rng.uniform(0.3, 2.0, 64), [5.0, 6.0]) / np.sqrt(61.0)
+        assert (hexes(chaining.sample_maxima(points, noise))
+                == hexes((points @ noise.T).max(axis=0)))
+
+    def test_a_last_block_of_4_to_7_modulo_8_rows_is_multiplied_whole(
+            self, monkeypatch):
+        # OpenBLAS rounds the trailing entries of such a block by the number
+        # of rows multiplied, so it multiplies every row: the maxima are
+        # those of each block's product of every row
+        monkeypatch.setattr(metric, "BLOCK_BYTES", 1)
+        for tail in range(4, 8):
+            rng = derive_rng(19, "tail", tail)
+            scaled = rng.uniform(-1, 1, size=(65, 2))
+            noise = rng.standard_normal((3 * chaining.BLAS_ALIGN + tail, 2))
+            blocks = metric.blocks(len(noise), 8 * 65, align=chaining.BLAS_ALIGN)
+            expected = [(scaled @ noise[b].T).max(axis=0) for b in blocks]
+            assert (hexes(chaining.sample_maxima(scaled, noise))
+                    == hexes(np.concatenate(expected)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_tile_is_a_product_of_two_or_more_rows(self, monkeypatch, dim):
+        # at TILE_BYTES = 1 every tile holds two or three rows; a one-row
+        # product goes to gemv, which rounds differently
+        monkeypatch.setattr(chaining, "TILE_BYTES", 1)
+        rng = derive_rng(17, "tiles", dim)
+        scaled = rng.uniform(-1, 1, size=(1000, dim))
+        noise = rng.standard_normal((2 * chaining.BLAS_ALIGN, dim))
+        assert (hexes(chaining.sample_maxima(scaled, noise))
+                == hexes((scaled @ noise.T).max(axis=0)))
+
+    @pytest.mark.parametrize("dim, most", [(1, 2), (2, 40), (3, 120)])
+    def test_near_hull_rows_do_not_depend_on_scale(self, dim, most):
+        # qhull alone fails on a 3-D cloud from 1e100; the exact power-of-two
+        # rescaling keeps the same few rows at every scale
+        cloud = derive_rng(20, "scale", dim).uniform(-1, 1, size=(1000, dim))
+        near = chaining._near_hull_rows(cloud)
+        assert len(near) <= most
+        for scale in (1e-150, 1e100, 1e150):
+            assert (chaining._near_hull_rows(cloud * scale) == near * scale).all()
 
     def test_checks_stay_within_the_block_budget(self):
         s = random_cloud(derive_rng(15, "cloud1000"), 1000, 2)

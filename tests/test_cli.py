@@ -24,6 +24,11 @@ OUTSIDE_SQUARES = ("1e-320", "1e-200", "1e160", "1e200", "1e300")  # x^2: 0 or i
 # break, before any instance runs
 NAMED_LIMITS = {
     ("gauss-check", "--samples", "2"): "samples must be at least 3",
+    # an option is declared only by the suites that read it
+    ("cover", "--points", f"{DATA}/square.csv", "--samples", "7"):
+        "unrecognized arguments: --samples 7",
+    ("regress", "--samples", "3"): "unrecognized arguments: --samples 3",
+    ("maurey", "--trials", "5"): "unrecognized arguments: --trials 5",
     ("entropy", "--points", f"{DATA}/square.csv", "--nodes", "16"):
         "nodes must be at least 32",
     ("maurey", "--eps", "1e-3", "--instances", "1"):
@@ -146,6 +151,14 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert cli.main(["discrete-check", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("suite, key", [("discrete-check", "samples"),
+                                            ("maurey", "trials")])
+    def test_config_key_of_another_suite(self, suite, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 5}))
+        assert cli.main([suite, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"unknown config keys for {suite}: ['{key}']" in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path):
         assert cli.main(["discrete-check", "--config",
@@ -561,7 +574,8 @@ def test_suites_without_a_cloud_load_no_scipy(tmp_path):
 @pytest.mark.parametrize("suite", ["cover", "entropy", "dudley"])
 def test_point_cloud_suites_load_scipy_themselves(suite, points_csv, tmp_path):
     # a lazy import that leaned on a test module's imports would fail here
+    samples = ["--samples", "2000"] if suite == "dudley" else []
     code = ("import sys\nfrom epkit import cli\n"
             f"sys.exit(cli.main([{suite!r}, '--points', {points_csv!r}, "
-            f"'--samples', '2000', '--out', {str(tmp_path)!r}]))")
+            f"*{samples!r}, '--out', {str(tmp_path)!r}]))")
     fresh_interpreter(code)

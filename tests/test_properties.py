@@ -4,10 +4,11 @@ counts read off the farthest-point traversal, their monotonicity in the
 scale, the packing sandwich around the exact covering number, the linear
 class's closed-form inner supremum, the exact telescoping of chained
 increments, the stored projection maps against per-point chains, the
-blocked distance reductions against dense ones, the Efron-Stein and
-tensorization inequalities with the duality equality case, the
-product-space kernel against brute-force enumeration, and Maurey's
-unbiasedness and 1/k error law."""
+blocked distance reductions against dense ones, the near-hull Monte Carlo
+maxima against the whole product, the Efron-Stein and tensorization
+inequalities with the duality equality case, the product-space kernel
+against brute-force enumeration, and Maurey's unbiasedness and 1/k error
+law."""
 
 import itertools
 import math
@@ -192,6 +193,66 @@ def test_point_cloud_form_matches_its_distance_matrix(points, scale, depth,
     expected = np.concatenate(steps).min() if steps else 0.0
     assert (float(chaining.projection_step_margins(nets).min()).hex()
             == float(expected).hex())
+
+
+def hull_cloud(kind, m, dim, rng):
+    """m points of one kind; collinear clouds are 2-D and coplanar ones 3-D."""
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, size=(m, dim))
+    if kind == "gaussian":
+        return rng.standard_normal((m, dim))
+    if kind == "lattice":
+        return rng.integers(-3, 4, size=(m, dim)).astype(float)
+    if kind == "duplicated":
+        base = rng.uniform(-1.0, 1.0, size=(max(m // 3, 1), dim))
+        return base[rng.integers(0, len(base), m)]
+    u, v = rng.uniform(-1.0, 1.0, size=(2, m))
+    if kind == "collinear":
+        return np.c_[u, 0.5 * u + 0.25]
+    return np.c_[u, v, 0.3 * u - 0.7 * v]   # coplanar
+
+
+def blockwise_maxima(scaled, noise, rows):
+    """Every row multiplied one noise block of sample_maxima at a time, as
+    before the hull was taken: in 4 and 5 dimensions the blocks round a few
+    entries differently from one whole product."""
+    picked = slice(None) if rows is None else rows
+    return np.concatenate([
+        (scaled @ noise[b].T)[picked].max(axis=0)
+        for b in metric.blocks(len(noise), 8 * len(scaled),
+                               align=chaining.BLAS_ALIGN)])
+
+
+@PROPERTY
+@given(shape=st.one_of(
+           st.tuples(st.sampled_from(["uniform", "gaussian", "lattice", "duplicated"]),
+                     st.integers(1, 5)),
+           st.just(("collinear", 2)), st.just(("coplanar", 3))),
+       m=st.sampled_from([1, 2, 4, 5, 33, 65, 300]),
+       scale=st.sampled_from([1e-150, 1.0, 1e150]),
+       # 1000 and 2048 rows are multiplied in tiles at the default budget;
+       # 3076 is a block of 4 modulo 8 rows there, and the last of 1024-row
+       # blocks
+       n=st.sampled_from([1, 2, 1000, 1025, 2048, 3076, 4097]),
+       subset=st.sampled_from(["all", "one", "two", "many"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_maxima_match_the_whole_product(shape, m, scale, n, subset, seed):
+    (kind, dim), rng = shape, np.random.default_rng(seed)
+    points = hull_cloud(kind, m, dim, rng) * scale
+    scaled = 1.3 * (points - points[0])
+    noise = rng.standard_normal((n, dim))
+    size = {"all": m, "one": 1, "two": min(2, m), "many": max(m // 2, 1)}[subset]
+    rows = None if subset == "all" else rng.permutation(m)[:size]
+    whole = (scaled @ noise.T)[slice(None) if rows is None else rows].max(axis=0)
+    for budget in (metric.BLOCK_BYTES, 1):
+        with mock.patch.object(metric, "BLOCK_BYTES", budget):
+            got = hexes(chaining.sample_maxima(scaled, noise, rows))
+            assert got == hexes(blockwise_maxima(scaled, noise, rows))
+        # the blocks give the whole product's maxima in up to 3 dimensions
+        # when the last block holds 0 to 3 rows modulo 8; otherwise OpenBLAS
+        # rounds some trailing entries by the block's shape
+        if dim <= 3 and n % 8 < 4:
+            assert got == hexes(whole)
 
 
 @PROPERTY
