@@ -45,14 +45,15 @@ bit for bit:
    hold the computed maximum, whatever w is.
 2. On a block of a multiple of 8 noise rows, the rows of a product of
    two or more rows have the same bits as those rows in the product of
-   every row; a one-row product goes to gemv and does not.  So the kept
-   points are multiplied in tiles of at least two rows.  Other widths do
-   not keep this: at 4 to 7 modulo 8 from 196 noise rows up, OpenBLAS
-   0.3.31 (SkylakeX kernels) rounded the trailing entries by the number of
-   rows multiplied.  So a block of another width, only ever the last one,
-   multiplies every point.
+   every row; a one-row product goes to gemv and does not.  The kept
+   points hold every vertex of the hull, so at least three, and are
+   multiplied as one product.  Other widths do not keep this: at 4 to 7
+   modulo 8 from 196 noise rows up, OpenBLAS 0.3.31 (SkylakeX kernels)
+   rounded the trailing entries by the number of rows multiplied.  So a
+   block of another width, only ever the last one, multiplies every point,
+   and no hull is taken when no block has a multiple of 8 rows.
 
-Every point is multiplied as well in more than 3 dimensions, below 4
+Every point is multiplied as well outside 2 and 3 dimensions, below 4
 points, and when qhull fails, returns non-finite facets or leaves out one
 of its own vertices.
 """
@@ -74,12 +75,10 @@ MAX_DEPTH = 48
 BLAS_ALIGN = 1024   # noise rows; see the module docstring
 # noise rows: only a block of a multiple of this many multiplies the points
 # near the hull alone (see the module docstring)
-TILE_ALIGN = 8
+HULL_ALIGN = 8
 # depth below the hull's boundary, relative to the largest |coordinate|, from
 # which a point cannot hold a sample maximum (see the module docstring)
 HULL_REL = 1e-9
-# bytes of one product tile of sample_maxima, to stay in a core's L2 cache
-TILE_BYTES = 256 * 2 ** 10
 
 
 class DepthError(ValueError):
@@ -122,15 +121,11 @@ def _near_hull_rows(cloud: np.ndarray):
     docstring)."""
     m, dim = cloud.shape
     top = float(np.abs(cloud).max(initial=0.0))
-    if dim > 3 or m < 4 or not 0.0 < top < math.inf:
+    if dim not in (2, 3) or m < 4 or not 0.0 < top < math.inf:
         return None
     # an exact power-of-two rescaling: qhull failed on 2-D clouds at 1e200
     # and on 3-D clouds from 1e100
     x = np.ldexp(cloud, -math.frexp(top)[1])
-    if dim == 1:
-        x = x[:, 0]
-        near = (x <= x.min() + HULL_REL) | (x >= x.max() - HULL_REL)
-        return cloud[near]
     from scipy.spatial import ConvexHull, QhullError   # see metric._cdist
 
     try:
@@ -147,16 +142,6 @@ def _near_hull_rows(cloud: np.ndarray):
     return cloud[near] if near[hull.vertices].all() else None
 
 
-def _tiles(m: int, width: int) -> list:
-    """Slices covering range(m), m >= 2, of at least two rows each, whose
-    products with width noise rows take about TILE_BYTES; the last absorbs
-    the remainder."""
-    step = max(TILE_BYTES // (8 * width), 2)
-    count = max(m // step, 1)
-    return [slice(i * step, m if i == count - 1 else (i + 1) * step)
-            for i in range(count)]
-
-
 def sample_maxima(scaled: np.ndarray, noise: np.ndarray, rows=None) -> np.ndarray:
     """For each noise row w, the maximum of scaled @ w over rows (all rows
     by default), computed one block of noise rows at a time.
@@ -164,23 +149,24 @@ def sample_maxima(scaled: np.ndarray, noise: np.ndarray, rows=None) -> np.ndarra
     The values are those of (scaled @ noise[b].T)[rows].max(axis=0) over
     the blocks b bit for bit, and so those of the whole product where the
     module docstring says.  A block of a multiple of 8 noise rows multiplies
-    only the rows near the convex hull of scaled[rows], in tiles of at
-    least two rows folded by np.maximum: a row deeper inside cannot hold a
-    maximum, and a product of two or more rows rounds each as the product
-    of every row does.  Any other block, and every block where no hull is
-    taken, multiplies every row of scaled and takes the subset afterwards.
+    only the rows near the convex hull of scaled[rows], three or more: a
+    row deeper inside cannot hold a maximum, and a product of two or more
+    rows rounds each as the product of every row does.  Any other block,
+    and every block where no hull is taken, multiplies every row of scaled
+    and takes the subset afterwards.
     """
-    near = _near_hull_rows(scaled if rows is None else scaled[rows])
+    blocks = metric.blocks(len(noise), 8 * len(scaled), align=BLAS_ALIGN)
+    near = None
+    if any((b.stop - b.start) % HULL_ALIGN == 0 for b in blocks):
+        near = _near_hull_rows(scaled if rows is None else scaled[rows])
     out = np.empty(len(noise))
-    for b in metric.blocks(len(noise), 8 * len(scaled), align=BLAS_ALIGN):
+    for b in blocks:
         w = noise[b].T
-        if near is None or w.shape[1] % TILE_ALIGN:
+        if near is None or w.shape[1] % HULL_ALIGN:
             x = scaled @ w
             out[b] = (x if rows is None else x[rows]).max(axis=0)
-            continue
-        out[b] = -np.inf
-        for t in _tiles(len(near), w.shape[1]):
-            np.maximum(out[b], (near[t] @ w).max(axis=0), out=out[b])
+        else:
+            out[b] = (near @ w).max(axis=0)
     return out
 
 

@@ -192,18 +192,24 @@ class TestSampleMaxima:
             assert (hexes(chaining.sample_maxima(scaled, noise))
                     == hexes(np.concatenate(expected)))
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_every_tile_is_a_product_of_two_or_more_rows(self, monkeypatch, dim):
-        # at TILE_BYTES = 1 every tile holds two or three rows; a one-row
-        # product goes to gemv, which rounds differently
-        monkeypatch.setattr(chaining, "TILE_BYTES", 1)
-        rng = derive_rng(17, "tiles", dim)
-        scaled = rng.uniform(-1, 1, size=(1000, dim))
-        noise = rng.standard_normal((2 * chaining.BLAS_ALIGN, dim))
+    @pytest.mark.parametrize("n", [1, 3, 7, 1029])
+    def test_no_hull_is_taken_without_a_block_of_a_multiple_of_8_rows(
+            self, monkeypatch, n):
+        def refuse(cloud):
+            raise AssertionError("hull taken")
+        monkeypatch.setattr(chaining, "_near_hull_rows", refuse)
+        rng = derive_rng(17, "unaligned", n)
+        scaled = rng.uniform(-1, 1, size=(100, 2))
+        noise = rng.standard_normal((n, 2))
         assert (hexes(chaining.sample_maxima(scaled, noise))
                 == hexes((scaled @ noise.T).max(axis=0)))
 
-    @pytest.mark.parametrize("dim, most", [(1, 2), (2, 40), (3, 120)])
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_only_2_and_3_dimensional_clouds_take_the_hull(self, dim):
+        cloud = derive_rng(21, "dims", dim).uniform(-1, 1, size=(100, dim))
+        assert chaining._near_hull_rows(cloud) is None
+
+    @pytest.mark.parametrize("dim, most", [(2, 40), (3, 120)])
     def test_near_hull_rows_do_not_depend_on_scale(self, dim, most):
         # qhull alone fails on a 3-D cloud from 1e100; the exact power-of-two
         # rescaling keeps the same few rows at every scale

@@ -230,7 +230,7 @@ def blockwise_maxima(scaled, noise, rows):
            st.just(("collinear", 2)), st.just(("coplanar", 3))),
        m=st.sampled_from([1, 2, 4, 5, 33, 65, 300]),
        scale=st.sampled_from([1e-150, 1.0, 1e150]),
-       # 1000 and 2048 rows are multiplied in tiles at the default budget;
+       # 1000 and 2048 rows take the near-hull path at the default budget;
        # 3076 is a block of 4 modulo 8 rows there, and the last of 1024-row
        # blocks
        n=st.sampled_from([1, 2, 1000, 1025, 2048, 3076, 4097]),
