@@ -32,11 +32,12 @@ product, and the maxima are those of the blocks.
 
 A linear functional attains its maximum over a finite set on the set's
 convex hull, so a block of a multiple of 8 noise rows multiplies only the
-points near the hull's boundary: those within ``HULL_REL`` (relative to the
-largest |coordinate|) of it, by qhull's facets (Barber, Dobkin &
-Huhdanpaa, ACM TOMS 1996).  A uniform 2-D cloud of 1000 points keeps about
-20.  Two facts keep the maxima those of the block's product of every point
-bit for bit:
+points near the hull's boundary: those that ``metric._near_hull_rows``
+finds within ``metric.HULL_REL`` (relative to the largest |coordinate|) of
+it, by qhull's facets (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996); the
+farthest-point traversal takes its diameter from the same points.  A
+uniform 2-D cloud of 1000 points keeps about 20.  Two facts keep the maxima
+those of the block's product of every point bit for bit:
 
 1. A point at depth rho >= HULL_REL S inside the hull, S the largest
    |coordinate|, has the exact value at most h(w) - rho ||w||, h(w) the
@@ -53,14 +54,14 @@ bit for bit:
    block of another width, only ever the last one, multiplies every point,
    and no hull is taken when no block has a multiple of 8 rows.
 
-Every point is multiplied as well outside 2 and 3 dimensions, below 4
-points, and when qhull fails, returns non-finite facets or leaves out one
-of its own vertices.
+Every point is multiplied as well where ``metric._near_hull_rows`` takes
+no near-hull set: outside 2 and 3 dimensions, below 4 points, and when
+qhull fails, returns non-finite facets or leaves out one of its own
+vertices.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +77,6 @@ BLAS_ALIGN = 1024   # noise rows; see the module docstring
 # noise rows: only a block of a multiple of this many multiplies the points
 # near the hull alone (see the module docstring)
 HULL_ALIGN = 8
-# depth below the hull's boundary, relative to the largest |coordinate|, from
-# which a point cannot hold a sample maximum (see the module docstring)
-HULL_REL = 1e-9
 
 
 class DepthError(ValueError):
@@ -115,33 +113,6 @@ class CanonicalProcess:
         return self.coefficients(points, points[0]) @ noise.T
 
 
-def _near_hull_rows(cloud: np.ndarray):
-    """The rows of cloud within HULL_REL of its convex hull's boundary, in
-    order, or None where every row must be multiplied (see the module
-    docstring)."""
-    m, dim = cloud.shape
-    top = float(np.abs(cloud).max(initial=0.0))
-    if dim not in (2, 3) or m < 4 or not 0.0 < top < math.inf:
-        return None
-    # an exact power-of-two rescaling: qhull failed on 2-D clouds at 1e200
-    # and on 3-D clouds from 1e100
-    x = np.ldexp(cloud, -math.frexp(top)[1])
-    from scipy.spatial import ConvexHull, QhullError   # see metric._cdist
-
-    try:
-        hull = ConvexHull(x)
-    except QhullError:
-        return None
-    if not np.isfinite(hull.equations).all():
-        return None
-    normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
-    depth = np.empty(m)
-    for b in metric.blocks(m, 8 * len(offsets)):
-        depth[b] = (x[b] @ normals.T + offsets).max(axis=1)
-    near = depth >= -HULL_REL
-    return cloud[near] if near[hull.vertices].all() else None
-
-
 def sample_maxima(scaled: np.ndarray, noise: np.ndarray, rows=None) -> np.ndarray:
     """For each noise row w, the maximum of scaled @ w over rows (all rows
     by default), computed one block of noise rows at a time.
@@ -158,7 +129,9 @@ def sample_maxima(scaled: np.ndarray, noise: np.ndarray, rows=None) -> np.ndarra
     blocks = metric.blocks(len(noise), 8 * len(scaled), align=BLAS_ALIGN)
     near = None
     if any((b.stop - b.start) % HULL_ALIGN == 0 for b in blocks):
-        near = _near_hull_rows(scaled if rows is None else scaled[rows])
+        cloud = scaled if rows is None else scaled[rows]
+        idx = metric._near_hull_rows(cloud)
+        near = None if idx is None else cloud[idx]
     out = np.empty(len(noise))
     for b in blocks:
         w = noise[b].T

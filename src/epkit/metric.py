@@ -11,9 +11,39 @@ follows the block budget ``BLOCK_BYTES``, not n².  A cloud's distances come
 from scipy's ``cdist``, imported on the first call (see ``_distances``), so
 suites that never read a cloud do not load ``scipy.spatial``.
 
-Maximal packings come from one farthest-point traversal.  Its insertion
-radii are nonincreasing, so the packing at scale eps is a prefix of one
-fixed ordering and the covering upper bounds are monotone in eps.
+Maximal packings come from one farthest-point traversal (Gonzalez 1985).
+Its insertion radii are nonincreasing, so the packing at scale eps is a
+prefix of one fixed ordering and the covering upper bounds are monotone in
+eps.
+
+Windows (Elkan, ICML 2003).  Let r0(p) = d(p, 0), the first row read,
+mind(p) the distance from p to the selection and r its maximum.  The next
+center c has |r0(p) - r0(c)| <= d(p, c), so a point with |r0(p) - r0(c)| >
+r + slack has d(p, c) >= r >= mind(p) and keeps its mind.  Sorted by r0,
+the other points form one window, and a 2-D or 3-D cloud computes only
+their distances to c.  The argument runs on cdist's values before
+``_distances`` scales them back; there a distance D of dim-vectors rounds
+by at most (dim + 2) 2^-53 D + dim 2^-537 (the roundoffs of differences,
+squares, sum and root, and sqrt(dim 2^-1074) from squares that underflow).
+slack = dim (2^-48 K + 2^-534), K >= r the largest r0, is more than twice
+what the three distances and the window's rounded edges need.  Scaling
+back commutes with the minimum but can merge values into one subnormal or
+inf, so mind keeps a scaled twin that bounds the window, while the
+scaled-back mind alone decides the argmax and the radii.
+
+Diameter.  A point p at depth rho inside the convex hull is, for every q,
+at least rho closer to q than the vertex v maximizing <x, u>, u the unit
+vector along p - q: d(v, q) >= <v - q, u> >= <p - q, u> + rho = d(p, q) +
+rho.  From ``HULL_REL`` S on, S the largest |coordinate|, rho dwarfs any
+rounding (about 1e-15 S), so every point's largest computed distance is to
+a point of ``_near_hull_rows``.  Both ends of the largest pair are thus
+near-hull points, and the diameter of a 2-D or 3-D cloud is the largest
+distance among them; where no such set is taken, it is the largest in the
+selected rows, read whole after the traversal.  A matrix, whose triangle
+inequality holds only within ``_tolerance`` (checked on sampled triples
+above 200 points), and a cloud in other dimensions read each selected row
+whole during the traversal, and the diameter is their maximum.  Either way
+order, radii and diameter are those of whole rows bit for bit.
 """
 
 from __future__ import annotations
@@ -29,13 +59,8 @@ class MetricValidationError(ValueError):
     """Distance data is not a pseudo-metric."""
 
 
-class SizeLimitError(ValueError):
-    """Instance exceeds an enumeration budget."""
-
-
 _EXHAUSTIVE_TRIANGLE_LIMIT = 200
 _SAMPLED_TRIANGLES = 20000
-_EXACT_COVER_LIMIT = 25
 # relative tolerance of the pseudo-metric checks (see _tolerance)
 _FP_TOL = 1e-9
 # octaves below the top scale covered by the entropy integral's quadrature;
@@ -44,6 +69,9 @@ FLOOR_OCTAVES = 16
 # largest block of a blocked reduction, in bytes: the distance reductions
 # here and the Monte Carlo maxima of epkit.chaining
 BLOCK_BYTES = 32 * 2 ** 20
+# depth inside a cloud's convex hull, relative to its largest |coordinate|,
+# from which a point is left out by _near_hull_rows
+HULL_REL = 1e-9
 
 
 def blocks(n: int, row_bytes: int, align: int = 1) -> list:
@@ -112,6 +140,35 @@ def reject_nonfinite(rows) -> None:
     if bad.size:
         raise MetricValidationError(f"non-finite entry in row {bad[0]} "
                                     "(counting from 0)")
+
+
+def _near_hull_rows(cloud: np.ndarray):
+    """Indices, ascending, of the rows of cloud within HULL_REL of its convex
+    hull's boundary, or None outside 2 and 3 dimensions, below 4 points, and
+    when qhull fails, returns non-finite facets or leaves out one of its own
+    vertices.  A deeper row holds no linear functional's maximum (see
+    ``epkit.chaining``) and no point's farthest distance."""
+    m, dim = cloud.shape
+    top = float(np.abs(cloud).max(initial=0.0))
+    if dim not in (2, 3) or m < 4 or not 0.0 < top < math.inf:
+        return None
+    # an exact power-of-two rescaling: qhull failed on 2-D clouds at 1e200
+    # and on 3-D clouds from 1e100
+    x = np.ldexp(cloud, -math.frexp(top)[1])
+    from scipy.spatial import ConvexHull, QhullError   # see _cdist
+
+    try:
+        hull = ConvexHull(x)
+    except QhullError:
+        return None
+    if not np.isfinite(hull.equations).all():
+        return None
+    normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
+    depth = np.empty(m)
+    for b in blocks(m, 8 * len(offsets)):
+        depth[b] = (x[b] @ normals.T + offsets).max(axis=1)
+    near = depth >= -HULL_REL
+    return np.flatnonzero(near) if near[hull.vertices].all() else None
 
 
 class FiniteMetricSet:
@@ -229,9 +286,12 @@ class FiniteMetricSet:
         points (inf for the first).  The sequence is nonincreasing, so
         {order[j] : radii[j] > eps} is a maximal eps-packing for every eps.
         order is a permutation: once every point lies at distance 0 from the
-        selection, the rest follow in index order with radius 0.  It reads
-        each selected row once, and the diameter is the maximum of those rows
-        (a point at distance 0 from a selected one has that one's row).
+        selection, the rest follow in index order with radius 0.
+
+        A 2-D or 3-D cloud reads only windows of the selected rows (see the
+        module docstring).  Other sets read them whole, and the diameter is
+        their maximum (a point at distance 0 from a selected one has that
+        one's row).
         """
         if self._traversal is not None:
             return self._traversal[:2]
@@ -239,18 +299,51 @@ class FiniteMetricSet:
         order = np.empty(n, dtype=int)
         radii = np.zeros(n)
         mind = np.full(n, np.inf)   # -inf marks a selected point
-        diameter = -np.inf
+        diameter, smind = -np.inf, mind
+        windowed = self.points is not None and n > 0 and self._scaled.shape[1] in (2, 3)
+        if windowed:
+            # the window's key: distances to point 0 in the scaled domain of
+            # _distances, where mind has its twin smind
+            cloud = self._scaled
+            r0 = _cdist()(cloud[:1], cloud)[0]
+            perm = np.argsort(r0, kind="stable")
+            keys, ordered = r0[perm], cloud[perm]
+            slack = cloud.shape[1] * (2.0 ** -48 * keys[-1] + 2.0 ** -534)
+            smind = mind.copy() if self._exp else mind
         for i in range(n):
             # argmax takes the lowest index on ties, so index 0 comes first
-            nxt = int(np.argmax(mind))
-            if mind[nxt] <= 0:
+            nxt = int(mind.argmax())
+            r = mind[nxt]
+            if r <= 0:
                 order[i:] = np.flatnonzero(mind > -np.inf)
                 break
-            order[i], radii[i] = nxt, mind[nxt]
-            row = self.rows(nxt)
-            diameter = max(diameter, float(row.max()))
-            np.minimum(mind, row, out=mind)
-            mind[nxt] = -np.inf
+            order[i], radii[i] = nxt, r
+            if not windowed:
+                row = self.rows(nxt)
+                diameter = max(diameter, float(row.max()))
+                np.minimum(mind, row, out=mind)
+            else:
+                # no point outside |r0(p) - r0(nxt)| <= r + slack can move
+                width = float(r if smind is mind else smind.max()) + slack
+                lo = int(keys.searchsorted(r0[nxt] - width, side="left"))
+                hi = int(keys.searchsorted(r0[nxt] + width, side="right"))
+                idx = perm[lo:hi]
+                row = _cdist()(cloud[nxt:nxt + 1], ordered[lo:hi])[0]
+                smind[idx] = np.minimum(smind[idx], row, out=row)
+                if smind is not mind:
+                    with np.errstate(over="ignore"):
+                        mind[idx] = np.ldexp(smind[idx], self._exp)
+            mind[nxt] = smind[nxt] = -np.inf
+        if windowed:
+            # the near-hull set comes after the loop: its matrix product can
+            # leave OpenBLAS threads spinning, which slowed the loop's steps
+            # by about 1.6x on two cores.  Without it, every selected row is
+            # read whole
+            near = _near_hull_rows(cloud)
+            ends, cols = ((order[radii > 0], cloud) if near is None
+                          else (near, cloud[near]))
+            diameter = max(float(_distances(cloud[ends[b]], cols, self._exp).max())
+                           for b in blocks(len(ends), 8 * len(cols)))
         self._traversal = (order, radii, diameter if n else 0.0)
         return order, radii
 
@@ -314,66 +407,9 @@ def covering_number_bounds(eps: float, s: FiniteMetricSet) -> CoveringBounds:
                           upper=len(witness), witness=witness)
 
 
-def exact_covering_number(eps: float, s: FiniteMetricSet) -> int:
-    """Exact minimal internal eps-net cardinality by branch-and-bound search.
-
-    Only for small instances (|s| <= 25); used as the test oracle against the
-    greedy bounds.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    n = s.n
-    if n > _EXACT_COVER_LIMIT:
-        raise SizeLimitError(f"exact covering number limited to {_EXACT_COVER_LIMIT} points")
-    if n == 0:
-        return 0
-    masks = []
-    for c in range(n):
-        m = 0
-        for p in np.nonzero(s.rows(c) <= eps)[0]:
-            m |= 1 << int(p)
-        masks.append(m)
-    full = (1 << n) - 1
-    max_ball = max(m.bit_count() for m in masks)
-
-    # greedy cover for the initial incumbent
-    best = 0
-    uncovered = full
-    while uncovered:
-        pick = max(range(n), key=lambda c: (masks[c] & uncovered).bit_count())
-        uncovered &= ~masks[pick]
-        best += 1
-
-    covers_point = [[c for c in range(n) if masks[c] >> p & 1] for p in range(n)]
-
-    def dfs(uncovered, count, best):
-        if uncovered == 0:
-            return count
-        need = -((uncovered.bit_count()) // -max_ball)  # ceil division
-        if count + need >= best:
-            return best
-        # branch on the uncovered point with the fewest candidate centers
-        p = min((q for q in range(n) if uncovered >> q & 1),
-                key=lambda q: len(covers_point[q]))
-        for c in sorted(covers_point[p],
-                        key=lambda c: -(masks[c] & uncovered).bit_count()):
-            best = dfs(uncovered & ~masks[c], count + 1, best)
-        return best
-
-    return dfs(full, 0, best)
-
-
-def metric_entropy(eps: float, s: FiniteMetricSet) -> float:
-    """log of the covering upper bound; 0 when one ball suffices.
-
-    The count is the greedy (farthest-point) upper bound, not the exact
-    minimum, so entropies are conservative and monotone in eps.
-    """
-    return float(entropies(covering_counts(s, eps)))
-
-
 def entropy_integral(s: FiniteMetricSet, D: float, nodes: int = 64) -> float:
-    """Upper Riemann sum of sqrt(metric_entropy) over (0, D].
+    """Upper Riemann sum of the square root of the metric entropy,
+    entropies(covering_counts(s, eps)), over eps in (0, D].
 
     Left endpoints on a geometric grid give an upper sum because the
     integrand is nonincreasing in eps.  The grid is anchored at the largest
@@ -417,7 +453,8 @@ def dyadic_sums(s: FiniteMetricSet, D: float, K: int) -> list:
 
 
 def dyadic_sum(s: FiniteMetricSet, D: float, K: int) -> float:
-    """sum_{k<K} eps_k sqrt(metric_entropy(eps_k)) at scales eps_k = D 2^-k."""
+    """sum_{k<K} eps_k sqrt(H(eps_k)) at scales eps_k = D 2^-k, H the metric
+    entropy entropies(covering_counts(s, eps))."""
     return dyadic_sums(s, D, K)[-1]
 
 

@@ -10,9 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from epkit import chaining, metric
+from epkit import chaining, cli, metric
 from epkit.gaussian import McEstimate, three_sigma_margin
 from epkit.rng import derive_rng
+from exact_cover import exact_covering_number
 
 SEED = 2024
 
@@ -81,7 +82,7 @@ class TestDyadicNets:
             s = random_cloud(rng, int(rng.integers(5, 20)), 2)
             nets = chaining.build_dyadic_nets(s, K=3)
             for lv in nets.levels:
-                exact = metric.exact_covering_number(lv.eps / 4.0, s)
+                exact = exact_covering_number(lv.eps / 4.0, s)
                 assert len(lv.net) <= exact
 
     def test_default_depth_saturates(self):
@@ -197,7 +198,7 @@ class TestSampleMaxima:
             self, monkeypatch, n):
         def refuse(cloud):
             raise AssertionError("hull taken")
-        monkeypatch.setattr(chaining, "_near_hull_rows", refuse)
+        monkeypatch.setattr(metric, "_near_hull_rows", refuse)
         rng = derive_rng(17, "unaligned", n)
         scaled = rng.uniform(-1, 1, size=(100, 2))
         noise = rng.standard_normal((n, 2))
@@ -207,17 +208,36 @@ class TestSampleMaxima:
     @pytest.mark.parametrize("dim", [1, 4])
     def test_only_2_and_3_dimensional_clouds_take_the_hull(self, dim):
         cloud = derive_rng(21, "dims", dim).uniform(-1, 1, size=(100, dim))
-        assert chaining._near_hull_rows(cloud) is None
+        assert metric._near_hull_rows(cloud) is None
 
     @pytest.mark.parametrize("dim, most", [(2, 40), (3, 120)])
     def test_near_hull_rows_do_not_depend_on_scale(self, dim, most):
         # qhull alone fails on a 3-D cloud from 1e100; the exact power-of-two
         # rescaling keeps the same few rows at every scale
         cloud = derive_rng(20, "scale", dim).uniform(-1, 1, size=(1000, dim))
-        near = chaining._near_hull_rows(cloud)
-        assert len(near) <= most
+        near = metric._near_hull_rows(cloud)
+        assert len(near) <= most and (np.diff(near) > 0).all()
         for scale in (1e-150, 1e100, 1e150):
-            assert (chaining._near_hull_rows(cloud * scale) == near * scale).all()
+            assert np.array_equal(metric._near_hull_rows(cloud * scale), near)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_dudley_reports_do_not_depend_on_the_hull(self, monkeypatch,
+                                                      tmp_path, dim):
+        # the hull only saves work: with no near-hull set, sample_maxima
+        # multiplies every point and the traversal takes the diameter from
+        # every selected row, and every report byte stays
+        rng = derive_rng(22, "no-hull", dim)
+        cloud = rng.uniform(-1, 1, size=(400, dim))
+        cloud[rng.integers(0, 400, 40)] = cloud[rng.integers(0, 400, 40)]
+        np.savetxt(tmp_path / "pts.csv", cloud, delimiter=",", fmt="%.17g")
+        args = ["dudley", "--points", str(tmp_path / "pts.csv"),
+                "--samples", "4096", "--seed", "3", "--out"]
+        assert cli.main([*args, str(tmp_path / "hull")]) == 0
+        monkeypatch.setattr(metric, "_near_hull_rows", lambda cloud: None)
+        assert cli.main([*args, str(tmp_path / "whole")]) == 0
+        for name in ("dudley_reports.csv", "dudley_profile.csv"):
+            assert ((tmp_path / "hull" / name).read_bytes()
+                    == (tmp_path / "whole" / name).read_bytes())
 
     def test_checks_stay_within_the_block_budget(self):
         s = random_cloud(derive_rng(15, "cloud1000"), 1000, 2)

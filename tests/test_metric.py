@@ -1,7 +1,8 @@
 """Covering/packing calculus tests.
 
 Oracle checklist:
-- exact_covering_number (branch and bound) validates the greedy sandwich;
+- exact_covering_number (branch and bound, tests/exact_cover.py) validates
+  the greedy sandwich;
 - closed-form entropy integral of small sets validates the quadrature;
 - Euclidean ball bound checked against exact covers of sampled ball subsets.
 """
@@ -14,6 +15,11 @@ from scipy.spatial.distance import cdist
 
 from epkit import metric
 from epkit.rng import derive_rng
+from exact_cover import SizeLimitError, exact_covering_number
+
+
+def entropy(eps, s):
+    return float(metric.entropies(metric.covering_counts(s, eps)))
 
 
 def line_set(*xs):
@@ -157,6 +163,89 @@ class TestFiniteMetricSet:
         assert peak < metric.BLOCK_BYTES
 
 
+def full_row_traversal(s):
+    """(order, radii, diameter) as the traversal found them before it read
+    windows: every selected row whole, the diameter their maximum."""
+    n = s.n
+    order = np.empty(n, dtype=int)
+    radii = np.zeros(n)
+    mind = np.full(n, np.inf)   # -inf marks a selected point
+    diameter = -np.inf
+    for i in range(n):
+        # argmax takes the lowest index on ties, so index 0 comes first
+        nxt = int(np.argmax(mind))
+        if mind[nxt] <= 0:
+            order[i:] = np.flatnonzero(mind > -np.inf)
+            break
+        order[i], radii[i] = nxt, mind[nxt]
+        row = s.rows(nxt)
+        diameter = max(diameter, float(row.max()))
+        np.minimum(mind, row, out=mind)
+        mind[nxt] = -np.inf
+    return order, radii, diameter if n else 0.0
+
+
+def assert_matches_whole_rows(s):
+    order, radii = s.farthest_point_order()
+    ref_order, ref_radii, ref_diameter = full_row_traversal(s)
+    assert order.tolist() == ref_order.tolist()
+    assert [r.hex() for r in radii] == [r.hex() for r in ref_radii]
+    assert s.diameter.hex() == ref_diameter.hex()
+
+
+class TestWindowedTraversal:
+    @pytest.mark.parametrize("scale", [1.0, 1e-316])
+    def test_matches_whole_rows_on_5000_points(self, monkeypatch, scale):
+        # at 1e-316 the coordinates are subnormal, and so are the distances
+        # once scaled back: some merge into one value (21 radii repeat), so
+        # the argmax breaks ties that the scaled distances do not have
+        pts = derive_rng(3, "window").uniform(0, 1, size=(5000, 2)) * scale
+        cdist_ = metric._cdist()
+        computed = []
+        monkeypatch.setattr(metric, "_cdist", lambda: lambda a, b: (
+            computed.append(len(a) * len(b)) or cdist_(a, b)))
+        s = metric.FiniteMetricSet.from_points(pts)
+        # the windows and the near-hull rows hold a few percent of n^2
+        assert sum(computed) < 0.1 * s.n ** 2
+        assert_matches_whole_rows(s)
+
+    def test_window_edges_carry_the_rounding_slack(self):
+        # points 4, 5, 7 and 6 times v on a line through point 0, and one
+        # off it: there |r0(p) - r0(c)| = d(p, c) exactly, and rounded it
+        # exceeds the computed d(p, c), so a window without the slack leaves
+        # out a point whose distance to the selection drops
+        v = [0.7346407311889063, 0.8765026053784535]
+        pts = np.vstack([np.outer([0.0, 4.0, 5.0, 7.0, 6.0], v),
+                         [[-2.6057772395040075, -2.2132022962842335]]])
+        assert_matches_whole_rows(metric.FiniteMetricSet.from_points(pts))
+
+    def test_diameter_reads_the_band_beside_the_vertices(self):
+        # points 1 and 3, and 4 and 5, lie a few ulps apart; scipy 1.17's
+        # qhull keeps 3 and 5 as vertices, yet the computed diameter is
+        # d(1, 4), one ulp above d(3, 5): the HULL_REL band holds 1 and 4
+        pts = np.array([[1.1237184400681461, 0.8185524198853207],
+                        [0.8703616108749258, 1.084085726759884],
+                        [-1.3832084928934716, 0.1396619555808713],
+                        [0.8703616108749255, 1.084085726759884],
+                        [-0.6201238758010941, -1.244273914904082],
+                        [-0.6201238758010938, -1.2442739149040825]])
+        s = metric.FiniteMetricSet.from_points(pts)
+        assert metric._near_hull_rows(pts) is not None
+        assert s.diameter.hex() == float(cdist(pts, pts).max()).hex()
+
+    def test_a_matrix_reads_whole_rows(self):
+        # the triangle 0, 2, 3 fails by 2e-10, inside the 4e-9 tolerance: a
+        # window around point 2 at radius 1 would leave out point 3, whose
+        # distance to the selection drops from 1 to 1 - 1e-10
+        d = np.array([[0.0, 3.0, 1.0, 2.0 + 1e-10],
+                      [3.0, 0.0, 2.0, 1.0],
+                      [1.0, 2.0, 0.0, 1.0 - 1e-10],
+                      [2.0 + 1e-10, 1.0, 1.0 - 1e-10, 0.0]])
+        order, radii = metric.FiniteMetricSet(d).farthest_point_order()
+        assert order.tolist() == [0, 1, 2, 3]
+        assert radii.tolist() == [np.inf, 3.0, 1.0, 1.0 - 1e-10]
+
+
 class TestIsEpsilonNet:
     def test_grid_net(self, grid101):
         assert metric.is_epsilon_net([25, 75], 0.25, grid101)
@@ -218,21 +307,21 @@ class TestCoveringNumbers:
         assert (b.lower, b.upper) == (1, 1)
 
     def test_exact_examples(self):
-        assert metric.exact_covering_number(0.4, line_set(0.0, 1.0)) == 2
-        assert metric.exact_covering_number(1.0, line_set(5.0)) == 1
-        assert metric.exact_covering_number(0.5, line_set(0.0, 0.5, 1.0)) == 1
+        assert exact_covering_number(0.4, line_set(0.0, 1.0)) == 2
+        assert exact_covering_number(1.0, line_set(5.0)) == 1
+        assert exact_covering_number(0.5, line_set(0.0, 0.5, 1.0)) == 1
 
     def test_exact_rejects_large_instance(self):
         pts = np.arange(26, dtype=float)[:, None]
-        with pytest.raises(metric.SizeLimitError):
-            metric.exact_covering_number(1.0, metric.FiniteMetricSet.from_points(pts))
+        with pytest.raises(SizeLimitError):
+            exact_covering_number(1.0, metric.FiniteMetricSet.from_points(pts))
 
     def test_upper_dominates_exact_random_square(self):
         rng = derive_rng(11, "square")
         pts = rng.uniform(0, 1, size=(20, 2))
         s = metric.FiniteMetricSet.from_points(pts)
         b = metric.covering_number_bounds(0.1, s)
-        assert b.upper >= metric.exact_covering_number(0.1, s)
+        assert b.upper >= exact_covering_number(0.1, s)
 
     def test_packing_covering_sandwich_sweep(self):
         rng = derive_rng(17, "sandwich")
@@ -241,7 +330,7 @@ class TestCoveringNumbers:
             pts = rng.uniform(0, 1, size=(n, int(rng.integers(1, 4))))
             s = metric.FiniteMetricSet.from_points(pts)
             eps = float(rng.uniform(0.1, 0.8))
-            exact = metric.exact_covering_number(eps, s)
+            exact = exact_covering_number(eps, s)
             lower = len(metric.maximal_packing(2 * eps, s))
             upper = metric.covering_number_bounds(eps, s).upper
             assert lower <= exact <= upper
@@ -249,14 +338,14 @@ class TestCoveringNumbers:
 
 class TestMetricEntropy:
     def test_singleton_zero(self):
-        assert metric.metric_entropy(1.0, line_set(0.0)) == 0.0
+        assert entropy(1.0, line_set(0.0)) == 0.0
 
     def test_two_point_log2(self):
-        assert metric.metric_entropy(0.4, line_set(0.0, 1.0)) == pytest.approx(
+        assert entropy(0.4, line_set(0.0, 1.0)) == pytest.approx(
             np.log(2), abs=1e-12)
 
     def test_one_ball_suffices(self):
-        assert metric.metric_entropy(2.0, line_set(0.0, 1.0)) == 0.0
+        assert entropy(2.0, line_set(0.0, 1.0)) == 0.0
 
     def test_monotone_in_eps(self):
         rng = derive_rng(23, "entropy-mono")
@@ -264,7 +353,7 @@ class TestMetricEntropy:
             pts = rng.uniform(0, 1, size=(25, 2))
             s = metric.FiniteMetricSet.from_points(pts)
             es = np.geomspace(0.01, 2.0, 10)
-            vals = [metric.metric_entropy(e, s) for e in es]
+            vals = [entropy(e, s) for e in es]
             assert (np.diff(vals) <= 1e-12).all()
 
 
@@ -347,7 +436,7 @@ class TestEuclideanBallBound:
             pts = raw * (R * rng.uniform(0, 1, size=(n, 1)) ** (1.0 / dim))
             s = metric.FiniteMetricSet.from_points(pts)
             eps = float(rng.uniform(0.3, 1.0)) * R
-            assert (metric.exact_covering_number(eps, s)
+            assert (exact_covering_number(eps, s)
                     <= metric.euclidean_ball_covering_bound(R, eps, dim))
 
 

@@ -25,6 +25,7 @@ from epkit import chaining, discrete, maurey, metric
 from epkit import regression as rg
 from epkit.cli import EXACT_TOL
 from epkit.rng import gaussian_design, l1_ball_point
+from exact_cover import exact_covering_number
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -69,7 +70,7 @@ def test_counts_are_farthest_packing_sizes_and_monotone(points, eps):
 def test_packing_sandwich_brackets_exact_covering_number(points, eps):
     s = metric.FiniteMetricSet.from_points(points)
     bounds = metric.covering_number_bounds(eps, s)
-    assert bounds.lower <= metric.exact_covering_number(eps, s) <= bounds.upper
+    assert bounds.lower <= exact_covering_number(eps, s) <= bounds.upper
 
 
 @PROPERTY
@@ -142,21 +143,40 @@ def hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
 
 
+def wide_clouds():
+    """200 to 600 points in 1 to 5 dimensions, where the traversal's windows
+    prune in 2 and 3: uniform, or on an integer lattice (exact ties at the
+    window edges and in the argmax), with up to 100 rows repeating others."""
+    def build(seed, n, dim, side, repeats):
+        rng = np.random.default_rng(seed)
+        points = (rng.uniform(-1, 1, size=(n, dim)) if side is None
+                  else rng.integers(-side, side + 1, size=(n, dim)).astype(float))
+        points[rng.integers(0, n, repeats)] = points[rng.integers(0, n, repeats)]
+        return points
+    return st.builds(build, st.integers(0, 2 ** 32 - 1), st.integers(200, 600),
+                     st.integers(1, 5), st.one_of(st.none(), st.integers(1, 12)),
+                     st.integers(0, 100))
+
+
 @PROPERTY
 @given(points=st.one_of(grid_clouds(40, 1, 7), grid_clouds(40, 2, 7),
-                        clouds(40, 7)),
-       scale=st.sampled_from([1e-3, 1.0, 1e3]), depth=st.integers(0, 8),
-       budget=st.integers(1, 400), data=st.data())
+                        clouds(40, 7), wide_clouds()),
+       scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e300]),
+       depth=st.integers(0, 8), budget=st.integers(1, 400), data=st.data())
 def test_point_cloud_form_matches_its_distance_matrix(points, scale, depth,
                                                       budget, data):
     points = points * scale
-    d = cdist(points, points)
+    # cdist's own bits, read at 1e-300 and 1e300 through the exact
+    # power-of-two rescaling
+    exp = metric._scale_exponent(points)
+    d = np.ldexp(cdist(np.ldexp(points, -exp), np.ldexp(points, -exp)), exp)
     n = len(d)
     with mock.patch.object(metric, "BLOCK_BYTES", budget):
         s = metric.FiniteMetricSet.from_points(points)
         ref = metric.FiniteMetricSet(d)
         # rows on demand are the matrix rows, one by one and in blocks, and
-        # symmetric with a zero diagonal by construction
+        # symmetric with a zero diagonal by construction; the matrix reads
+        # every row whole, the cloud only its windows
         rows = np.array([s.rows(i) for i in range(n)])
         assert hexes(rows) == hexes(d) and (rows == rows.T).all()
         assert (np.diag(rows) == 0.0).all()
