@@ -60,11 +60,6 @@ class FiniteProductSpace:
         self.probs = _outer_product(self.weights).reshape(-1)
 
     @classmethod
-    def uniform_bits(cls, n):
-        """Uniform product on {0,1}^n."""
-        return cls([[0.0, 1.0]] * n, [[0.5, 0.5]] * n)
-
-    @classmethod
     def rademacher(cls, n):
         """Uniform product on {-1,+1}^n."""
         return cls([[-1.0, 1.0]] * n, [[0.5, 0.5]] * n)
@@ -165,10 +160,6 @@ class JointPmf:
             raise SpaceValidationError("joint pmf must sum to 1 within 1e-12")
         self.n = self.table.ndim
 
-    @classmethod
-    def from_product(cls, weights):
-        return cls(_outer_product([np.asarray(w, float) for w in weights]))
-
 
 def shannon_entropy(table) -> float:
     p = np.asarray(table, dtype=float).reshape(-1)
@@ -234,10 +225,6 @@ def _binary_weights(rng, n) -> list:
         a = float(rng.uniform(0.05, 0.95))
         weights.append([a, 1.0 - a])
     return weights
-
-
-def random_binary_space(rng, n) -> FiniteProductSpace:
-    return FiniteProductSpace([[0.0, 1.0]] * n, _binary_weights(rng, n))
 
 
 def random_joint_pmf(rng, shape) -> JointPmf:

@@ -24,6 +24,7 @@ from epkit import chaining, cli, discrete, fields, gaussian, maurey, metric
 from epkit import regression as rg
 from epkit.rng import derive_rng
 from exact_cover import exact_covering_number
+from product_spaces import random_binary_space
 
 SEED = 2024
 EXACT_TOL = 1e-10
@@ -38,7 +39,7 @@ class TestCriterion1Discrete:
         start = time.perf_counter()
         for idx in range(200):
             rng = derive_rng(SEED, "acc1", idx)
-            sp = discrete.random_binary_space(rng, n=3)
+            sp = random_binary_space(rng, n=3)
             f = rng.uniform(-1.0, 1.0, size=sp.n_outcomes)
             lhs, rhs = discrete.efron_stein_gap(f, sp)
             assert lhs <= rhs + EXACT_TOL

@@ -8,13 +8,14 @@ import pytest
 
 from epkit import discrete
 from epkit.rng import derive_rng
+from product_spaces import product_pmf, random_binary_space, uniform_bits
 
 TOL = 1e-10
 
 
 @pytest.fixture
 def bits3():
-    return discrete.FiniteProductSpace.uniform_bits(3)
+    return uniform_bits(3)
 
 
 class TestFiniteProductSpace:
@@ -24,7 +25,7 @@ class TestFiniteProductSpace:
 
     def test_budget(self):
         with pytest.raises(discrete.SpaceValidationError):
-            discrete.FiniteProductSpace.uniform_bits(13)  # 8192 outcomes
+            uniform_bits(13)  # 8192 outcomes
 
     def test_expectation_constant(self, bits3):
         vals = np.full(bits3.n_outcomes, 3.25)
@@ -35,7 +36,7 @@ class TestFiniteProductSpace:
         assert sp.expectation(sp.tabulate(lambda x: x[0])) == 0.0
 
     def test_product_expectation(self):
-        sp = discrete.FiniteProductSpace.uniform_bits(2)
+        sp = uniform_bits(2)
         f = sp.tabulate(lambda x: x[0] * x[1])
         assert sp.expectation(f) == pytest.approx(0.25, abs=1e-14)
 
@@ -48,7 +49,7 @@ class TestCondExp:
         assert np.allclose(ce, sp.expectation(f))
 
     def test_linearity(self):
-        sp = discrete.FiniteProductSpace.uniform_bits(2)
+        sp = uniform_bits(2)
         f = sp.tabulate(lambda x: x[0] + x[1])
         ce = discrete.cond_exp_except_coord(0, f, sp)
         expected = sp.tabulate(lambda x: 0.5 + x[1])
@@ -119,7 +120,7 @@ class TestEntropyFunctional:
     def test_nonnegative_and_zero_iff_constant(self):
         rng = derive_rng(5, "ent-nonneg")
         for _ in range(50):
-            sp = discrete.random_binary_space(rng, 3)
+            sp = random_binary_space(rng, 3)
             f = rng.uniform(0.0, 3.0, size=sp.n_outcomes)
             ent = discrete.entropy_functional(f, sp)
             assert ent >= -TOL
@@ -127,7 +128,7 @@ class TestEntropyFunctional:
                 assert np.ptp(f) < 1e-6  # strictly positive weights
 
     def test_equals_zero_for_constant_on_support(self):
-        sp = discrete.random_binary_space(derive_rng(6, "ent0"), 2)
+        sp = random_binary_space(derive_rng(6, "ent0"), 2)
         assert discrete.entropy_functional(
             np.full(sp.n_outcomes, 0.7), sp) == pytest.approx(0.0, abs=1e-14)
 
@@ -184,7 +185,7 @@ class TestTensorization:
 
 class TestHanInequality:
     def test_product_equality(self):
-        p = discrete.JointPmf.from_product([[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]])
+        p = product_pmf([[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]])
         lhs, rhs = discrete.han_inequality_gap(p)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -272,7 +273,7 @@ class TestInstanceDump:
 
     def test_replay_recomputes_gaps(self):
         rng = derive_rng(20, "replay")
-        sp = discrete.random_binary_space(rng, 2)
+        sp = random_binary_space(rng, 2)
         f = rng.uniform(-1, 1, size=sp.n_outcomes)
         t = rng.uniform(0.1, 2.0, size=sp.n_outcomes)
         joint = discrete.random_joint_pmf(rng, (2, 2))

@@ -8,9 +8,12 @@ Oracle checklist:
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from epkit import metric
@@ -264,6 +267,137 @@ class TestIsEpsilonNet:
     def test_rejects_nonpositive_eps(self, grid101):
         with pytest.raises(ValueError):
             metric.is_epsilon_net([0], 0.0, grid101)
+
+    @pytest.mark.parametrize("net", [[-1, 0], [3], np.array([0, 3])])
+    def test_rejects_indices_outside_the_set(self, net):
+        # -1 used to read as point 2, and 3 raised a bare IndexError
+        for s in (line_set(0.0, 1.0, 5.0), metric.FiniteMetricSet(
+                np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 4.0], [5.0, 4.0, 0.0]]))):
+            with pytest.raises(ValueError, match="0..2"):
+                metric.is_epsilon_net(net, 10.0, s)
+        with pytest.raises(ValueError):
+            metric.is_epsilon_net([0], 1.0, metric.FiniteMetricSet(np.zeros((0, 0))))
+
+
+def full_row_net_check(net, eps: float, s) -> bool:
+    """True iff every point of s lies in a closed eps-ball around some center."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    net = np.asarray(list(net), dtype=int)
+    if s.n == 0:
+        return True
+    if net.size == 0:
+        return False
+    nearest = np.full(s.n, np.inf)
+    for b in metric.blocks(net.size, 8 * s.n):
+        np.minimum(nearest, s.rows(net[b]).min(axis=0), out=nearest)
+    return bool((nearest <= eps).all())
+
+
+def net_cloud(kind, n, dim, scale, repeats, seed):
+    """n points in dim dims: uniform, Gaussian, or an integer lattice of side
+    2 to 6 (exact ties among distances), with `repeats` rows copied onto
+    others, times scale."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        pts = rng.uniform(-1.0, 1.0, size=(n, dim))
+    elif kind == "gaussian":
+        pts = rng.standard_normal((n, dim))
+    else:
+        pts = rng.integers(0, rng.integers(2, 7), size=(n, dim)).astype(float)
+    pts[rng.integers(0, n, repeats)] = pts[rng.integers(0, n, repeats)]
+    return pts * scale
+
+
+class TestWindowedNetCheck:
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["uniform", "gaussian", "lattice"]),
+           n=st.integers(1, 300), dim=st.integers(1, 5),
+           scale=st.sampled_from([1e-316, 1.0, 1e300]),
+           repeats=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1),
+           block=st.integers(1, 300), data=st.data())
+    def test_verdicts_match_whole_rows(self, kind, n, dim, scale, repeats,
+                                       seed, block, data):
+        try:
+            s = metric.FiniteMetricSet.from_points(
+                net_cloud(kind, n, dim, scale, repeats, seed))
+        except metric.MetricValidationError:
+            # subnormal distances can break the triangle inequality by a
+            # quantum, beyond the tolerance of the exhaustive check
+            if scale > 1e-300:
+                raise
+            reject()
+        order, radii = s.farthest_point_order()
+        k = data.draw(st.integers(1, max(n - 1, 1)))
+        nets = [(order[:k], [s.diameter * 2.0 ** -data.draw(st.integers(0, 8))]
+                 + ([radii[k]] if k < n else []))]
+        for _ in range(2):
+            net = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                     max_size=min(n, 40)))
+            nets.append((net, [s.rows(net).min(axis=0).max()]))
+        verdicts = set()
+        with mock.patch.object(metric, "NET_BLOCK", block):
+            for net, scales in nets:
+                for e in scales:
+                    for eps in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf)):
+                        if 0 < eps < np.inf:
+                            got = metric.is_epsilon_net(net, eps, s)
+                            assert got == full_row_net_check(net, eps, s)
+                            verdicts.add(got)
+        if k < n and radii[k] > 0:   # radii[k] covers, its neighbour below not
+            assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("block, net", [(1, [0, 4, 5]), (2, [0, 1, 2, 3, 5]),
+                                            (3, [0, 3, 4, 5])])
+    def test_windows_carry_the_rounding_slack(self, block, net):
+        # the traversal's edge cloud: on its line through point 0 the rounded
+        # |r0(p) - r0(c)| exceeds the computed d(p, c), so a window of width
+        # eps alone leaves out the center that covers p at its exact distance
+        v = [0.7346407311889063, 0.8765026053784535]
+        pts = np.vstack([np.outer([0.0, 4.0, 5.0, 7.0, 6.0], v),
+                         [[-2.6057772395040075, -2.2132022962842335]]])
+        s = metric.FiniteMetricSet.from_points(pts)
+        eps = s.rows(net).min(axis=0).max()
+        with mock.patch.object(metric, "NET_BLOCK", block):
+            assert metric.is_epsilon_net(net, eps, s)
+
+    def test_rescaled_windows_carry_two_subnormal_quanta(self):
+        # on the diagonal, in units of the smallest subnormal q, d(1, 2) is
+        # sqrt(2) q scaled back to q: point 2's key lies 1.41 q from point
+        # 1's, beyond eps = q plus the slack, yet point 1 covers it at q
+        s = metric.FiniteMetricSet.from_points(
+            np.array([[0.0, 0.0], [5.0, 5.0], [6.0, 6.0]]) * 5e-324)
+        assert s._exp and s.rows(1)[2] == 5e-324
+        with mock.patch.object(metric, "NET_BLOCK", 1):
+            assert metric.is_epsilon_net([0, 1], 5e-324, s)
+
+    @pytest.mark.parametrize("block", [1, 2, 256])
+    def test_every_point_is_checked(self, block):
+        # two blocks and one point: with any one point left out of the net,
+        # the ends of the key order and of each block among them, a scale
+        # below every distance leaves that point uncovered
+        pts = derive_rng(4, "every-point").uniform(0, 1, size=(2 * block + 1, 2))
+        s = metric.FiniteMetricSet.from_points(pts)
+        eps = s.min_positive_distance() / 2
+        with mock.patch.object(metric, "NET_BLOCK", block):
+            assert metric.is_epsilon_net(np.arange(s.n), eps, s)
+            for left_out in range(s.n):
+                net = np.delete(np.arange(s.n), left_out)
+                assert not metric.is_epsilon_net(net, eps, s)
+
+    def test_computes_a_tenth_of_the_distances(self, monkeypatch):
+        # cover's finest default scale (8 scales) on 5000 uniform points
+        pts = derive_rng(3, "net-window").uniform(0, 1, size=(5000, 2))
+        s = metric.FiniteMetricSet.from_points(pts)
+        eps = s.diameter * 2.0 ** -7
+        net = metric.maximal_packing(eps, s)
+        cdist_ = metric._cdist()
+        computed = []
+        monkeypatch.setattr(metric, "_cdist", lambda: lambda a, b: (
+            computed.append(len(a) * len(b)) or cdist_(a, b)))
+        assert metric.is_epsilon_net(net, eps, s)
+        assert sum(computed) <= 0.1 * s.n * len(net)
+        assert not metric.is_epsilon_net(net[:-1], eps, s)
 
 
 class TestMaximalPacking:
