@@ -32,12 +32,13 @@ product, and the maxima are those of the blocks.
 
 A linear functional attains its maximum over a finite set on the set's
 convex hull, so a block of a multiple of 8 noise rows multiplies only the
-points near the hull's boundary: those that ``metric._near_hull_rows``
-finds within ``metric.HULL_REL`` (relative to the largest |coordinate|) of
-it, by qhull's facets (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996); the
-farthest-point traversal takes its diameter from the same points.  A
-uniform 2-D cloud of 1000 points keeps about 20.  Two facts keep the maxima
-those of the block's product of every point bit for bit:
+points near the hull's boundary: ``metric._near_hull_rows`` keeps every
+point within ``metric.HULL_REL`` (relative to the largest |coordinate|) of
+it, and leaves out only points deeper than that inside simplices spanned by
+extreme points (see ``epkit.metric``); the farthest-point traversal takes
+its diameter from the same points.  A uniform 2-D cloud of 1000 points
+keeps about 20.  Two facts keep the maxima those of the block's product of
+every point bit for bit:
 
 1. A point at depth rho >= HULL_REL S inside the hull, S the largest
    |coordinate|, has the exact value at most h(w) - rho ||w||, h(w) the
@@ -47,17 +48,16 @@ those of the block's product of every point bit for bit:
 2. On a block of a multiple of 8 noise rows, the rows of a product of
    two or more rows have the same bits as those rows in the product of
    every row; a one-row product goes to gemv and does not.  The kept
-   points hold every vertex of the hull, so at least three, and are
-   multiplied as one product.  Other widths do not keep this: at 4 to 7
-   modulo 8 from 196 noise rows up, OpenBLAS 0.3.31 (SkylakeX kernels)
-   rounded the trailing entries by the number of rows multiplied.  So a
-   block of another width, only ever the last one, multiplies every point,
-   and no hull is taken when no block has a multiple of 8 rows.
+   points hold every vertex of the hull, and every point of a flat one,
+   so at least three, and are multiplied as one product.  Other widths do
+   not keep this: at 4 to 7 modulo 8 from 196 noise rows up, OpenBLAS
+   0.3.31 (SkylakeX kernels) rounded the trailing entries by the number of
+   rows multiplied.  So a block of another width, only ever the last one,
+   multiplies every point, and no hull is taken when no block has a
+   multiple of 8 rows.
 
 Every point is multiplied as well where ``metric._near_hull_rows`` takes
-no near-hull set: outside 2 and 3 dimensions, below 4 points, and when
-qhull fails, returns non-finite facets or leaves out one of its own
-vertices.
+no near-hull set: outside 2 and 3 dimensions and below 4 points.
 """
 
 from __future__ import annotations
@@ -198,8 +198,9 @@ def build_dyadic_nets(ms: metric.FiniteMetricSet, D: float = None,
     Each T_k is an eps_{k+1}-net, hence also an eps_k-net, and its size
     equals the farthest-point covering upper bound at eps_{k+1}.  pi_k maps
     T_{k+1} to its nearest member of T_k, ties to the lowest index; a member
-    of T_k, a strict packing, is its own, so only the new members are read;
-    the step distance of a member is the exact 0.0 of a distance diagonal.
+    of T_k, a strict packing, is its own, so only the new members' distances
+    to T_k are computed; the step distance of a member is the exact 0.0 of a
+    distance diagonal.
     """
     D = _declared_diameter(ms, D)
     if K is None:
@@ -218,7 +219,7 @@ def build_dyadic_nets(ms: metric.FiniteMetricSet, D: float = None,
         members = np.sort(coarse.net)
         new = fine.net[len(coarse.net):]   # the nets are traversal prefixes
         for b in metric.blocks(len(new), 8 * ms.n):
-            d = ms.rows(new[b])[:, members]
+            d = ms.distances(new[b], members)
             pi[new[b]] = members[d.argmin(axis=1)]
             step[new[b]] = d.min(axis=1)
         projections.append(pi)
@@ -325,7 +326,7 @@ def subgaussian_process_check(ms: metric.FiniteMetricSet, proc: CanonicalProcess
     rows = []
     for (i, j) in pairs:
         z = proc.sigma * (points[i] - points[j]) @ noise.T
-        d = ms.rows(i)[j]
+        d = ms.distances(i, j)
         for lam in lambdas:
             bound = float(np.exp(0.5 * lam ** 2 * proc.sigma ** 2 * d ** 2))
             with np.errstate(over="ignore"):

@@ -110,14 +110,6 @@ class ScalarField:
                 f"Lipschitz check failed for {self.name or 'field'}")
 
 
-def sample_std_gaussian(dim: int, count: int, seed: int) -> np.ndarray:
-    """count i.i.d. standard normal dim-vectors, deterministic in seed."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    rng = derive_rng(seed, "std-gaussian", dim)
-    return rng.standard_normal((count, dim))
-
-
 def poincare_gap(f: ScalarField, n_samples: int, seed: int):
     """(variance estimate, derivative-energy estimate) on one shared sample."""
     if f.dim != 1:

@@ -143,10 +143,6 @@ class SparseCombination:
     atoms: list            # atom-matrix column indices, 0 = zero atom
     value: np.ndarray
 
-    def recompute(self, dictionary: ColumnDictionary, R: float) -> np.ndarray:
-        cols = dictionary.atom_matrix(R)[:, self.atoms]
-        return cols.mean(axis=1)
-
 
 @dataclass
 class AverageErrorResult:

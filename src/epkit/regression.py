@@ -361,9 +361,9 @@ def _halton_normals(dim: int, resolution: int):
     """First `resolution` unscrambled Halton points in [0, 1]^(dim + 1): the
     first dim coordinates as standard normal quantiles, and the last one."""
     # epkit imports scipy where it calls it, so `import epkit.cli` loads no
-    # scipy module: scipy.special, scipy.spatial and scipy.stats each take
-    # longer to import than numpy, and only this discretization,
-    # chaining.chi_mean and the distances of a point cloud call them
+    # scipy module: scipy.special and scipy.stats each take longer to import
+    # than numpy, and only this discretization and chaining.chi_mean call
+    # them
     from scipy.special import ndtri
     from scipy.stats import qmc
 

@@ -212,8 +212,8 @@ class TestSampleMaxima:
 
     @pytest.mark.parametrize("dim, most", [(2, 40), (3, 120)])
     def test_near_hull_rows_do_not_depend_on_scale(self, dim, most):
-        # qhull alone fails on a 3-D cloud from 1e100; the exact power-of-two
-        # rescaling keeps the same few rows at every scale
+        # the exact power-of-two rescaling keeps the same few rows at every
+        # scale
         cloud = derive_rng(20, "scale", dim).uniform(-1, 1, size=(1000, dim))
         near = metric._near_hull_rows(cloud)
         assert len(near) <= most and (np.diff(near) > 0).all()

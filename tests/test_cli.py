@@ -1,6 +1,7 @@
 """Command-line front end tests: exit codes, report artifacts, config
 handling, and byte-identical reruns."""
 
+import ast
 import csv
 import importlib.util
 import json
@@ -571,11 +572,51 @@ def test_suites_without_a_cloud_load_no_scipy(tmp_path):
     assert fresh_interpreter(code).splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize("suite", ["cover", "entropy", "dudley"])
-def test_point_cloud_suites_load_scipy_themselves(suite, points_csv, tmp_path):
-    # a lazy import that leaned on a test module's imports would fail here
-    samples = ["--samples", "2000"] if suite == "dudley" else []
+def scipy_packages_loaded(runs) -> list:
+    """The scipy subpackages that a fresh interpreter has loaded after
+    running the suites runs, each an argv without --out."""
     code = ("import sys\nfrom epkit import cli\n"
-            f"sys.exit(cli.main([{suite!r}, '--points', {points_csv!r}, "
-            f"*{samples!r}, '--out', {str(tmp_path)!r}]))")
-    fresh_interpreter(code)
+            f"for argv in {runs!r}:\n"
+            "    if cli.main(argv + ['--out', argv[-1] + '.out']):\n"
+            "        sys.exit(1)\n"
+            "print(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')"
+            " and hasattr(sys.modules[m], '__path__')"
+            " and not m.split('.')[1].startswith('_')}))")
+    return json.loads(fresh_interpreter(code).splitlines()[-1].replace("'", '"'))
+
+
+@pytest.fixture(scope="module")
+def clouds_2d_3d(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    paths = []
+    for dim in (2, 3):
+        path = tmp_path_factory.mktemp("clouds") / f"pts{dim}.csv"
+        np.savetxt(path, rng.uniform(0, 1, size=(60, dim)), delimiter=",")
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("suite", ["cover", "entropy", "dudley"])
+def test_point_cloud_suites_load_no_scipy_spatial(suite, clouds_2d_3d):
+    # every distance and the near-hull rows come from numpy
+    samples = ["--samples", "2000"] if suite == "dudley" else []
+    runs = [[suite, *samples, "--points", path] for path in clouds_2d_3d]
+    assert scipy_packages_loaded(runs) == []
+
+
+def test_dudley_refine_loads_only_scipy_special(clouds_2d_3d):
+    # E||w|| of the refinement bound takes gammaln
+    runs = [["dudley", "--samples", "2000", "--refine", path, "--points", path]
+            for path in clouds_2d_3d]
+    assert scipy_packages_loaded(runs) == ["special"]
+
+
+def test_no_module_imports_scipy_spatial():
+    src = Path(cli.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [f"{node.module}.{a.name}" for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            assert not any(n == "scipy.spatial" or n.startswith("scipy.spatial.")
+                           for n in names), f"{path.name} imports {names}"

@@ -12,8 +12,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import cdist
 
 from epkit import metric
@@ -100,6 +101,18 @@ class TestFiniteMetricSet:
         s = metric.FiniteMetricSet.from_points(pts)
         metric.FiniteMetricSet(s.rows(slice(None)))   # must not raise
 
+    def test_subnormal_triangles_allow_a_few_quanta(self):
+        # scaled back to 1e-316, every distance rounds to a subnormal
+        # quantum, and a triangle of them can fail by more than the relative
+        # tolerance; a violation of a third of the distances still fails
+        for i in range(20):
+            pts = derive_rng(5, "subnormal", i).uniform(0, 1, size=(100, 2)) * 1e-316
+            s = metric.FiniteMetricSet.from_points(pts)
+            metric.FiniteMetricSet(s.rows(slice(None)))   # must not raise
+        bad = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]) * 1e-316
+        with pytest.raises(metric.MetricValidationError, match="triangle"):
+            metric.FiniteMetricSet(bad)
+
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(metric.MetricValidationError):
             metric.FiniteMetricSet(np.array([[0.5]]))
@@ -166,6 +179,20 @@ class TestFiniteMetricSet:
         assert peak < metric.BLOCK_BYTES
 
 
+def count_distances(monkeypatch) -> list:
+    """The sizes of the results of every later call of the distance kernel,
+    which computes every distance of a point cloud."""
+    kernel, computed = metric._sqsums, []
+
+    def counting(xs, ys):
+        sq = kernel(xs, ys)
+        computed.append(sq.size)
+        return sq
+
+    monkeypatch.setattr(metric, "_sqsums", counting)
+    return computed
+
+
 def full_row_traversal(s):
     """(order, radii, diameter) as the traversal found them before it read
     windows: every selected row whole, the diameter their maximum."""
@@ -203,10 +230,7 @@ class TestWindowedTraversal:
         # once scaled back: some merge into one value (21 radii repeat), so
         # the argmax breaks ties that the scaled distances do not have
         pts = derive_rng(3, "window").uniform(0, 1, size=(5000, 2)) * scale
-        cdist_ = metric._cdist()
-        computed = []
-        monkeypatch.setattr(metric, "_cdist", lambda: lambda a, b: (
-            computed.append(len(a) * len(b)) or cdist_(a, b)))
+        computed = count_distances(monkeypatch)
         s = metric.FiniteMetricSet.from_points(pts)
         # the windows and the near-hull rows hold a few percent of n^2
         assert sum(computed) < 0.1 * s.n ** 2
@@ -309,6 +333,80 @@ def net_cloud(kind, n, dim, scale, repeats, seed):
     return pts * scale
 
 
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestDistanceKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["uniform", "gaussian", "lattice"]),
+           n=st.integers(1, 60), dim=st.integers(1, 8),
+           scale=st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]),
+           repeats=st.integers(0, 20), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_distances_are_cdist_bit_for_bit(self, kind, n, dim, scale, repeats,
+                                             seed, data):
+        # cdist on the cloud as the set reads it, scaled by a power of two
+        # where its coordinates are far from 1, then scaled back
+        pts = net_cloud(kind, n, dim, scale, repeats, seed)
+        exp = metric._scale_exponent(pts)
+        scaled = np.ldexp(pts, -exp)
+        ref = np.ldexp(cdist(scaled, scaled), exp)
+        s = metric.FiniteMetricSet.from_points(pts)
+        assert hexes(s.rows(slice(None))) == hexes(ref)
+        idx, cols = (data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+                     for _ in range(2))
+        assert (hexes(s.distances(np.asarray(idx, dtype=int), np.asarray(cols, dtype=int)))
+                == hexes(ref[np.ix_(idx, cols)]))
+        i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        assert hexes(s.distances(i, j)) == hexes(ref[i, j])
+        assert hexes(s.rows(i)) == hexes(ref[i])
+        targets = net_cloud(kind, data.draw(st.integers(1, 30)), dim, scale, 0, seed + 1)
+        texp = metric._scale_exponent(pts, targets)
+        near = np.ldexp(cdist(np.ldexp(pts, -texp), np.ldexp(targets, -texp)), texp)
+        assert (hexes(metric.nearest_distances(pts, targets))
+                == hexes(near.min(axis=1)))
+
+
+def qhull_near_rows(cloud):
+    """The rows within HULL_REL of the boundary of qhull's hull, computed as
+    ``_near_hull_rows`` did with qhull: every row where qhull fails."""
+    x = np.ldexp(cloud, -np.frexp(np.abs(cloud).max())[1])
+    try:
+        hull = ConvexHull(x)
+    except QhullError:
+        return np.arange(len(x))
+    normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
+    return np.flatnonzero((x @ normals.T + offsets).max(axis=1) >= -metric.HULL_REL)
+
+
+class TestNearHullRows:
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["uniform", "gaussian", "sphere", "lattice",
+                                 "line", "plane"]),
+           n=st.integers(4, 400), dim=st.sampled_from([2, 3]),
+           scale=st.sampled_from([1e-300, 1.0, 1e300]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_holds_qhulls_near_rows(self, kind, n, dim, scale, seed):
+        rng = np.random.default_rng(seed)
+        if kind in ("line", "plane"):   # collinear, or coplanar in 3-D
+            flat = 1 if kind == "line" else dim - 1
+            cloud = (rng.uniform(-1, 1, (n, flat)) @ rng.standard_normal((flat, dim))
+                     + rng.standard_normal(dim))
+        elif kind == "lattice":
+            cloud = rng.integers(0, rng.integers(2, 9), size=(n, dim)).astype(float)
+        else:
+            cloud = rng.standard_normal((n, dim))
+            if kind == "sphere":   # a circle in 2-D
+                cloud /= np.linalg.norm(cloud, axis=1, keepdims=True)
+            elif kind == "uniform":
+                cloud = rng.uniform(-1, 1, (n, dim))
+        cloud *= scale
+        near = metric._near_hull_rows(cloud)
+        assert (np.diff(near) > 0).all()
+        assert set(qhull_near_rows(cloud).tolist()) <= set(near.tolist())
+
+
 class TestWindowedNetCheck:
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(["uniform", "gaussian", "lattice"]),
@@ -318,15 +416,8 @@ class TestWindowedNetCheck:
            block=st.integers(1, 300), data=st.data())
     def test_verdicts_match_whole_rows(self, kind, n, dim, scale, repeats,
                                        seed, block, data):
-        try:
-            s = metric.FiniteMetricSet.from_points(
-                net_cloud(kind, n, dim, scale, repeats, seed))
-        except metric.MetricValidationError:
-            # subnormal distances can break the triangle inequality by a
-            # quantum, beyond the tolerance of the exhaustive check
-            if scale > 1e-300:
-                raise
-            reject()
+        s = metric.FiniteMetricSet.from_points(
+            net_cloud(kind, n, dim, scale, repeats, seed))
         order, radii = s.farthest_point_order()
         k = data.draw(st.integers(1, max(n - 1, 1)))
         nets = [(order[:k], [s.diameter * 2.0 ** -data.draw(st.integers(0, 8))]
@@ -391,10 +482,7 @@ class TestWindowedNetCheck:
         s = metric.FiniteMetricSet.from_points(pts)
         eps = s.diameter * 2.0 ** -7
         net = metric.maximal_packing(eps, s)
-        cdist_ = metric._cdist()
-        computed = []
-        monkeypatch.setattr(metric, "_cdist", lambda: lambda a, b: (
-            computed.append(len(a) * len(b)) or cdist_(a, b)))
+        computed = count_distances(monkeypatch)
         assert metric.is_epsilon_net(net, eps, s)
         assert sum(computed) <= 0.1 * s.n * len(net)
         assert not metric.is_epsilon_net(net[:-1], eps, s)
