@@ -11,8 +11,9 @@ Exit codes: 0 all checks passed, 1 at least one inequality check failed,
 2 usage or configuration error (a value of the wrong type, outside its
 choices or below its bound, a zero-size configuration, non-finite input, a
 point cloud whose diameter is 0, a scale such as sigma^2 that underflows to
-0 or overflows, a linear regress sigma below its rounding floor), 3
-internal error.
+0 or overflows, a linear regress sigma below its rounding floor, a
+gauss-check sample count above ``gaussian.SAMPLE_BUDGET``), 3 internal
+error.
 """
 
 from __future__ import annotations
@@ -263,6 +264,9 @@ def run_gauss_check(cfg) -> ReportCollector:
     from concurrent.futures import ThreadPoolExecutor
 
     seed, n, count = cfg["seed"], cfg["samples"], cfg["fields"]
+    if n > gaussian.SAMPLE_BUDGET:
+        raise ConfigError(f"samples = {n} exceeds the gauss-check sample budget "
+                          f"{gaussian.SAMPLE_BUDGET}")
     col = ReportCollector(seed)
 
     # One job per field, each on its own (seed, label, field) streams, so the
@@ -323,13 +327,24 @@ def run_dudley(cfg) -> ReportCollector:
     margins = chaining.projection_step_margins(nets)
     col.at_most("projection-step", float(-margins.min()), 0.0, 1e-12, ms.n)
     rng = derive_rng(seed, "telescope")
-    resid = 0.0
+    resid = w_norm = 0.0
     finest = nets.levels[nets.K].net
     for _ in range(100):
         u = int(finest[rng.integers(len(finest))])
         w = rng.standard_normal(ms.points.shape[1])
+        w_norm = max(w_norm, float(np.linalg.norm(w)))
         resid = max(resid, chaining.telescoping_residual(u, nets, proc, w))
-    col.at_most("telescoping-residual", resid, EXACT_TOL, 0.0, 100)
+    # The chained sum telescopes exactly, so the residual is rounding of the
+    # realized values X_t, each within M = 2 sigma diam |w| of 0 (Cauchy-
+    # Schwarz, |t - t0| <= diam, and (1 + gamma_{dim+2}) < 2 for the rounding
+    # of sigma (t - t0) and of the dot product).  With unit roundoff u: the
+    # K + 1 differences and the left side are each off by at most 2uM; the
+    # K additions of the running sum, which stays within 2M + E of 0, add
+    # 2uM + u(2M + E) each to its error E; the final subtraction adds u E.
+    # In all at most (4K + 5) u M for K <= 48.  On unit-scale clouds that is
+    # below 1e-12, and EXACT_TOL stays the bound.
+    tol = max(EXACT_TOL, (4 * nets.K + 5) * 2.0 ** -53 * 2.0 * sd * w_norm)
+    col.at_most("telescoping-residual", resid, tol, 0.0, 100)
     if nets.K >= 1:
         esup, bound = chaining.stage1_bound_check(nets, proc, n_samples, seed)
         col.mc("stage1", esup, bound, n_samples)

@@ -9,7 +9,31 @@ estimate bit-for-bit on a fixed numpy version.
 
 Vectorization contract: a field's ``eval`` maps an (m, dim) array to (m,) and
 ``grad`` maps (m, dim) to (m, dim).  Both must be pure functions of their
-input arrays.
+input arrays and row-wise: row i of the result depends only on row i of the
+input, not on the other rows or on m.  The checks rely on this, because they
+evaluate a field on the noise one block of rows at a time.
+
+Each estimate draws its noise through ``rng.normal_blocks``, in blocks of at
+most ``_BLOCK_BYTES`` that start at multiples of ``rng.ROW_ALIGN`` (1024)
+rows from the first row of the evaluation they serve; the tail check makes
+two evaluations, one per half, each aligned from its own first row.  Rows
+are only row-wise in their values, not in their rounding: numpy's SIMD
+loops handle the last few elements of an array, and OpenBLAS's gemv the
+last rows of a product, by separate code.  Blocks at multiples of 1024 rows
+keep every row at the same position within its group of 4, 8 or 16 as in
+the whole draw, and the last block ends where the draw ends, so each row is
+computed by the same code as before, as ``chaining.BLAS_ALIGN`` does for
+the blocks of its products.
+
+Only the per-sample vectors (8 bytes per sample each: values, squared
+derivatives, entropy terms, gradient energies, tail indicators, maxima) are
+held whole.  ``McEstimate.from_samples`` reduces them with ``np.mean`` and
+``np.std``, whose pairwise sums group the terms by the array's length, so a
+blockwise reduction would change their bits.  Their centring, squaring,
+``exp`` and ``log`` run in place.  The most a worker holds at once is 32
+bytes per sample (``_SAMPLE_BYTES``), in ``gaussian_lsi_gap``: three vectors
+and the temporary of ``np.std``.  ``SAMPLE_BUDGET``, gauss-check's largest
+``--samples``, is 2^30 / 32 = 2^25, so a worker holds at most 1 GiB.
 """
 
 from __future__ import annotations
@@ -18,11 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import derive_rng
+from .rng import derive_rng, normal_blocks
 
 FD_POINTS, FD_STEP, FD_TOL = 100, 1e-5, 1e-4   # the finite-difference check
 LIP_PAIRS, LIP_SCALE = 1000, 2.0   # the Lipschitz check: pairs, normals' scale
-_BLOCK_BYTES = 1 << 17   # the finite-max panel is drawn in blocks of 128 KiB
+_BLOCK_BYTES = 1 << 17   # noise is drawn in blocks of at most 128 KiB
+# the most bytes per sample that one estimate holds whole (see the module
+# docstring); gauss-check's largest sample count keeps a worker within 1 GiB
+_SAMPLE_BYTES = 32
+SAMPLE_BUDGET = (1 << 30) // _SAMPLE_BYTES
 
 
 class IntegrabilityError(RuntimeError):
@@ -35,15 +63,11 @@ class OracleValidationError(ValueError):
 
 @dataclass
 class McEstimate:
-    """Monte Carlo mean with standard error and a 95% normal interval."""
+    """Monte Carlo mean with its standard error."""
 
     mean: float
     stderr: float
     n_samples: int
-
-    @property
-    def ci95(self):
-        return (self.mean - 1.96 * self.stderr, self.mean + 1.96 * self.stderr)
 
     @classmethod
     def from_samples(cls, x):
@@ -116,10 +140,12 @@ def poincare_gap(f: ScalarField, n_samples: int, seed: int):
         raise ValueError("the derivative-energy check is one-dimensional")
     f.validate_gradient()
     rng = derive_rng(seed, "poincare", f.name)
-    x = rng.standard_normal((n_samples, 1))
-    vals = np.asarray(f.eval(x), dtype=float)
-    dsq = np.asarray(f.grad(x), dtype=float)[:, 0] ** 2
-    lhs = McEstimate.from_samples((vals - vals.mean()) ** 2)
+    vals, dsq = np.empty(n_samples), np.empty(n_samples)
+    for rows, x in normal_blocks(rng, n_samples, 1, _BLOCK_BYTES):
+        vals[rows] = f.eval(x)
+        np.square(np.asarray(f.grad(x), dtype=float)[:, 0], out=dsq[rows])
+    vals -= vals.mean()
+    lhs = McEstimate.from_samples(np.square(vals, out=vals))
     rhs = McEstimate.from_samples(dsq)
     return lhs, rhs
 
@@ -128,12 +154,14 @@ def gaussian_lsi_gap(f: ScalarField, n_samples: int, seed: int):
     """(plug-in Ent(f^2) estimate, 2 E||grad f||^2 estimate)."""
     f.validate_gradient()
     rng = derive_rng(seed, "lsi", f.name)
-    x = rng.standard_normal((n_samples, f.dim))
-    sq = np.asarray(f.eval(x), dtype=float) ** 2
-    g = np.asarray(f.grad(x), dtype=float)
-    rhs = McEstimate.from_samples(2.0 * np.sum(g * g, axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(sq > 0, sq * np.log(np.where(sq > 0, sq, 1.0)), 0.0)
+    sq, terms, energy = np.empty(n_samples), np.empty(n_samples), np.empty(n_samples)
+    for rows, x in normal_blocks(rng, n_samples, f.dim, _BLOCK_BYTES):
+        s = np.square(np.asarray(f.eval(x), dtype=float), out=sq[rows])
+        g = np.asarray(f.grad(x), dtype=float)
+        np.multiply(2.0, np.sum(g * g, axis=1), out=energy[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms[rows] = np.where(s > 0, s * np.log(np.where(s > 0, s, 1.0)), 0.0)
+    rhs = McEstimate.from_samples(energy)
     if not np.isfinite(terms).all():
         raise IntegrabilityError("f^2 log f^2 overflowed on the sample")
     b_hat = float(np.mean(sq))
@@ -141,9 +169,11 @@ def gaussian_lsi_gap(f: ScalarField, n_samples: int, seed: int):
         return McEstimate(0.0, 0.0, n_samples), rhs
     # the plug-in entropy is nonnegative by Jensen; negatives are rounding
     mean = max(0.0, float(np.mean(terms)) - b_hat * np.log(b_hat))
-    # delta method: d/dA = 1, d/dB = -(1 + log B)
-    infl = terms - (1.0 + np.log(b_hat)) * sq
-    stderr = float(np.std(infl, ddof=1)) / np.sqrt(n_samples)
+    # delta method: d/dA = 1, d/dB = -(1 + log B); the influence values
+    # overwrite the terms
+    sq *= 1.0 + np.log(b_hat)
+    terms -= sq
+    stderr = float(np.std(terms, ddof=1)) / np.sqrt(n_samples)
     return McEstimate(mean, stderr, n_samples), rhs
 
 
@@ -151,15 +181,17 @@ def herbst_cgf_gap(f: ScalarField, lam: float, n_samples: int, seed: int):
     """(log-MGF estimate at lam around the empirical mean, lam^2 L^2 / 2)."""
     f.validate_lipschitz()
     rng = derive_rng(seed, "herbst", f.name, format(lam, ".17g"))
-    x = rng.standard_normal((n_samples, f.dim))
-    vals = np.asarray(f.eval(x), dtype=float)
-    centered = vals - vals.mean()
+    vals = np.empty(n_samples)
+    for rows, x in normal_blocks(rng, n_samples, f.dim, _BLOCK_BYTES):
+        vals[rows] = f.eval(x)
+    vals -= vals.mean()
+    vals *= lam
     with np.errstate(over="raise"):
         try:
-            e = np.exp(lam * centered)
+            np.exp(vals, out=vals)
         except FloatingPointError as exc:
             raise IntegrabilityError("exp(lam f) overflowed on the sample") from exc
-    m = McEstimate.from_samples(e)
+    m = McEstimate.from_samples(vals)
     lhs = McEstimate(float(np.log(m.mean)), m.stderr / m.mean, n_samples)
     rhs = 0.5 * lam ** 2 * f.lipschitz ** 2
     return lhs, rhs
@@ -169,17 +201,22 @@ def lipschitz_tail_gap(f: ScalarField, t: float, n_samples: int, seed: int):
     """(two-sided tail frequency at t, 2 exp(-t^2 / 2 L^2)).
 
     Split-sample: the first half estimates the mean, the second half the tail
-    event, so the plug-in center does not bias the indicator.
+    event, so the plug-in center does not bias the indicator.  The halves are
+    consecutive rows of one stream, each evaluated as a draw of its own.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     f.validate_lipschitz()
     rng = derive_rng(seed, "lip-tail", f.name, format(t, ".17g"))
-    x = rng.standard_normal((n_samples, f.dim))
     half = n_samples // 2
-    center = float(np.mean(np.asarray(f.eval(x[:half]), dtype=float)))
-    dev = np.abs(np.asarray(f.eval(x[half:]), dtype=float) - center)
-    tail = McEstimate.from_samples((dev >= t).astype(float))
+    vals = np.empty(half)
+    for rows, x in normal_blocks(rng, half, f.dim, _BLOCK_BYTES):
+        vals[rows] = f.eval(x)
+    center = float(np.mean(vals))
+    hits = np.empty(n_samples - half)
+    for rows, x in normal_blocks(rng, n_samples - half, f.dim, _BLOCK_BYTES):
+        hits[rows] = np.abs(np.asarray(f.eval(x), dtype=float) - center) >= t
+    tail = McEstimate.from_samples(hits)
     bound = 2.0 * np.exp(-t ** 2 / (2.0 * f.lipschitz ** 2))
     return tail, float(bound)
 
@@ -202,14 +239,10 @@ def finite_max_bound_check(m: int, scales, n_samples: int, seed: int,
     if (scales > budget + 1e-12).any():
         raise ValueError("scales exceed the sub-Gaussian budget")
     rng = derive_rng(seed, "finite-max", m)
-    # row blocks of the (n_samples, m) panel, drawn in order: the same stream
-    # as one draw, without holding the panel
-    rows = max(1, _BLOCK_BYTES // (8 * m))
     maxima = np.empty(n_samples)
-    for start in range(0, n_samples, rows):
-        block = rng.standard_normal((min(rows, n_samples - start), m))
+    for rows, block in normal_blocks(rng, n_samples, m, _BLOCK_BYTES):
         block *= scales
-        block.max(axis=1, out=maxima[start:start + rows])
+        block.max(axis=1, out=maxima[rows])
     emax = McEstimate.from_samples(maxima)
     bound = 0.0 if m == 1 else float(budget * np.sqrt(2.0 * np.log(m)))
     return emax, bound

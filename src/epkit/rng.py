@@ -5,7 +5,8 @@ are numpy ``Generator`` objects (PCG64) built from
 ``SeedSequence([seed, h(label_1), h(label_2), ...])`` where ``h`` is the first
 8 bytes of the SHA-256 of the label.  Distinct labels therefore give
 independent substreams, and a rerun with the same seed and labels reproduces
-every draw bit-for-bit.  The samplers that several suites share live here.
+every draw bit-for-bit.  The samplers that several suites share live here,
+and ``normal_blocks``, which draws a stream's rows a block at a time.
 """
 
 import hashlib
@@ -13,6 +14,8 @@ import hashlib
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# rows: every block of normal_blocks starts at a multiple of this many rows
+ROW_ALIGN = 1024
 
 
 def _label_key(label) -> int:
@@ -39,3 +42,21 @@ def gaussian_design(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     X = rng.standard_normal((n, d))
     X *= np.sqrt(n) / np.linalg.norm(X, axis=0)
     return X
+
+
+def normal_blocks(rng: np.random.Generator, n_rows: int, dim: int,
+                  block_bytes: int):
+    """Yield (rows, block) over range(n_rows) in order: a slice and the
+    standard normal (len(rows), dim) rows drawn for it.
+
+    A generator fills normals one after another without caching any, so the
+    blocks hold the bits of one ``rng.standard_normal((n_rows, dim))`` and
+    leave the stream where that draw does.  Every block starts at a multiple
+    of ROW_ALIGN rows and all but the last, which holds the remainder, are
+    the widest such blocks within block_bytes, or ROW_ALIGN rows where a
+    single row group exceeds block_bytes.
+    """
+    width = max(block_bytes // (8 * dim * ROW_ALIGN), 1) * ROW_ALIGN
+    for start in range(0, n_rows, width):
+        stop = min(start + width, n_rows)
+        yield slice(start, stop), rng.standard_normal((stop - start, dim))

@@ -5,6 +5,7 @@ process, the exact Gaussian increment MGF, and the exact covering oracle for
 net cardinalities at the shifted scale.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -131,6 +132,46 @@ class TestTelescoping:
         nets = chaining.build_dyadic_nets(s, D=1.0, K=2)
         proc = chaining.CanonicalProcess(sigma=1.0)
         assert chaining.telescoping_residual(0, nets, proc, np.array([0.9])) <= 1e-12
+
+
+def residual_without_an_increment(u, nets, proc, noise):
+    """telescoping_residual with the increment from level 3 to level 4 left
+    out; on the cloud below, level 4 adds 126 of the 400 points."""
+    x = proc.realize(nets.metric_set, noise[None, :])[:, 0]
+    chain = chaining.recursive_projection(u, nets)
+    lhs, rhs = x[u] - x[0], x[chain[0]] - x[0]
+    for k in range(nets.K):
+        if k != 3:
+            rhs += x[chain[k + 1]] - x[chain[k]]
+    return float(abs(lhs - rhs))
+
+
+class TestTelescopingRow:
+    CLOUD = derive_rng(400, "telescope-cloud").uniform(size=(400, 3))
+
+    def row(self, tmp_path, scale, seed):
+        path = tmp_path / f"cloud-{scale:g}.csv"
+        np.savetxt(path, self.CLOUD * scale, delimiter=",", fmt="%.17g")
+        out = tmp_path / f"out-{scale:g}-{seed}"
+        cli.main(["dudley", "--points", str(path), "--samples", "2000",
+                  "--seed", str(seed), "--out", str(out), "--format", "json"])
+        reports = json.loads((out / "dudley_reports.json").read_text())["reports"]
+        return next(r for r in reports if r["check"] == "telescoping-residual")
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_rounding_scales_with_the_cloud(self, tmp_path, seed):
+        # the residual of values near 1e140 is rounding near 1e124, far above
+        # EXACT_TOL; at unit scale the bound is EXACT_TOL itself
+        unit, huge = self.row(tmp_path, 1.0, seed), self.row(tmp_path, 1e140, seed)
+        assert unit["verdict"] == huge["verdict"] == "pass"
+        assert unit["rhs"] == cli.EXACT_TOL
+        assert 1e120 < huge["lhs"] < huge["rhs"] < 1e130
+
+    @pytest.mark.parametrize("scale", [1.0, 1e140])
+    def test_a_dropped_increment_fails(self, tmp_path, monkeypatch, scale):
+        monkeypatch.setattr(chaining, "telescoping_residual",
+                            residual_without_an_increment)
+        assert self.row(tmp_path, scale, 1)["verdict"] == "fail"
 
 
 def hexes(values):

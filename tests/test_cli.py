@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from epkit import chaining, cli, discrete, maurey, metric
+from epkit import chaining, cli, discrete, gaussian, maurey, metric
 from epkit.reports import CheckReport, ReportCollector, render
 
 DATA = str(Path(__file__).parent / "data")
@@ -25,6 +25,8 @@ OUTSIDE_SQUARES = ("1e-320", "1e-200", "1e160", "1e200", "1e300")  # x^2: 0 or i
 # break, before any instance runs
 NAMED_LIMITS = {
     ("gauss-check", "--samples", "2"): "samples must be at least 3",
+    ("gauss-check", "--samples", str(gaussian.SAMPLE_BUDGET + 1), "--fields", "1"):
+        f"sample budget {gaussian.SAMPLE_BUDGET}",
     # an option is declared only by the suites that read it
     ("cover", "--points", f"{DATA}/square.csv", "--samples", "7"):
         "unrecognized arguments: --samples 7",
@@ -547,6 +549,24 @@ def fresh_interpreter(code: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return proc.stdout
+
+
+def test_samples_above_the_budget_exit_2_under_an_address_space_limit(tmp_path):
+    # the child alone caps its address space at 1.5 GB; the whole draw of
+    # 200000000 samples asked for 1.49 GiB there and ended in exit 3
+    pytest.importorskip("resource")
+    argv = ["gauss-check", "--samples", "200000000", "--fields", "1",
+            "--out", str(tmp_path)]
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1500 * 10 ** 6,) * 2)\n"
+            "from epkit import cli\n"
+            f"sys.exit(cli.main({argv!r}))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert f"sample budget {gaussian.SAMPLE_BUDGET}" in proc.stderr
+    assert gaussian.SAMPLE_BUDGET >= cli._SAMPLES.default
 
 
 LOADED_SCIPY = ("print(sorted(m for m in sys.modules "

@@ -3,15 +3,21 @@
 Closed-form oracles used here: characteristic function E cos(tX) = e^{-t^2/2}
 for the sine field variance, the exact linear cumulant lam^2/2, the normal
 tail 2(1 - Phi(1)), E max(Z1, Z2) = 1/sqrt(pi), and affine-invariance of the
-symmetric bump convolution.
+symmetric bump convolution.  The row-blocked estimates are checked bit for
+bit against the whole-draw functions they replaced (``whole_draw_gaussian``).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
+import whole_draw_gaussian
 from epkit import fields, gaussian
-from epkit.rng import derive_rng
+from epkit.rng import ROW_ALIGN, derive_rng, normal_blocks
 
 SEED = 2024
 N = 100000
@@ -28,7 +34,7 @@ def sample_std_gaussian(dim: int, count: int, seed: int) -> np.ndarray:
 class TestMcEstimate:
     def test_ci_invariant(self):
         est = gaussian.McEstimate.from_samples(np.arange(100, dtype=float))
-        lo, hi = est.ci95
+        lo, hi = est.mean - 1.96 * est.stderr, est.mean + 1.96 * est.stderr
         assert lo == pytest.approx(est.mean - 1.96 * est.stderr)
         assert hi == pytest.approx(est.mean + 1.96 * est.stderr)
 
@@ -59,6 +65,74 @@ class TestSampler:
     def test_marginal_variance(self):
         x = sample_std_gaussian(3, 10 ** 6, SEED)
         assert np.abs(x.var(axis=0) - 1.0).max() <= 0.01
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16, 100])
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1025, 40001])
+    def test_blocks_are_one_draw(self, dim, n):
+        rng = derive_rng(SEED, "blocks", dim)
+        got = list(normal_blocks(rng, n, dim, gaussian._BLOCK_BYTES))
+        want = derive_rng(SEED, "blocks", dim)
+        drawn = np.concatenate([b for _, b in got]) if got else np.empty((0, dim))
+        assert np.array_equal(drawn, want.standard_normal((n, dim)))
+        stops = [0] + [rows.stop for rows, _ in got]
+        assert [rows.start for rows, _ in got] == stops[:-1] and stops[-1] == n
+        for rows, block in got:
+            assert rows.start % ROW_ALIGN == 0 and len(block) == rows.stop - rows.start
+            assert block.nbytes <= max(gaussian._BLOCK_BYTES, 8 * dim * ROW_ALIGN)
+        # the stream is left where one draw leaves it
+        assert rng.standard_normal() == want.standard_normal()
+
+
+BATTERIES = {"poincare": fields.poincare_battery, "lsi": fields.lsi_battery,
+             "lipschitz": fields.lipschitz_battery}
+
+
+def estimates(gauss, battery, f, n, seed):
+    """The estimates gauss-check takes of f from ``battery``, through the
+    module ``gauss`` (epkit.gaussian or the whole-draw oracle)."""
+    if battery == "poincare":
+        return gauss.poincare_gap(f, n, seed)
+    if battery == "lsi":
+        return gauss.gaussian_lsi_gap(f, n, seed)
+    return (*gauss.herbst_cgf_gap(f, 0.5 / f.lipschitz, n, seed),
+            *gauss.lipschitz_tail_gap(f, f.lipschitz, n, seed))
+
+
+def hexes(values):
+    return [(v.mean.hex(), v.stderr.hex(), v.n_samples)
+            if isinstance(v, gaussian.McEstimate) else float(v).hex() for v in values]
+
+
+class TestBlockedDraws:
+    def test_estimates_hold_the_budgeted_bytes_per_sample(self):
+        # the whole per-sample vectors and a few blocks, not the noise panel
+        n = 200_000
+        lsi = next(f for f in fields.lsi_battery(20, 1) if f.dim == 3)
+        lip = next(f for f in fields.lipschitz_battery(20, 1) if f.dim == 3)
+        calls = [lambda: gaussian.poincare_gap(fields.poincare_battery(2, 1)[1], n, 1),
+                 lambda: gaussian.gaussian_lsi_gap(lsi, n, 1),
+                 lambda: gaussian.herbst_cgf_gap(lip, 0.5 / lip.lipschitz, n, 1),
+                 lambda: gaussian.lipschitz_tail_gap(lip, lip.lipschitz, n, 1),
+                 lambda: gaussian.finite_max_bound_check(16, np.ones(16), n, 1)]
+        for call in calls:
+            call()   # validation draws and caches outside the measurement
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= gaussian._SAMPLE_BYTES * n + 8 * gaussian._BLOCK_BYTES
+
+    @settings(max_examples=40, deadline=None)
+    @given(battery=st.sampled_from(sorted(BATTERIES)), k=st.integers(0, 11),
+           n=st.sampled_from([3, 1023, 1024, 1025, 5119, 5120, 5121, 100003]),
+           seed=st.integers(0, 2 ** 32))
+    def test_estimates_match_the_whole_draw(self, battery, k, n, seed):
+        f = BATTERIES[battery](12, seed)[k]
+        assert 1 <= f.dim <= 3
+        assert hexes(estimates(gaussian, battery, f, n, seed)) == \
+            hexes(estimates(whole_draw_gaussian, battery, f, n, seed))
 
 
 class TestFieldValidation:
