@@ -58,6 +58,16 @@ every point bit for bit:
 
 Every point is multiplied as well where ``metric._near_hull_rows`` takes
 no near-hull set: outside 2 and 3 dimensions and below 4 points.
+
+Each Monte Carlo check draws its whole (samples, dim) noise panel at once
+and holds per-sample vectors beside it.  The most is 8 (dim + 4) bytes per
+sample, in ``subgaussian_process_check``: the panel, the increments, the
+previous lambda's exponentials while the next are formed, and their
+argument.  The block products add at most twice ``metric.BLOCK_BYTES``
+whatever the sample count.  ``sample_budget(dim)``, dudley's largest
+``--samples``, is 2^30 // (8 (dim + 4)), so the panel and the vectors stay
+within 1 GiB: 22369621 samples in 2 dimensions, and the default 10^5 up to
+1338 dimensions.
 """
 
 from __future__ import annotations
@@ -81,6 +91,12 @@ HULL_ALIGN = 8
 
 class DepthError(ValueError):
     pass
+
+
+def sample_budget(dim: int) -> int:
+    """dudley's largest sample count on dim-dimensional points: 2^30 bytes at
+    8 (dim + 4) bytes per sample (see the module docstring)."""
+    return (1 << 30) // (8 * (dim + 4))
 
 
 def _cloud(ms: metric.FiniteMetricSet) -> np.ndarray:
@@ -341,7 +357,9 @@ def subgaussian_process_check(ms: metric.FiniteMetricSet, proc: CanonicalProcess
 
 def chi_mean(dim: int) -> float:
     """E ||w|| for a standard normal dim-vector."""
-    from scipy.special import gammaln   # see regression._halton_normals
+    # scipy is imported only here, where it is called, so `import epkit.cli`
+    # loads no scipy module: scipy.special takes longer to import than numpy
+    from scipy.special import gammaln
 
     return float(np.exp(0.5 * np.log(2.0)
                         + gammaln((dim + 1) / 2.0) - gammaln(dim / 2.0)))

@@ -12,8 +12,9 @@ Exit codes: 0 all checks passed, 1 at least one inequality check failed,
 choices or below its bound, a zero-size configuration, non-finite input, a
 point cloud whose diameter is 0, a scale such as sigma^2 that underflows to
 0 or overflows, a linear regress sigma below its rounding floor, a
-gauss-check sample count above ``gaussian.SAMPLE_BUDGET``), 3 internal
-error.
+gauss-check sample count above ``gaussian.SAMPLE_BUDGET``, a dudley sample
+count above ``chaining.sample_budget`` of the cloud's dimension), 3
+internal error.
 """
 
 from __future__ import annotations
@@ -308,6 +309,10 @@ def run_dudley(cfg) -> ReportCollector:
     seed, n_samples, sigma = cfg["seed"], cfg["samples"], cfg["sigma"]
     col = ReportCollector(seed)
     ms = _load_metric_set(cfg)
+    dim = ms.points.shape[1]
+    if n_samples > chaining.sample_budget(dim):
+        raise ConfigError(f"samples = {n_samples} exceeds the dudley sample budget "
+                          f"{chaining.sample_budget(dim)} for {dim}-dimensional points")
     # the MGF grid squares sigma and lam = x / (sigma diam), |x| <= 1; the
     # estimates sum squared deviations of maxima, below (8 sigma diam)^2
     # unless a draw strays by 8 standard deviations (sigma diam bounds one)

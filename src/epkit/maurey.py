@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import McEstimate
 from .rng import derive_rng, l1_ball_point
 
 NET_BUDGET = 10 ** 6
@@ -74,14 +73,6 @@ class ColumnDictionary:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    @classmethod
-    def normalized_from(cls, X):
-        """Rescale any column longer than sqrt(n) down to exactly sqrt(n)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        norms = np.linalg.norm(X, axis=0)
-        scale = np.minimum(1.0, np.sqrt(X.shape[0]) / np.where(norms > 0, norms, 1.0))
-        return cls(X * scale)
 
     def atom_matrix(self, R: float) -> np.ndarray:
         """Columns of the 2d+1 atoms: zero, then +-R col_j / sqrt(n)."""
@@ -142,32 +133,6 @@ class SparseCombination:
     k: int
     atoms: list            # atom-matrix column indices, 0 = zero atom
     value: np.ndarray
-
-
-@dataclass
-class AverageErrorResult:
-    estimate: McEstimate
-    closed_form: float     # (E||Z||^2 - ||v||^2) / k
-
-
-def maurey_average_error(theta, R: float, dictionary: ColumnDictionary,
-                         k: int, n_mc: int, seed: int) -> AverageErrorResult:
-    """Monte Carlo E||k-average - v||^2 plus its exact closed form."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    dist = maurey_distribution(theta, R, dictionary)
-    v = dist.expectation()
-    atoms = dictionary.atom_matrix(R)
-    rng = derive_rng(seed, "maurey-avg", k)
-    errs = np.empty(n_mc)
-    for trial in range(n_mc):
-        idx = dist.sample_indices(rng, k)
-        avg = atoms[:, idx].mean(axis=1)
-        errs[trial] = np.sum((avg - v) ** 2)
-    second = float(np.sum((atoms ** 2).sum(axis=0) * dist.probs))
-    closed = (second - float(np.sum(v ** 2))) / k
-    return AverageErrorResult(estimate=McEstimate.from_samples(errs),
-                              closed_form=closed)
 
 
 @dataclass

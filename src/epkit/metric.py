@@ -1,5 +1,5 @@
 """Finite pseudo-metric sets: eps-nets, covering and packing numbers, metric
-entropy, entropy integrals, and the closed-form Euclidean ball covering bound.
+entropy and entropy integrals.
 
 All nets are *internal*: centers are drawn from the point set itself.
 Internal covering counts dominate ambient ones, so every upper bound computed
@@ -659,15 +659,6 @@ def dyadic_sum(s: FiniteMetricSet, D: float, K: int) -> float:
     """sum_{k<K} eps_k sqrt(H(eps_k)) at scales eps_k = D 2^-k, H the metric
     entropy entropies(covering_counts(s, eps))."""
     return dyadic_sums(s, D, K)[-1]
-
-
-def euclidean_ball_covering_bound(R: float, eps: float, dim: int) -> float:
-    """Covering bound (1 + 2R/eps)^dim for the Euclidean R-ball in dim dims."""
-    if R < 0:
-        raise ValueError("R must be nonnegative")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return float((1.0 + 2.0 * R / eps) ** dim)
 
 
 # -- scale profiles and CSV interfaces ---------------------------------------

@@ -1,7 +1,7 @@
 """Localized least-squares machinery: regression models, exact and
 l1-constrained empirical risk minimizers with optimality certificates,
-localized Gaussian complexity, the critical radius, the high-probability
-error-bound experiment, and rate sweeps for the linear and l1 classes.
+localized Gaussian complexity, the critical radius, the bad-event
+probability, and rate sweeps for the linear and l1 classes.
 
 Conventions.  Designs are n x d arrays; the empirical norm of a value vector
 is its root mean square.  The shifted-class coefficient for the l1 class is
@@ -10,13 +10,11 @@ interior so the shifted class is star-shaped.
 
 Function classes.  ``LinearClass`` and ``L1BallClass`` hold all that differs
 between the two classes, so no experiment branches on the class:
-``solve(X, y)`` is the ERM, ``inner_sups(X, w, delta)`` the supremum of
-w' X theta / n over the class within the empirical delta-ball for each
-noise row of w (to relative accuracy ``REL_TOL`` where it is iterative),
-``reach(X)`` the largest empirical norm the class attains, and
-``discretize(X, delta, resolution)`` a deterministic point cloud in the
-image of the localized ball.  The class constant ``kind`` labels the class
-in derived random streams.
+``inner_sups(X, w, delta)`` is the supremum of w' X theta / n over the class
+within the empirical delta-ball for each noise row of w (to relative
+accuracy ``REL_TOL`` where it is iterative), and ``reach(X)`` the largest
+empirical norm the class attains.  The class constant ``kind`` labels the
+class in derived random streams.
 
 Lockstep l1 solves.  ``solve_ls_l1_batch`` runs the Frank-Wolfe loop over a
 stack of problems of one shape, and ``solve_ls_l1`` is a stack of one.  Each
@@ -48,12 +46,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import metric
 from .gaussian import McEstimate
 from .rng import derive_rng, gaussian_design
 
 RANK_RTOL = 1e-10
-CAPACITY_CONST = 24.0 * np.sqrt(2.0)
 STACK_BYTES = 1 << 20   # of designs the l1 sweep solves at once; see above
 REL_TOL = 1e-4   # of l1_localized_sup, read per call; also the radius's slack
 FW_ITERS, MAX_OUTER = 250, 40   # its inner steps per solve, its bisection steps
@@ -163,8 +159,7 @@ def solve_ls_l1(X, y, R: float, tol: float = 1e-6,
     return solve_ls_l1_batch(X[None], y[None], R, tol=tol, max_iter=max_iter)[0]
 
 
-def solve_ls_l1_batch(Xs, ys, R: float, tol: float = 1e-6,
-                      max_iter: int = 5000) -> list:
+def solve_ls_l1_batch(Xs, ys, R: float, tol: float, max_iter: int) -> list:
     """Conditional gradient run in lockstep over a stack of l1 least-squares
     problems of one shape: Xs is (B, n, d), ys is (B, n), and the result is
     one :class:`ErmResult` per row.
@@ -357,28 +352,11 @@ def l1_localized_sup(X, w, R: float, delta: float) -> float:
 # -- function classes ---------------------------------------------------------
 
 
-def _halton_normals(dim: int, resolution: int):
-    """First `resolution` unscrambled Halton points in [0, 1]^(dim + 1): the
-    first dim coordinates as standard normal quantiles, and the last one."""
-    # epkit imports scipy where it calls it, so `import epkit.cli` loads no
-    # scipy module: scipy.special and scipy.stats each take longer to import
-    # than numpy, and only this discretization and chaining.chi_mean call
-    # them
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    pts = qmc.Halton(d=dim + 1, scramble=False).random(resolution)
-    return ndtri(np.clip(pts[:, :dim], 1e-12, 1 - 1e-12)), pts[:, dim]
-
-
 @dataclass(frozen=True)
 class LinearClass:
     """All linear predictors x -> <theta, x>, theta in R^d."""
 
     kind: ClassVar[str] = "linear"
-
-    def solve(self, X, y) -> ErmResult:
-        return solve_ls_linear(X, y)
 
     def inner_sups(self, X, w, delta: float) -> np.ndarray:
         """Closed form: per row, sup over {||X theta|| <= delta sqrt n} of
@@ -389,24 +367,6 @@ class LinearClass:
     def reach(self, X) -> float:
         """Every radius when the design has positive rank, none otherwise."""
         return np.inf if col_basis(X).shape[1] else 0.0
-
-    def discretize(self, X, delta: float, resolution: int) -> np.ndarray:
-        """Halton directions in the column space, radii spread uniformly in
-        volume up to delta."""
-        n = X.shape[0]
-        u = col_basis(X)
-        r = u.shape[1]
-        if r == 0:
-            return np.zeros((1, n))
-        z, last = _halton_normals(r, resolution)
-        if r == 1:
-            dirs = np.sign(z)
-            dirs[dirs == 0] = 1.0
-        else:
-            dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
-        radii = delta * last ** (1.0 / r)
-        cloud = (radii[:, None] * dirs) @ u.T
-        return np.vstack([np.zeros((1, n)), cloud])
 
 
 @dataclass(frozen=True)
@@ -420,9 +380,6 @@ class L1BallClass:
         if self.R <= 0:
             raise ValueError("R must be positive")
 
-    def solve(self, X, y) -> ErmResult:
-        return solve_ls_l1(X, y, self.R)
-
     def inner_sups(self, X, w, delta: float) -> np.ndarray:
         """Dual conditional gradient per row (l1_localized_sup)."""
         return np.asarray([l1_localized_sup(X, row, self.R, delta) for row in w])
@@ -430,20 +387,6 @@ class L1BallClass:
     def reach(self, X) -> float:
         """R max_j ||X_j|| / sqrt(n), attained at a signed vertex."""
         return self.R * float(np.max(np.linalg.norm(X, axis=0))) / np.sqrt(X.shape[0])
-
-    def discretize(self, X, delta: float, resolution: int) -> np.ndarray:
-        """Halton points of the l1 ball plus its vertices, mapped to values
-        and shrunk radially into the empirical delta-ball."""
-        n, d = X.shape
-        z, last = _halton_normals(d, resolution)
-        l1 = np.abs(z).sum(axis=1)
-        thetas = self.R * last[:, None] * z / np.where(l1 > 0, l1, 1.0)[:, None]
-        vertices = self.R * np.vstack([np.eye(d), -np.eye(d)])
-        thetas = np.vstack([thetas, vertices])
-        img = thetas @ X.T / np.sqrt(n)
-        norms = np.linalg.norm(img, axis=1)
-        shrink = np.minimum(1.0, delta / np.where(norms > 0, norms, 1.0))
-        return np.vstack([np.zeros((1, n)), shrink[:, None] * img])
 
 
 def localized_complexity_mc(X, cls, delta: float, n_samples: int,
@@ -478,8 +421,8 @@ class CriticalRadius:
     ratio_monotone: bool
 
 
-def critical_radius(model: RegressionModel, cls, bracket, n_samples: int = 2000,
-                    seed: int = 0) -> CriticalRadius:
+def critical_radius(model: RegressionModel, cls, bracket, n_samples: int,
+                    seed: int) -> CriticalRadius:
     """Smallest radius balancing complexity against noise, by bisection of
     h(delta) = G(delta)/delta - delta/(2 sigma) on a frozen noise panel.
 
@@ -535,26 +478,7 @@ def auto_bracket(model: RegressionModel) -> tuple:
     return lo, hi
 
 
-# -- error-bound experiment ---------------------------------------------------
-
-
-def master_bound_experiment(model: RegressionModel, cls, t: float, trials: int,
-                            seed: int, delta_star: float):
-    """(frequency of squared error >= 16 t delta_star, exp(-n t delta_star /
-    (2 sigma^2))) over independent noise draws."""
-    if t < delta_star * (1 - 1e-12):
-        raise ValueError("t must be at least the critical radius")
-    X = model.x
-    hits = np.empty(trials)
-    for trial in range(trials):
-        w = derive_rng(seed, "mbe-trial", trial).standard_normal(model.n)
-        y = model.response(w)
-        res = cls.solve(X, y)
-        err_sq = empirical_norm(X @ (res.theta - model.theta_star)) ** 2
-        hits[trial] = 1.0 if err_sq >= 16.0 * t * delta_star else 0.0
-    freq = McEstimate.from_samples(hits)
-    bound = float(np.exp(-model.n * t * delta_star / (2.0 * model.sigma ** 2)))
-    return freq, bound
+# -- bad-event probability ----------------------------------------------------
 
 
 def estimate_bad_event_probability(model: RegressionModel, cls, u: float,
@@ -576,22 +500,6 @@ def estimate_bad_event_probability(model: RegressionModel, cls, u: float,
     w = derive_rng(seed, "bad-event", n).standard_normal((trials, n))
     sups = model.sigma * cls.inner_sups(X, w, u)
     return McEstimate.from_samples((sups >= 2.0 * u ** 2).astype(float))
-
-
-# -- capacity bound via the entropy integral ----------------------------------
-
-
-def dudley_capacity_bound(X, cls, delta: float, resolution: int = 200) -> float:
-    """24 sqrt2 / sqrt(n) times the entropy integral over (0, 2 delta] of the
-    discretized localized-ball image."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    cloud = cls.discretize(X, delta, resolution)
-    ms = metric.FiniteMetricSet.from_points(cloud)
-    integral = metric.entropy_integral(ms, 2.0 * delta)
-    return float(CAPACITY_CONST / np.sqrt(n) * integral)
 
 
 # -- rate experiments ---------------------------------------------------------

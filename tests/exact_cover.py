@@ -1,6 +1,8 @@
 """The exact covering number of a small finite metric set, by branch and
 bound: the test oracle for the farthest-point packing sandwich
-|packing(2 eps)| <= N(eps) <= |packing(eps)| of ``epkit.metric``."""
+|packing(2 eps)| <= N(eps) <= |packing(eps)| of ``epkit.metric``, and the
+closed-form Euclidean ball covering bound that exact covers of sampled ball
+subsets are checked against."""
 
 import numpy as np
 
@@ -61,3 +63,12 @@ def exact_covering_number(eps: float, s: metric.FiniteMetricSet) -> int:
         return best
 
     return dfs(full, 0, best)
+
+
+def euclidean_ball_covering_bound(R: float, eps: float, dim: int) -> float:
+    """Covering bound (1 + 2R/eps)^dim for the Euclidean R-ball in dim dims."""
+    if R < 0:
+        raise ValueError("R must be nonnegative")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return float((1.0 + 2.0 * R / eps) ** dim)

@@ -1,0 +1,30 @@
+"""The high-probability error-bound experiment for the linear class, which
+only the tests run on top of ``epkit.regression``: over independent noise
+draws, the frequency of a squared error of at least 16 t delta_star against
+its exponential budget exp(-n t delta_star / (2 sigma^2))."""
+
+import numpy as np
+
+from epkit import regression as rg
+from epkit.gaussian import McEstimate
+from epkit.rng import derive_rng
+
+
+def master_bound_experiment(model: rg.RegressionModel, t: float, trials: int,
+                            seed: int, delta_star: float):
+    """(frequency of squared error >= 16 t delta_star, exp(-n t delta_star /
+    (2 sigma^2))) over the "mbe-trial" noise substreams, each solved by
+    least squares."""
+    if t < delta_star * (1 - 1e-12):
+        raise ValueError("t must be at least the critical radius")
+    X = model.x
+    hits = np.empty(trials)
+    for trial in range(trials):
+        w = derive_rng(seed, "mbe-trial", trial).standard_normal(model.n)
+        y = model.response(w)
+        res = rg.solve_ls_linear(X, y)
+        err_sq = rg.empirical_norm(X @ (res.theta - model.theta_star)) ** 2
+        hits[trial] = 1.0 if err_sq >= 16.0 * t * delta_star else 0.0
+    freq = McEstimate.from_samples(hits)
+    bound = float(np.exp(-model.n * t * delta_star / (2.0 * model.sigma ** 2)))
+    return freq, bound

@@ -23,7 +23,9 @@ from scipy.stats import norm
 from epkit import chaining, cli, discrete, fields, gaussian, maurey, metric
 from epkit import regression as rg
 from epkit.rng import derive_rng
-from exact_cover import exact_covering_number
+from exact_cover import euclidean_ball_covering_bound, exact_covering_number
+from master_bound import master_bound_experiment
+from maurey_average import maurey_average_error
 from product_spaces import random_binary_space
 
 SEED = 2024
@@ -90,7 +92,7 @@ class TestCriterion2Covering:
             s = metric.FiniteMetricSet.from_points(pts)
             eps = float(rng.uniform(0.3, 1.0)) * R
             assert (exact_covering_number(eps, s)
-                    <= metric.euclidean_ball_covering_bound(R, eps, dim))
+                    <= euclidean_ball_covering_bound(R, eps, dim))
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0
         report(2, "covering sandwich + ball bound on random instances",
@@ -201,9 +203,8 @@ class TestCriterion5Regression:
                                 rg.auto_bracket(model),
                                 n_samples=2000, seed=SEED)
         for t in (cr.delta_star, 2 * cr.delta_star):
-            freq, bound = rg.master_bound_experiment(
-                model, rg.LinearClass(), t=t, trials=500, seed=SEED,
-                delta_star=cr.delta_star)
+            freq, bound = master_bound_experiment(
+                model, t=t, trials=500, seed=SEED, delta_star=cr.delta_star)
             assert freq.mean <= bound + 3 * freq.stderr
         # linear rate: slope -1 +- 0.15, chi-square(1) median control
         rep = rg.linear_rate_experiment([(64, 8), (128, 8), (256, 8), (512, 8)],
@@ -252,8 +253,8 @@ class TestCriterion6Sparsification:
         dic = maurey.ColumnDictionary(X)
         raw = rng.standard_normal(5)
         theta = raw / np.abs(raw).sum() * 0.9
-        r1 = maurey.maurey_average_error(theta, 1.0, dic, k=4, n_mc=3000, seed=1)
-        r2 = maurey.maurey_average_error(theta, 1.0, dic, k=8, n_mc=3000, seed=2)
+        r1 = maurey_average_error(theta, 1.0, dic, k=4, n_mc=3000, seed=1)
+        r2 = maurey_average_error(theta, 1.0, dic, k=8, n_mc=3000, seed=2)
         assert r1.closed_form == pytest.approx(2 * r2.closed_form, rel=1e-12)
         for r in (r1, r2):
             assert abs(r.estimate.mean - r.closed_form) <= 3 * r.estimate.stderr

@@ -486,3 +486,40 @@ class TestDepthDefault:
     def test_coincident_points(self):
         s = metric.FiniteMetricSet.from_points(np.zeros((3, 2)))
         assert chaining.default_depth(s, 1.0) == 1
+
+
+class TestSampleBudget:
+    def test_budget_values(self):
+        assert chaining.sample_budget(2) == 22369621
+        default = cli._SAMPLES.default
+        assert chaining.sample_budget(1338) >= default > chaining.sample_budget(1339)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_checks_hold_the_budgeted_bytes_per_sample(self, dim):
+        # at a multiple of 8 samples every block multiplies only the points
+        # near the hull, so what grows with the samples is the noise panel
+        # and the per-sample vectors
+        n = 1 << 18
+        rng = derive_rng(16, "budget", dim)
+        pts = rng.uniform(-1, 1, size=(200, dim))
+        s = metric.FiniteMetricSet.from_points(pts)
+        fine = np.vstack([pts, rng.uniform(-1, 1, size=(50, dim))])
+        proc = chaining.CanonicalProcess(sigma=1.0)
+        nets = chaining.build_dyadic_nets(s, K=4)
+        calls = [lambda: chaining.stage1_bound_check(nets, proc, n, SEED),
+                 lambda: chaining.dudley_bound_check(s, proc, n, SEED),
+                 lambda: chaining.subgaussian_process_check(
+                     s, proc, [(0, 199), (3, 7)], [-1.0, 0.5], n, SEED),
+                 lambda: chaining.dense_sequence_sup_check(pts, fine, proc, n, SEED)]
+        peaks = []
+        for call in calls:
+            call()   # distances and hulls cached outside the measurement
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8 * (dim + 4) * n + (1 << 20)
+        # the MGF grid holds the budgeted bytes, not fewer
+        assert peaks[2] > 8 * (dim + 3) * n

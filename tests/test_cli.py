@@ -39,6 +39,9 @@ NAMED_LIMITS = {
     ("maurey", "--eps", "1e-200"): f"sample budget {maurey.SAMPLE_BUDGET}",
     ("dudley", "--points", f"{DATA}/square.csv", "--K", "49"):
         f"supported depths 0..{chaining.MAX_DEPTH}",
+    ("dudley", "--points", f"{DATA}/square.csv", "--samples",
+     str(chaining.sample_budget(2) + 1)):
+        f"sample budget {chaining.sample_budget(2)} for 2-dimensional points",
     # a NaN or an infinity is rejected before any distance is computed
     ("cover", "--points", f"{DATA}/nan_point.csv"): "non-finite entry in row 1",
     ("entropy", "--points", f"{DATA}/inf_point.csv"): "non-finite entry in row 2",
@@ -551,22 +554,54 @@ def fresh_interpreter(code: str) -> str:
     return proc.stdout
 
 
-def test_samples_above_the_budget_exit_2_under_an_address_space_limit(tmp_path):
-    # the child alone caps its address space at 1.5 GB; the whole draw of
-    # 200000000 samples asked for 1.49 GiB there and ended in exit 3
+def run_under_an_address_space_limit(argv):
+    """The child process of epkit argv, which alone caps its address space
+    at 1.5 GB."""
     pytest.importorskip("resource")
-    argv = ["gauss-check", "--samples", "200000000", "--fields", "1",
-            "--out", str(tmp_path)]
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1500 * 10 ** 6,) * 2)\n"
             "from epkit import cli\n"
             f"sys.exit(cli.main({argv!r}))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_samples_above_the_budget_exit_2_under_an_address_space_limit(tmp_path):
+    # the whole draw of 200000000 samples asked for 1.49 GiB there and ended
+    # in exit 3
+    proc = run_under_an_address_space_limit(
+        ["gauss-check", "--samples", "200000000", "--fields", "1",
+         "--out", str(tmp_path)])
     assert proc.returncode == 2, proc.stderr
     assert f"sample budget {gaussian.SAMPLE_BUDGET}" in proc.stderr
     assert gaussian.SAMPLE_BUDGET >= cli._SAMPLES.default
+
+
+def test_dudley_samples_above_the_budget_exit_2_under_an_address_space_limit(
+        tmp_path):
+    # on 50 points the noise panel of 200000000 samples asked for 2.98 GiB
+    # there and ended in exit 3
+    pts = tmp_path / "pts.csv"
+    np.savetxt(pts, np.random.default_rng(0).uniform(0, 1, size=(50, 2)),
+               delimiter=",")
+    proc = run_under_an_address_space_limit(
+        ["dudley", "--points", str(pts), "--samples", "200000000",
+         "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert f"dudley sample budget {chaining.sample_budget(2)}" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_dudley_checks_its_budget_before_any_net(monkeypatch, capsys):
+    def no_nets(*args, **kwargs):
+        raise AssertionError("a net was built")
+
+    monkeypatch.setattr(chaining, "build_dyadic_nets", no_nets)
+    argv = ["dudley", "--points", f"{DATA}/square.csv",
+            "--samples", str(chaining.sample_budget(2) + 1)]
+    assert cli.main(argv) == 2
+    assert "dudley sample budget" in capsys.readouterr().err
 
 
 LOADED_SCIPY = ("print(sorted(m for m in sys.modules "
@@ -631,12 +666,17 @@ def test_dudley_refine_loads_only_scipy_special(clouds_2d_3d):
     assert scipy_packages_loaded(runs) == ["special"]
 
 
-def test_no_module_imports_scipy_spatial():
+def test_the_only_scipy_import_is_gammaln():
+    # every scipy import statement in src/epkit, as (file, dotted name): no
+    # scipy.spatial, scipy.stats or ndtri, and only chi_mean, behind dudley
+    # --refine, imports scipy at all
     src = Path(cli.__file__).resolve().parent
+    found = set()
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [f"{node.module}.{a.name}" for a in node.names]
-                     if isinstance(node, ast.ImportFrom) else [])
-            assert not any(n == "scipy.spatial" or n.startswith("scipy.spatial.")
-                           for n in names), f"{path.name} imports {names}"
+                     if isinstance(node, ast.ImportFrom) and not node.level else [])
+            found |= {(path.name, n) for n in names
+                      if n == "scipy" or n.startswith("scipy.")}
+    assert found == {("chaining.py", "scipy.special.gammaln")}

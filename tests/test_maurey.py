@@ -6,6 +6,7 @@ import pytest
 
 from epkit import maurey
 from epkit.rng import derive_rng
+from maurey_average import maurey_average_error, normalized_from
 
 
 def normalized_dict(rng, n, d):
@@ -27,7 +28,7 @@ class TestColumnDictionary:
 
     def test_normalized_from_rescales(self):
         X = derive_rng(1, "dic").standard_normal((6, 3)) * 5
-        dic = maurey.ColumnDictionary.normalized_from(X)
+        dic = normalized_from(X)
         assert (np.linalg.norm(dic.X, axis=0) <= np.sqrt(6) * (1 + 1e-12)).all()
 
     def test_atom_matrix_layout(self):
@@ -103,7 +104,7 @@ class TestAverageError:
         dic = normalized_dict(derive_rng(8, "pm0"), 8, 3)
         theta = np.zeros(3)
         theta[1] = 1.0
-        res = maurey.maurey_average_error(theta, 1.0, dic, k=5, n_mc=50, seed=1)
+        res = maurey_average_error(theta, 1.0, dic, k=5, n_mc=50, seed=1)
         assert res.estimate.mean == pytest.approx(0.0, abs=1e-20)
         assert res.closed_form == pytest.approx(0.0, abs=1e-14)
 
@@ -111,7 +112,7 @@ class TestAverageError:
         rng = derive_rng(9, "mc")
         dic = normalized_dict(rng, 15, 5)
         theta = random_theta(rng, 5, 1.2)
-        res = maurey.maurey_average_error(theta, 1.2, dic, k=8, n_mc=4000, seed=2)
+        res = maurey_average_error(theta, 1.2, dic, k=8, n_mc=4000, seed=2)
         assert abs(res.estimate.mean - res.closed_form) <= 3 * res.estimate.stderr
         assert res.estimate.mean <= 1.2 ** 2 / 8 + 3 * res.estimate.stderr
 
@@ -119,8 +120,8 @@ class TestAverageError:
         rng = derive_rng(10, "k")
         dic = normalized_dict(rng, 12, 4)
         theta = random_theta(rng, 4, 1.0)
-        r1 = maurey.maurey_average_error(theta, 1.0, dic, k=4, n_mc=10, seed=3)
-        r2 = maurey.maurey_average_error(theta, 1.0, dic, k=8, n_mc=10, seed=3)
+        r1 = maurey_average_error(theta, 1.0, dic, k=4, n_mc=10, seed=3)
+        r2 = maurey_average_error(theta, 1.0, dic, k=8, n_mc=10, seed=3)
         assert r1.closed_form == pytest.approx(2 * r2.closed_form, rel=1e-12)
 
 

@@ -4,7 +4,8 @@ Oracle checklist:
 - exact_covering_number (branch and bound, tests/exact_cover.py) validates
   the greedy sandwich;
 - closed-form entropy integral of small sets validates the quadrature;
-- Euclidean ball bound checked against exact covers of sampled ball subsets.
+- the Euclidean ball bound (tests/exact_cover.py) checked against exact
+  covers of sampled ball subsets.
 """
 
 import tracemalloc
@@ -19,7 +20,8 @@ from scipy.spatial.distance import cdist
 
 from epkit import metric
 from epkit.rng import derive_rng
-from exact_cover import SizeLimitError, exact_covering_number
+from exact_cover import (SizeLimitError, euclidean_ball_covering_bound,
+                         exact_covering_number)
 
 
 def entropy(eps, s):
@@ -643,9 +645,9 @@ class TestDyadicSum:
 
 class TestEuclideanBallBound:
     def test_known_values(self):
-        assert metric.euclidean_ball_covering_bound(1.0, 1.0, 2) == 9.0
-        assert metric.euclidean_ball_covering_bound(0.0, 0.3, 7) == 1.0
-        assert metric.euclidean_ball_covering_bound(1.0, 0.5, 1) == 5.0
+        assert euclidean_ball_covering_bound(1.0, 1.0, 2) == 9.0
+        assert euclidean_ball_covering_bound(0.0, 0.3, 7) == 1.0
+        assert euclidean_ball_covering_bound(1.0, 0.5, 1) == 5.0
 
     def test_dominates_exact_covers_of_ball_subsets(self):
         rng = derive_rng(41, "ball")
@@ -659,7 +661,7 @@ class TestEuclideanBallBound:
             s = metric.FiniteMetricSet.from_points(pts)
             eps = float(rng.uniform(0.3, 1.0)) * R
             assert (exact_covering_number(eps, s)
-                    <= metric.euclidean_ball_covering_bound(R, eps, dim))
+                    <= euclidean_ball_covering_bound(R, eps, dim))
 
 
 class TestProfilesAndCsv:

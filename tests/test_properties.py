@@ -26,6 +26,7 @@ from epkit import regression as rg
 from epkit.cli import EXACT_TOL
 from epkit.rng import gaussian_design, l1_ball_point
 from exact_cover import exact_covering_number
+from maurey_average import maurey_average_error, normalized_from
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -367,7 +368,7 @@ maurey_inputs = dict(n=st.integers(1, 8), d=st.integers(1, 6), R=st.floats(0.1, 
 @given(**maurey_inputs)
 def test_maurey_atoms_average_to_the_hull_point(n, d, R, seed):
     rng = np.random.default_rng(seed)
-    dic = maurey.ColumnDictionary.normalized_from(rng.standard_normal((n, d)))
+    dic = normalized_from(rng.standard_normal((n, d)))
     theta = l1_ball_point(rng, d, R)
     dist = maurey.maurey_distribution(theta, R, dic)
     np.testing.assert_allclose(dist.expectation(), dic.X @ theta / np.sqrt(n),
@@ -381,6 +382,6 @@ def test_maurey_average_error_falls_as_one_over_k(k, n, d, R, seed):
     dic = maurey.ColumnDictionary(gaussian_design(rng, n, d))
     theta = l1_ball_point(rng, d, R)
     v = dic.X @ theta / np.sqrt(n)
-    res = maurey.maurey_average_error(theta, R, dic, k, n_mc=2, seed=seed)
+    res = maurey_average_error(theta, R, dic, k, n_mc=2, seed=seed)
     expected = (maurey.maurey_second_moment(theta, R, dic) - v @ v) / k
     assert res.closed_form == pytest.approx(expected, rel=1e-9, abs=1e-12)

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 from epkit import chaining
 from epkit import regression as rg
 from epkit.rng import derive_rng, gaussian_design, l1_ball_point
+from master_bound import master_bound_experiment
 
 SEED = 2024
 
@@ -263,6 +264,12 @@ class TestLocalizedComplexity:
         r = rg.design_rank(X)
         est = rg.localized_complexity_mc(X, rg.LinearClass(), 0.8, 20000, SEED)
         assert est.mean <= 0.8 * np.sqrt(r) / np.sqrt(20) + 3 * est.stderr
+
+    def test_zero_design(self):
+        # the class of a zero design holds only the zero function
+        est = rg.localized_complexity_mc(np.zeros((6, 2)), rg.LinearClass(), 0.5,
+                                         100, SEED)
+        assert est.mean == 0.0
 
     def test_mc_agrees_with_exact(self):
         # E sup = delta E||P w|| / sqrt(n), with ||P w|| chi-distributed
@@ -580,9 +587,8 @@ class TestCriticalRadius:
 
 class TestMasterBound:
     def test_huge_threshold(self, small_model):
-        freq, bound = rg.master_bound_experiment(
-            small_model, rg.LinearClass(), t=50.0, trials=50, seed=SEED,
-            delta_star=0.5)
+        freq, bound = master_bound_experiment(
+            small_model, t=50.0, trials=50, seed=SEED, delta_star=0.5)
         assert freq.mean == 0.0
         assert bound < 1e-100
 
@@ -590,9 +596,9 @@ class TestMasterBound:
         cr = rg.critical_radius(small_model, rg.LinearClass(),
                                 rg.auto_bracket(small_model),
                                 n_samples=2000, seed=SEED)
-        freq, bound = rg.master_bound_experiment(
-            small_model, rg.LinearClass(), t=cr.delta_star, trials=500,
-            seed=SEED, delta_star=cr.delta_star)
+        freq, bound = master_bound_experiment(
+            small_model, t=cr.delta_star, trials=500, seed=SEED,
+            delta_star=cr.delta_star)
         assert freq.mean <= bound + 3 * freq.stderr
 
     def test_noiseless_error_is_zero(self, small_model):
@@ -616,8 +622,8 @@ class TestMasterBound:
 
     def test_t_below_radius_rejected(self, small_model):
         with pytest.raises(ValueError):
-            rg.master_bound_experiment(small_model, rg.LinearClass(), t=0.1,
-                                       trials=10, seed=1, delta_star=0.5)
+            master_bound_experiment(small_model, t=0.1, trials=10, seed=1,
+                                    delta_star=0.5)
 
 
 class TestBadEvent:
@@ -657,42 +663,6 @@ class TestBadEvent:
         with pytest.raises(rg.HneViolationError):
             rg.estimate_bad_event_probability(model, rg.LinearClass(), u=0.5,
                                               trials=10, seed=1)
-
-
-class TestCapacityBound:
-    def test_trivial_class(self):
-        X = np.zeros((6, 2))
-        bound = rg.dudley_capacity_bound(X, rg.LinearClass(), 0.5)
-        est = rg.localized_complexity_mc(X, rg.LinearClass(), 0.5, 100, SEED)
-        assert bound == 0.0
-        assert est.mean == 0.0
-
-    def test_dominates_complexity_linear(self):
-        rng = derive_rng(23, "cap")
-        X = rng.standard_normal((8, 2))
-        bound = rg.dudley_capacity_bound(X, rg.LinearClass(), 1.0,
-                                         resolution=200)
-        est = rg.localized_complexity_mc(X, rg.LinearClass(), 1.0, 4000, SEED)
-        assert est.mean <= bound + 3 * est.stderr
-
-    def test_monotone_in_delta(self):
-        rng = derive_rng(24, "capmono")
-        X = rng.standard_normal((8, 2))
-        b1 = rg.dudley_capacity_bound(X, rg.LinearClass(), 0.5)
-        b2 = rg.dudley_capacity_bound(X, rg.LinearClass(), 1.0)
-        assert b2 >= b1
-
-    def test_l1_class_cloud_feasible(self):
-        rng = derive_rng(25, "capl1")
-        X = rng.standard_normal((10, 4))
-        X *= np.sqrt(10) / np.linalg.norm(X, axis=0)
-        cloud = rg.L1BallClass(R=1.0).discretize(X, 0.6, resolution=100)
-        assert (np.linalg.norm(cloud, axis=1) <= 0.6 + 1e-9).all()
-        bound = rg.dudley_capacity_bound(X, rg.L1BallClass(R=1.0), 0.6,
-                                         resolution=100)
-        est = rg.localized_complexity_mc(X, rg.L1BallClass(R=1.0), 0.6, 200,
-                                         SEED)
-        assert est.mean <= bound + 3 * est.stderr
 
 
 class TestRateExperiments:
