@@ -60,14 +60,16 @@ Every point is multiplied as well where ``metric._near_hull_rows`` takes
 no near-hull set: outside 2 and 3 dimensions and below 4 points.
 
 Each Monte Carlo check draws its whole (samples, dim) noise panel at once
-and holds per-sample vectors beside it.  The most is 8 (dim + 4) bytes per
-sample, in ``subgaussian_process_check``: the panel, the increments, the
-previous lambda's exponentials while the next are formed, and their
-argument.  The block products add at most twice ``metric.BLOCK_BYTES``
-whatever the sample count.  ``sample_budget(dim)``, dudley's largest
-``--samples``, is 2^30 // (8 (dim + 4)), so the panel and the vectors stay
-within 1 GiB: 22369621 samples in 2 dimensions, and the default 10^5 up to
-1338 dimensions.
+and holds per-sample vectors beside it.  The most is 8 (dim + 3) bytes per
+sample, in ``subgaussian_process_check``: the panel, the increments, one
+buffer that each lambda's exponentials are formed in, and the deviations
+``McEstimate.from_samples`` takes for the standard deviation (tracemalloc:
+40.0 bytes per sample in 2 dimensions and 48.0 in 3, as the peak grows from
+2^18 to 2^19 samples).  The block products add at most twice
+``metric.BLOCK_BYTES`` whatever the sample count.  ``sample_budget(dim)``,
+dudley's largest ``--samples``, is 2^30 // (8 (dim + 3)), so the panel and
+the vectors stay within 1 GiB: 26843545 samples in 2 dimensions, and the
+default 10^5 up to 1339 dimensions.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ class DepthError(ValueError):
 
 def sample_budget(dim: int) -> int:
     """dudley's largest sample count on dim-dimensional points: 2^30 bytes at
-    8 (dim + 4) bytes per sample (see the module docstring)."""
-    return (1 << 30) // (8 * (dim + 4))
+    8 (dim + 3) bytes per sample (see the module docstring)."""
+    return (1 << 30) // (8 * (dim + 3))
 
 
 def _cloud(ms: metric.FiniteMetricSet) -> np.ndarray:
@@ -340,13 +342,15 @@ def subgaussian_process_check(ms: metric.FiniteMetricSet, proc: CanonicalProcess
     rng = derive_rng(seed, "mgf", ms.n)
     noise = rng.standard_normal((n_samples, points.shape[1]))
     rows = []
+    e = np.empty(n_samples)   # each lambda's exponentials, formed in place
     for (i, j) in pairs:
         z = proc.sigma * (points[i] - points[j]) @ noise.T
         d = ms.distances(i, j)
         for lam in lambdas:
             bound = float(np.exp(0.5 * lam ** 2 * proc.sigma ** 2 * d ** 2))
             with np.errstate(over="ignore"):
-                e = np.exp(lam * z)
+                np.multiply(z, lam, out=e)
+                np.exp(e, out=e)
             if not np.isfinite(e).all():
                 rows.append(MgfRow(i, j, lam, np.inf, np.inf, bound, overflow=True))
                 continue

