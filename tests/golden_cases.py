@@ -11,6 +11,7 @@ root, and commits them; the diff lists the old and new values:
 import argparse
 import contextlib
 import csv
+import ctypes
 import importlib.metadata
 import io
 import json
@@ -41,12 +42,30 @@ CASES = {
 }
 
 
+def blas_kernel() -> str:
+    """The kernel set OpenBLAS picked at run time (the wheel is built with
+    DYNAMIC_ARCH, and gemv and gemm bits depend on the kernel), read from
+    numpy's bundled library; "unknown" where that library or its symbol is
+    absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        corename = getattr(ctypes.CDLL(str(path)),
+                           "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes = []
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def environment() -> dict:
-    """What decides the bits of a report, as perfbench/child.py records it."""
+    """What decides the bits of a report: what perfbench/child.py records,
+    and the BLAS kernel."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": importlib.metadata.version("scipy"),
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_kernel": blas_kernel()}
 
 
 def run_case(case: str, out: Path) -> list:

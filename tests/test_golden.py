@@ -25,3 +25,14 @@ def test_a_changed_cell_is_named_by_file_row_and_column(tmp_path):
     assert golden_cases.first_mismatch(golden_cases.ROOT / case, tmp_path) == \
         "csv/discrete_check_reports.csv: row 4, column 6 (verdict): " \
         "expected 'pass', got 'fail'"
+
+
+def test_the_environment_names_the_blas_kernel(monkeypatch):
+    assert golden_cases.blas_kernel()
+
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(golden_cases.ctypes, "CDLL", NoSymbols)
+    assert golden_cases.environment()["blas_kernel"] == "unknown"
