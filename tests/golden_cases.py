@@ -39,6 +39,16 @@ CASES = {
         ("forced", ["discrete-check", "--instances", "3", "--seed", "3",
                     "--format", "json"], True, 1),
     ],
+    # the default cell, the linear rate grid (100 trials keep the case near
+    # 0.2 s) and an l1 grid with d > n
+    "regress": [
+        ("csv", ["regress", "--seed", "0"], False, 0),
+        ("json", ["regress", "--seed", "0", "--format", "json"], False, 0),
+        ("grid", ["regress", "--grid", "64:8,128:8,256:8,512:8", "--trials", "100",
+                  "--seed", "0"], False, 0),
+        ("l1", ["regress", "--class", "l1", "--grid", "16:32,32:64", "--trials", "8",
+                "--seed", "0"], False, 0),
+    ],
 }
 
 
