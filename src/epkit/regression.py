@@ -3,6 +3,10 @@ l1-constrained empirical risk minimizers with optimality certificates,
 localized Gaussian complexity, the critical radius, the bad-event
 probability, and rate sweeps for the linear and l1 classes.
 
+The linear sweep writes the exact critical radius 2 sigma E chi_r / sqrt(n)
+of a rank-r design (Wainwright, High-Dimensional Statistics, 2019, ch. 13);
+``critical_radius`` bisects a noise panel for either class.
+
 Conventions.  Designs are n x d arrays; the empirical norm of a value vector
 is its root mean square.  The shifted-class coefficient for the l1 class is
 constrained to the R-ball directly; experiments keep the truth in the ball's
@@ -41,11 +45,13 @@ tie exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
+from .chaining import chi_mean
 from .gaussian import McEstimate
 from .rng import derive_rng, gaussian_design
 
@@ -468,16 +474,6 @@ def critical_radius(model: RegressionModel, cls, bracket, n_samples: int,
                           ratio_monotone=monotone)
 
 
-def auto_bracket(model: RegressionModel) -> tuple:
-    """A bracket [lo, hi] for the critical radius of either class, in closed
-    form: hi = 4 sigma sqrt(rank / n) + sigma, lo = 1e-6 hi."""
-    n = model.n
-    r = max(design_rank(model.x), 1)
-    hi = 4.0 * model.sigma * np.sqrt(r / n) + model.sigma
-    lo = hi * 1e-6
-    return lo, hi
-
-
 # -- bad-event probability ----------------------------------------------------
 
 
@@ -537,7 +533,11 @@ def _slopes_by_dimension(cells):
 
 def linear_rate_experiment(grid, sigma: float, trials: int, seed: int) -> RateReport:
     """Median normalized error n err / (sigma^2 rank) and critical radius
-    per (n, d) cell on fresh Gaussian designs, plus log-log slopes in n."""
+    per (n, d) cell on fresh Gaussian designs, plus log-log slopes in n.
+
+    The radius is exact: a rank-r design has G(delta) = delta E chi_r /
+    sqrt(n), which balances delta / (2 sigma) at delta* = 2 sigma E chi_r /
+    sqrt(n) (Wainwright 2019, ch. 13), r the cell's largest rank."""
     cells = []
     for (n, d) in grid:
         if n < d:
@@ -557,12 +557,8 @@ def linear_rate_experiment(grid, sigma: float, trials: int, seed: int) -> RateRe
             err = empirical_norm(X @ (res.theta - theta_star)) ** 2
             errs[trial] = err
             normd[trial] = n * err / (sigma ** 2 * max(r, 1))
-        rng = derive_rng(seed, "lin-rate-model", n, d)
-        model = RegressionModel(x=rng.standard_normal((n, d)),
-                                theta_star=np.zeros(d), sigma=sigma)
-        dstar = critical_radius(model, LinearClass(), auto_bracket(model),
-                                n_samples=500, seed=seed).delta_star
-        cells.append(RateCell(n=n, d=d, rank=rank_seen, delta_star=float(dstar),
+        dstar = 2.0 * sigma * chi_mean(rank_seen) / math.sqrt(n)
+        cells.append(RateCell(n=n, d=d, rank=rank_seen, delta_star=dstar,
                               median_err=float(np.median(errs)),
                               normalized=float(np.median(normd))))
     return RateReport(cells=cells, slopes=_slopes_by_dimension(cells),

@@ -1,7 +1,8 @@
 """The high-probability error-bound experiment for the linear class, which
 only the tests run on top of ``epkit.regression``: over independent noise
 draws, the frequency of a squared error of at least 16 t delta_star against
-its exponential budget exp(-n t delta_star / (2 sigma^2))."""
+its exponential budget exp(-n t delta_star / (2 sigma^2)); and a closed-form
+bracket for the critical radius the experiment is run at."""
 
 import numpy as np
 
@@ -28,3 +29,13 @@ def master_bound_experiment(model: rg.RegressionModel, t: float, trials: int,
     freq = McEstimate.from_samples(hits)
     bound = float(np.exp(-model.n * t * delta_star / (2.0 * model.sigma ** 2)))
     return freq, bound
+
+
+def auto_bracket(model: rg.RegressionModel) -> tuple:
+    """A bracket [lo, hi] for the critical radius of either class, in closed
+    form: hi = 4 sigma sqrt(rank / n) + sigma, lo = 1e-6 hi."""
+    n = model.n
+    r = max(rg.design_rank(model.x), 1)
+    hi = 4.0 * model.sigma * np.sqrt(r / n) + model.sigma
+    lo = hi * 1e-6
+    return lo, hi

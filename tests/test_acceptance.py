@@ -24,7 +24,7 @@ from epkit import chaining, cli, discrete, fields, gaussian, maurey, metric
 from epkit import regression as rg
 from epkit.rng import derive_rng
 from exact_cover import euclidean_ball_covering_bound, exact_covering_number
-from master_bound import master_bound_experiment
+from master_bound import auto_bracket, master_bound_experiment
 from maurey_average import maurey_average_error
 from product_spaces import random_binary_space
 
@@ -200,7 +200,7 @@ class TestCriterion5Regression:
         model = rg.RegressionModel(x=rng.standard_normal((50, 5)),
                                    theta_star=rng.standard_normal(5), sigma=1.0)
         cr = rg.critical_radius(model, rg.LinearClass(),
-                                rg.auto_bracket(model),
+                                auto_bracket(model),
                                 n_samples=2000, seed=SEED)
         for t in (cr.delta_star, 2 * cr.delta_star):
             freq, bound = master_bound_experiment(

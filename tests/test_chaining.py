@@ -456,6 +456,27 @@ class TestDenseSequence:
                 coarse, fine, chaining.CanonicalProcess(sigma=1.0), 100, SEED)
 
 
+class TestChiMean:
+    def test_anchors(self):
+        assert chaining.chi_mean(1) == np.sqrt(2 / np.pi)
+        assert chaining.chi_mean(2) == np.sqrt(np.pi / 2)
+        with pytest.raises(ValueError):
+            chaining.chi_mean(0)
+
+    def test_consecutive_product_identity(self):
+        # Gamma(x + 1) = x Gamma(x) gives E chi_r E chi_{r+1} = r exactly
+        c = [chaining.chi_mean(r) for r in range(1, 5002)]
+        rel = [abs(a * b / r - 1.0) for r, (a, b) in enumerate(zip(c, c[1:]), 1)]
+        assert max(rel) <= 2e-14
+
+    def test_matches_the_log_gamma_form(self):
+        from scipy.special import gammaln
+
+        for r in range(1, 513):
+            want = np.exp(0.5 * np.log(2.0) + gammaln((r + 1) / 2) - gammaln(r / 2))
+            assert chaining.chi_mean(r) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 class TestIndexSetGuard:
     """The process reads coordinates: a distance matrix, or an empty cloud,
     is refused where chaining reads the points."""

@@ -659,24 +659,28 @@ def test_point_cloud_suites_load_no_scipy_spatial(suite, clouds_2d_3d):
     assert scipy_packages_loaded(runs) == []
 
 
-def test_dudley_refine_loads_only_scipy_special(clouds_2d_3d):
-    # E||w|| of the refinement bound takes gammaln
+def test_dudley_refine_loads_no_scipy(clouds_2d_3d):
+    # E||w|| of the refinement bound is the chi-mean recursion
     runs = [["dudley", "--samples", "2000", "--refine", path, "--points", path]
             for path in clouds_2d_3d]
-    assert scipy_packages_loaded(runs) == ["special"]
+    code = ("import sys\nfrom epkit import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    if cli.main(argv + ['--out', argv[-1] + '.refined']):\n"
+            "        sys.exit(1)\n"
+            + LOADED_SCIPY)
+    assert fresh_interpreter(code).splitlines()[-1] == "[]"
 
 
-def test_the_only_scipy_import_is_gammaln():
-    # every scipy import statement in src/epkit, as (file, dotted name): no
-    # scipy.spatial, scipy.stats or ndtri, and only chi_mean, behind dudley
-    # --refine, imports scipy at all
+def test_src_has_no_scipy_import():
+    # no scipy import statement in src/epkit, at module level or inside a
+    # function, so no suite can load a scipy module
     src = Path(cli.__file__).resolve().parent
     found = set()
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
-                     else [f"{node.module}.{a.name}" for a in node.names]
-                     if isinstance(node, ast.ImportFrom) and not node.level else [])
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
             found |= {(path.name, n) for n in names
                       if n == "scipy" or n.startswith("scipy.")}
-    assert found == {("chaining.py", "scipy.special.gammaln")}
+    assert found == set()

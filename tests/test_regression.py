@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 from epkit import chaining
 from epkit import regression as rg
 from epkit.rng import derive_rng, gaussian_design, l1_ball_point
-from master_bound import master_bound_experiment
+from master_bound import auto_bracket, master_bound_experiment
 
 SEED = 2024
 
@@ -594,7 +594,7 @@ class TestMasterBound:
 
     def test_contract_at_critical_radius(self, small_model):
         cr = rg.critical_radius(small_model, rg.LinearClass(),
-                                rg.auto_bracket(small_model),
+                                auto_bracket(small_model),
                                 n_samples=2000, seed=SEED)
         freq, bound = master_bound_experiment(
             small_model, t=cr.delta_star, trials=500, seed=SEED,
@@ -770,3 +770,23 @@ class TestRateExperiments:
     def test_linear_guard_n_lt_d(self):
         with pytest.raises(ValueError):
             rg.linear_rate_experiment([(4, 8)], 1.0, 2, SEED)
+
+
+@st.composite
+def linear_cells(draw):
+    """A grid that starts with the cell 1:1, then up to three other distinct
+    cells n >= d, as the CLI accepts them."""
+    sizes = st.integers(1, 40).flatmap(
+        lambda d: st.tuples(st.integers(d, 64), st.just(d))).filter(
+            lambda cell: cell != (1, 1))
+    return [(1, 1), *draw(st.lists(sizes, max_size=3, unique=True))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(linear_cells(), st.floats(1e-3, 1e3), st.integers(0, 2 ** 32))
+def test_linear_critical_radius_is_the_chi_closed_form(grid, sigma, seed):
+    rep = rg.linear_rate_experiment(grid, sigma, 2, seed)
+    for cell in rep.cells:
+        assert cell.delta_star == \
+            2.0 * sigma * chaining.chi_mean(cell.rank) / np.sqrt(cell.n)
+    assert rep.cells[0].delta_star == 2.0 * sigma * np.sqrt(2 / np.pi)
