@@ -67,9 +67,7 @@ OPTIONS = {
               Option("eps", str, None, None, "comma-separated scales; default dyadic"),
               Option("scales", int, 8, 1, "number of dyadic scales")),
     "entropy": (_POINTS, _DIST_MATRIX, _D,
-                Option("K", int, 8, 0, "deepest dyadic sum"),
-                Option("nodes", int, 64, 2 * metric.FLOOR_OCTAVES,
-                       "quadrature nodes of the integral")),
+                Option("K", int, 8, 0, "deepest dyadic sum")),
     "discrete-check": (_INSTANCES,),
     "gauss-check": (Option("fields", int, 20, 1, "fields per battery"), _SAMPLES),
     "dudley": (_POINTS, _SIGMA, _D, _SAMPLES,
@@ -219,11 +217,11 @@ def run_entropy(cfg) -> ReportCollector:
     """entropy integral and dyadic sums"""
     s = _load_metric_set(cfg)
     col = ReportCollector(cfg["seed"])
-    D, K, nodes = cfg["D"] or s.diameter, cfg["K"], cfg["nodes"]
+    D, K = cfg["D"] or s.diameter, cfg["K"]
     if K:   # the deepest sum reaches the scale D 2^-(K-1), which must not underflow
         _in_float_range(f"the scale D 2^-(K-1) at K={K}", D * 2.0 ** (1 - K))
-    integral = metric.entropy_integral(s, D, nodes=nodes)
-    half = metric.entropy_integral(s, D / 2.0, nodes=nodes)
+    integral = metric.entropy_integral(s, D)
+    half = metric.entropy_integral(s, D / 2.0)
     col.at_most("entropy-integral-nonneg", 0.0, integral, 0.0, s.n)
     col.at_most("entropy-integral-monotone-D", half, integral, 0.0, s.n)
     rows = [["k", "eps_k", "dyadic_sum_k"]]

@@ -221,30 +221,22 @@ def lipschitz_tail_gap(f: ScalarField, t: float, n_samples: int, seed: int):
     return tail, float(bound)
 
 
-def finite_max_bound_check(m: int, scales, n_samples: int, seed: int,
-                           budget: float = None):
+def finite_max_bound_check(m: int, scales, n_samples: int, seed: int):
     """(E max estimate over m independent centered normals with the given
-    scales, budget sqrt(2 log m)).
-
-    Each scale must be at most ``budget`` (default: max of scales), the
-    sub-Gaussian parameter the bound is stated with.
-    """
+    scales, max(scales) sqrt(2 log m)): the bound is stated with the largest
+    scale as the sub-Gaussian parameter."""
     if m < 1:
         raise ValueError("m must be positive")
     scales = np.asarray(scales, dtype=float)
     if scales.size != m:
         raise ValueError("need one scale per variable")
-    if budget is None:
-        budget = float(scales.max())
-    if (scales > budget + 1e-12).any():
-        raise ValueError("scales exceed the sub-Gaussian budget")
     rng = derive_rng(seed, "finite-max", m)
     maxima = np.empty(n_samples)
     for rows, block in normal_blocks(rng, n_samples, m, _BLOCK_BYTES):
         block *= scales
         block.max(axis=1, out=maxima[rows])
     emax = McEstimate.from_samples(maxima)
-    bound = 0.0 if m == 1 else float(budget * np.sqrt(2.0 * np.log(m)))
+    bound = 0.0 if m == 1 else float(scales.max() * np.sqrt(2.0 * np.log(m)))
     return emax, bound
 
 
@@ -253,7 +245,7 @@ def finite_max_bound_check(m: int, scales, n_samples: int, seed: int,
 _GL_NODES = 201
 
 
-def _bump_quadrature(n_nodes=_GL_NODES):
+def _bump_quadrature(n_nodes):
     # symmetric composite Gauss-Legendre on [-1, 0] and [0, 1]; the panel
     # boundary at 0 keeps kinked moments (|u|) superalgebraically accurate
     half = (n_nodes + 1) // 2
@@ -267,9 +259,9 @@ def _bump_quadrature(n_nodes=_GL_NODES):
     return u, wts * rho / z
 
 
-def bump_first_moment(n_nodes=_GL_NODES) -> float:
+def bump_first_moment() -> float:
     """integral of |u| against the normalized bump kernel on (-1, 1)."""
-    u, wn = _bump_quadrature(n_nodes)
+    u, wn = _bump_quadrature(_GL_NODES)
     return float(np.sum(wn * np.abs(u)))
 
 
@@ -288,7 +280,7 @@ def mollify_1d(f, eps: float, grid):
     span = float(grid.max() - grid.min())
     if span < eps:
         raise ValueError("grid span too small relative to eps")
-    u, wn = _bump_quadrature()
+    u, wn = _bump_quadrature(_GL_NODES)
     shifted = grid[:, None] - eps * u[None, :]
     f_eps = np.asarray(f(shifted), dtype=float) @ wn
     base = np.asarray(f(grid), dtype=float)

