@@ -25,11 +25,26 @@ stack of problems of one shape, and ``solve_ls_l1`` is a stack of one.  Each
 row does exactly the floating-point operations of a loop over its problem
 alone (the numpy calls that keep this are named in the docstring), because
 the benchmark checks every report against digests of earlier runs and has
-no route yet for a change that moves outputs.  The l1 rate sweep draws each
-cell's trials into one reused stack of at most ``STACK_BYTES`` (1 MiB) of
-designs: stacking whole 40-trial cells raised the benchmark sweep's peak
-RSS by 18%, 1 MiB by 3%, and a 1 MiB stack (four 128 x 256 designs) fits
-in a per-core L2 cache (2 MiB on the Xeon it was measured on).
+no route yet for a change that moves outputs.  The l1 rate sweep cuts each
+cell's trials into stacks of at most ``STACK_BYTES`` (1 MiB) of designs:
+stacking whole 40-trial cells raised the benchmark sweep's peak RSS by 18%,
+1 MiB by 3%, and a 1 MiB stack (four 128 x 256 designs) fits in a per-core
+L2 cache (2 MiB on the Xeon it was measured on).  A stack is the unit of
+work: ``l1_rate_stack`` draws its trials, each from its own stream, solves
+them and returns their errors and the ranks it read, and the sweep puts the
+results back by trial index, so the cells do not depend on where or in what
+order the stacks ran.  ``l1_rate_experiment`` takes the map that runs the
+stacks: the builtin ``map`` runs them in-process, and the CLI's runs them
+on min(CPUs, stacks) forked worker processes.  Processes and not threads:
+about half of each lockstep iteration is numpy call overhead under the GIL,
+and a 2-thread pool made the benchmark sweep slower than a serial loop.
+Each worker holds numpy's bundled OpenBLAS to one thread (``blas``), since
+unpinned the 128 x 256 gemvs are threaded and 2 workers x 2 threads contend
+for 2 cores: on a 2-core VM the benchmark sweep took 5.2-7.2 s in 7 of 9
+unpinned runs, against 1.3-1.4 s serial and 0.7-0.9 s pinned.  Where that
+library has no thread setter, or there is one stack or one CPU, the stacks
+run in-process.  Spans that a tracer wraps around library functions are not
+seen inside the workers.
 
 Localized l1 supremum.  ``l1_localized_sup`` runs each conditional-gradient
 step on Python floats (the gradient read once with ``tolist``, Gram entries
@@ -47,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -519,12 +535,16 @@ class RateReport:
 
 
 def _slopes_by_dimension(cells):
+    """Least-squares slope of log median error against log n for each d
+    whose cells hold two or more distinct n, all with positive errors; a
+    line through one n is not determined, so other d get no slope."""
     slopes = {}
     by_d = {}
     for cell in cells:
         by_d.setdefault(cell.d, []).append(cell)
     for d, group in by_d.items():
-        if len(group) >= 2 and all(c.median_err > 0 for c in group):
+        if (len({c.n for c in group}) >= 2
+                and all(c.median_err > 0 for c in group)):
             ns = np.log([c.n for c in group])
             errs = np.log([c.median_err for c in group])
             slopes[d] = float(np.polyfit(ns, errs, 1)[0])
@@ -565,50 +585,67 @@ def linear_rate_experiment(grid, sigma: float, trials: int, seed: int) -> RateRe
                       params={"sigma": sigma, "trials": trials, "seed": seed})
 
 
-def l1_rate_experiment(grid, R: float, sigma: float, trials: int,
-                       seed: int) -> RateReport:
+def l1_rate_stack(R: float, sigma: float, seed: int, task) -> tuple:
+    """One stack of the l1 rate sweep, task = (n, d, first, stop): the trials
+    first..stop-1 of the cell n x d, each drawn from its own stream and all
+    solved in lockstep.  Returns the squared empirical error of each trial
+    and the ranks read, which stop once a design reaches min(n, d), the
+    highest rank any design of the cell can have."""
+    n, d, first, stop = task
+    Xs = np.empty((stop - first, n, d))
+    ys = np.empty((stop - first, n))
+    truths = []
+    for k, trial in enumerate(range(first, stop)):
+        rng = derive_rng(seed, "l1-rate", n, d, trial)
+        X = Xs[k]
+        X[:] = gaussian_design(rng, n, d)
+        support = rng.choice(d, size=min(SPARSITY, d), replace=False)
+        mags = rng.dirichlet(np.ones(support.size)) * 0.9 * R
+        theta_star = np.zeros(d)
+        theta_star[support] = mags * rng.choice([-1.0, 1.0], size=support.size)
+        w = rng.standard_normal(n)
+        ys[k] = X @ theta_star + sigma * w
+        truths.append(theta_star)
+    results = solve_ls_l1_batch(Xs, ys, R, tol=SWEEP_TOL, max_iter=SWEEP_MAX_ITER)
+    errs = np.empty(stop - first)
+    ranks = []
+    for k, (res, theta_star) in enumerate(zip(results, truths)):
+        if max(ranks, default=0) < min(n, d):
+            ranks.append(design_rank(Xs[k]))
+        errs[k] = empirical_norm(Xs[k] @ (res.theta - theta_star)) ** 2
+    return errs, ranks
+
+
+def l1_rate_experiment(grid, R: float, sigma: float, trials: int, seed: int,
+                       pmap) -> RateReport:
     """Median error normalized by R^2 log(d)/n per cell, allowing d > n.
 
     Designs are column-rescaled to norm exactly sqrt(n); the truth is sparse
-    with l1 mass 0.9 R, strictly inside the constraint ball.
+    with l1 mass 0.9 R, strictly inside the constraint ball.  Each cell's
+    trials are cut into stacks of at most ``STACK_BYTES`` of designs, and
+    ``pmap(fn, tasks)`` runs :func:`l1_rate_stack` on every stack and returns
+    the results in task order (the builtin ``map`` runs them in-process).
     """
     if R <= 0:
         raise ValueError("R must be positive")
-    cells = []
-    for (n, d) in grid:
-        if d < 2:
-            raise ValueError("the l1 sweep requires d >= 2")
+    if any(d < 2 for _, d in grid):
+        raise ValueError("the l1 sweep requires d >= 2")
+    owners, tasks = [], []
+    for i, (n, d) in enumerate(grid):
         width = max(1, min(trials, STACK_BYTES // (8 * n * d)))
-        Xs = np.empty((width, n, d))
-        ys = np.empty((width, n))
-        errs = np.empty(trials)
-        normd = np.empty(trials)
-        rank_seen = 0
-        for start in range(0, trials, width):
-            chunk = range(start, min(start + width, trials))
-            truths = []
-            for k, trial in enumerate(chunk):
-                rng = derive_rng(seed, "l1-rate", n, d, trial)
-                X = Xs[k]
-                X[:] = gaussian_design(rng, n, d)
-                support = rng.choice(d, size=min(SPARSITY, d), replace=False)
-                mags = rng.dirichlet(np.ones(support.size)) * 0.9 * R
-                theta_star = np.zeros(d)
-                theta_star[support] = mags * rng.choice([-1.0, 1.0], size=support.size)
-                w = rng.standard_normal(n)
-                ys[k] = X @ theta_star + sigma * w
-                truths.append(theta_star)
-            results = solve_ls_l1_batch(Xs[:len(chunk)], ys[:len(chunk)], R,
-                                        tol=SWEEP_TOL, max_iter=SWEEP_MAX_ITER)
-            for k, (trial, res, theta_star) in enumerate(zip(chunk, results, truths)):
-                if rank_seen < min(n, d):   # no design has a higher rank
-                    rank_seen = max(rank_seen, design_rank(Xs[k]))
-                err = empirical_norm(Xs[k] @ (res.theta - theta_star)) ** 2
-                errs[trial] = err
-                normd[trial] = err / (R ** 2 * np.log(d) / n)
-        cells.append(RateCell(n=n, d=d, rank=rank_seen, delta_star=float("nan"),
-                              median_err=float(np.median(errs)),
-                              normalized=float(np.median(normd))))
+        for first in range(0, trials, width):
+            owners.append(i)
+            tasks.append((n, d, first, min(first + width, trials)))
+    errs = np.empty((len(grid), trials))
+    ranks = [0] * len(grid)
+    results = pmap(partial(l1_rate_stack, R, sigma, seed), tasks)
+    for i, (_, _, first, stop), (stack_errs, read) in zip(owners, tasks, results):
+        errs[i, first:stop] = stack_errs
+        ranks[i] = max([ranks[i], *read])
+    cells = [RateCell(n=n, d=d, rank=rank, delta_star=float("nan"),
+                      median_err=float(np.median(cell_errs)),
+                      normalized=float(np.median(cell_errs / (R ** 2 * np.log(d) / n))))
+             for (n, d), rank, cell_errs in zip(grid, ranks, errs)]
     return RateReport(cells=cells, slopes=_slopes_by_dimension(cells),
                       params={"R": R, "sigma": sigma, "trials": trials,
                               "seed": seed})

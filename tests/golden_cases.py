@@ -23,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 
-from epkit import cli
+from epkit import blas, cli
 
 ROOT = Path(__file__).resolve().parent / "golden"
 ENVIRONMENT = "environment.json"
@@ -57,15 +57,12 @@ def blas_kernel() -> str:
     DYNAMIC_ARCH, and gemv and gemm bits depend on the kernel), read from
     numpy's bundled library; "unknown" where that library or its symbol is
     absent."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        corename = getattr(ctypes.CDLL(str(path)),
-                           "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes = []
-            corename.restype = ctypes.c_char_p
-            return corename().decode()
-    return "unknown"
+    corename = blas.bundled_function("scipy_openblas_get_corename64_")
+    if corename is None:
+        return "unknown"
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def environment() -> dict:

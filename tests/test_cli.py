@@ -612,6 +612,17 @@ def test_import_loads_no_scipy():
     assert fresh_interpreter(f"import sys, epkit.cli; {LOADED_SCIPY}").strip() == "[]"
 
 
+def test_import_loads_no_process_pool_and_no_ctypes_of_its_own():
+    # the l1 sweep's worker pool and the OpenBLAS lookup are imported where
+    # they are used; numpy loads ctypes itself (numpy._core._internal), so
+    # only ctypes modules beyond numpy's count
+    code = ("import sys, numpy\nnumpys = set(sys.modules)\nimport epkit.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('multiprocessing', 'concurrent.futures.process'))"
+            " or m.startswith('ctypes') and m not in numpys))")
+    assert fresh_interpreter(code).strip() == "[]"
+
+
 def test_suites_without_a_cloud_load_no_scipy(tmp_path):
     # the Gaussian, discrete and regression suites never call scipy
     runs = [["discrete-check", "--instances", "3"],

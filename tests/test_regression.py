@@ -685,14 +685,14 @@ class TestRateExperiments:
     def test_l1_dimension_doubling_scaling(self):
         # doubling d at fixed n should raise the median error by at most
         # roughly log(2d)/log(d); the 1.15 slack covers median sampling noise
-        a = rg.l1_rate_experiment([(32, 32)], 1.0, 1.0, 150, SEED)
-        b = rg.l1_rate_experiment([(32, 64)], 1.0, 1.0, 150, SEED)
+        a = rg.l1_rate_experiment([(32, 32)], 1.0, 1.0, 150, SEED, map)
+        b = rg.l1_rate_experiment([(32, 64)], 1.0, 1.0, 150, SEED, map)
         ratio = b.cells[0].median_err / a.cells[0].median_err
         assert ratio <= np.log(64) / np.log(32) * 1.15
 
     def test_l1_stack_width_cannot_change_cells(self, monkeypatch):
         grid, trials = [(8, 16), (16, 32)], 7
-        args = (grid, 1.0, 1.0, trials, SEED)
+        args = (grid, 1.0, 1.0, trials, SEED, map)
 
         def cells(rep):
             return ([(c.n, c.d, c.rank, c.median_err.hex(), c.normalized.hex())
@@ -703,7 +703,7 @@ class TestRateExperiments:
         batch = rg.solve_ls_l1_batch
 
         def recording(Xs, ys, *a, **kw):
-            buffers.append((Xs.base.nbytes, Xs[0].nbytes, rg.STACK_BYTES))
+            buffers.append((Xs.nbytes, Xs[0].nbytes, rg.STACK_BYTES))
             return batch(Xs, ys, *a, **kw)
 
         monkeypatch.setattr(rg, "solve_ls_l1_batch", recording)
@@ -746,7 +746,7 @@ class TestRateExperiments:
             return rank(X)
 
         monkeypatch.setattr(rg, "design_rank", counting)
-        rep = rg.l1_rate_experiment(grid, 1.0, 1.0, 5, SEED)
+        rep = rg.l1_rate_experiment(grid, 1.0, 1.0, 5, SEED, map)
         assert calls == grid
         assert [c.rank for c in rep.cells] == [8, 12]
 
@@ -760,12 +760,12 @@ class TestRateExperiments:
             return next(ranks)
 
         monkeypatch.setattr(rg, "design_rank", rising)
-        rep = rg.l1_rate_experiment(grid[:1], 1.0, 1.0, 5, SEED)
+        rep = rg.l1_rate_experiment(grid[:1], 1.0, 1.0, 5, SEED, map)
         assert len(calls) == 3 and rep.cells[0].rank == 8
 
     def test_l1_guard_small_d(self):
         with pytest.raises(ValueError):
-            rg.l1_rate_experiment([(8, 1)], 1.0, 1.0, 2, SEED)
+            rg.l1_rate_experiment([(8, 1)], 1.0, 1.0, 2, SEED, map)
 
     def test_linear_guard_n_lt_d(self):
         with pytest.raises(ValueError):
@@ -790,3 +790,41 @@ def test_linear_critical_radius_is_the_chi_closed_form(grid, sigma, seed):
         assert cell.delta_star == \
             2.0 * sigma * chaining.chi_mean(cell.rank) / np.sqrt(cell.n)
     assert rep.cells[0].delta_star == 2.0 * sigma * np.sqrt(2 / np.pi)
+
+
+@st.composite
+def power_law_cells(draw):
+    """Cells of up to three dimensions, repeated cells allowed, whose median
+    errors follow c_d n^a_d exactly in each dimension d."""
+    laws = draw(st.dictionaries(st.integers(1, 3),
+                                st.tuples(st.floats(1e-3, 1e3), st.floats(-2.0, 2.0)),
+                                min_size=1))
+    sizes = st.tuples(st.sampled_from([1, 2, 3, 64, 4096]),
+                      st.sampled_from(sorted(laws)))
+    return [rg.RateCell(n=n, d=d, rank=0, delta_star=float("nan"),
+                        median_err=laws[d][0] * n ** laws[d][1], normalized=0.0)
+            for n, d in draw(st.lists(sizes, min_size=1, max_size=8))], laws
+
+
+@settings(max_examples=200, deadline=None)
+@given(power_law_cells())
+def test_slopes_only_where_a_dimension_has_two_distinct_n(drawn):
+    # a RankWarning is a RuntimeWarning, which the test settings raise
+    cells, laws = drawn
+    slopes = rg._slopes_by_dimension(cells)
+    assert set(slopes) == {d for d in laws
+                           if len({c.n for c in cells if c.d == d}) >= 2}
+    for d, slope in slopes.items():
+        assert slope == pytest.approx(laws[d][1], abs=1e-9)
+
+
+@pytest.mark.parametrize("sweep", ["linear", "l1"])
+def test_repeated_cells_give_no_slope(sweep):
+    grid = [(8, 2), (8, 2), (16, 4)]
+    if sweep == "linear":
+        rep = rg.linear_rate_experiment(grid, 1.0, 3, 0)
+    else:
+        rep = rg.l1_rate_experiment(grid, 1.0, 1.0, 3, 0, map)
+    assert rep.slopes == {}
+    a, b = rep.cells[:2]
+    assert (a.rank, a.median_err, a.normalized) == (b.rank, b.median_err, b.normalized)
