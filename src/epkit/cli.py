@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from collections import namedtuple
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blas, chaining, discrete, fields, gaussian, maurey, metric, regression
+from . import chaining, discrete, fields, gaussian, maurey, metric, regression, workers
 from .reports import ReportCollector, fmt, render, versioned, write_text
 from .rng import derive_rng, gaussian_design, l1_ball_point
 
@@ -251,37 +250,6 @@ def run_discrete_check(cfg) -> ReportCollector:
     return col
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on (macOS has no sched_getaffinity)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _forked_map(fn, tasks) -> list:
-    """map(fn, tasks) on min(CPUs, tasks) forked worker processes, each held
-    to one OpenBLAS thread (unpinned, each worker's threaded gemvs contend
-    for the same cores); in-process where there is one task or one CPU, or
-    where numpy's OpenBLAS has no thread setter.
-
-    Processes and not threads, because the l1 solves hold the GIL for about
-    half of each iteration.  Forked and not spawned, because a spawned worker
-    imports numpy and epkit afresh; the CLI process runs no threads of its
-    own here (gauss-check's pool has exited), and OpenBLAS stops its threads
-    before a fork."""
-    workers = min(_available_cpus(), len(tasks))
-    pin = blas.thread_setter() if workers > 1 else None
-    if pin is None:
-        return list(map(fn, tasks))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=pin, initargs=(1,)) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def run_gauss_check(cfg) -> ReportCollector:
     """Gaussian Monte Carlo inequality suite"""
     from concurrent.futures import ThreadPoolExecutor
@@ -310,7 +278,8 @@ def run_gauss_check(cfg) -> ReportCollector:
     jobs = ([(poincare, f) for f in fields.poincare_battery(count, seed)]
             + [(lsi, f) for f in fields.lsi_battery(count, seed)]
             + [(lipschitz, f) for f in fields.lipschitz_battery(count, seed)])
-    with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(jobs))) as pool:
+    cpus = workers.available_cpus()
+    with ThreadPoolExecutor(max_workers=min(cpus, len(jobs))) as pool:
         for rows in pool.map(lambda job: job[0](job[1]), jobs):
             for check, (lhs, rhs) in rows:
                 col.mc(check, lhs, rhs, n)
@@ -453,8 +422,7 @@ def run_regress(cfg) -> ReportCollector:
             # |w_i| <= 8 (a draw exceeds 8 with probability 1.2e-15)
             _in_float_range(f"64 n (R + sigma)^2 at n={n}",
                             64.0 * n * (R + sigma) * (R + sigma))
-        report = regression.l1_rate_experiment(grid, R, sigma, trials, seed,
-                                                  _forked_map)
+        report = regression.l1_rate_experiment(grid, R, sigma, trials, seed)
         norms = [c.normalized for c in report.cells]
         if len(norms) > 1 and min(norms) > 0:
             spread = max(norms) / min(norms)

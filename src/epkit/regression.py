@@ -31,20 +31,23 @@ stacking whole 40-trial cells raised the benchmark sweep's peak RSS by 18%,
 1 MiB by 3%, and a 1 MiB stack (four 128 x 256 designs) fits in a per-core
 L2 cache (2 MiB on the Xeon it was measured on).  A stack is the unit of
 work: ``l1_rate_stack`` draws its trials, each from its own stream, solves
-them and returns their errors and the ranks it read, and the sweep puts the
-results back by trial index, so the cells do not depend on where or in what
-order the stacks ran.  ``l1_rate_experiment`` takes the map that runs the
-stacks: the builtin ``map`` runs them in-process, and the CLI's runs them
-on min(CPUs, stacks) forked worker processes.  Processes and not threads:
-about half of each lockstep iteration is numpy call overhead under the GIL,
-and a 2-thread pool made the benchmark sweep slower than a serial loop.
-Each worker holds numpy's bundled OpenBLAS to one thread (``blas``), since
-unpinned the 128 x 256 gemvs are threaded and 2 workers x 2 threads contend
-for 2 cores: on a 2-core VM the benchmark sweep took 5.2-7.2 s in 7 of 9
-unpinned runs, against 1.3-1.4 s serial and 0.7-0.9 s pinned.  Where that
-library has no thread setter, or there is one stack or one CPU, the stacks
-run in-process.  Spans that a tracer wraps around library functions are not
-seen inside the workers.
+them and returns their errors, and the sweep puts the results back by
+trial index, so the cells do not depend on where or in what order the
+stacks ran.  Design ranks are read in trial order from a cell's first
+stack on, until one reaches full rank, so the sweep reads as many as a
+serial loop (a Gaussian design reaches full rank on the first trial).
+``workers.forked_map`` runs the stacks on min(CPUs, stacks) forked worker
+processes.  Processes and not threads: about half of each lockstep
+iteration is numpy call overhead under the GIL, and a 2-thread pool made
+the benchmark sweep slower than a serial loop.  Each worker holds numpy's
+bundled OpenBLAS to one thread (``blas``), since unpinned the 128 x 256
+gemvs are threaded and 2 workers x 2 threads contend for 2 cores: on a
+2-core VM the benchmark sweep took 5.2-7.2 s in 7 of 9 unpinned runs,
+against 1.3-1.4 s serial and 0.7-0.9 s pinned.  Where that library has no
+thread setter, there is one stack or one CPU, the caller runs other
+threads, or the pool fails (a fork refused, a worker killed), the stacks
+run in-process.  Spans that a tracer wraps around library functions are
+not seen inside the workers.
 
 Localized l1 supremum.  ``l1_localized_sup`` runs each conditional-gradient
 step on Python floats (the gradient read once with ``tolist``, Gram entries
@@ -67,6 +70,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import workers
 from .chaining import chi_mean
 from .gaussian import McEstimate
 from .rng import derive_rng, gaussian_design
@@ -589,8 +593,9 @@ def l1_rate_stack(R: float, sigma: float, seed: int, task) -> tuple:
     """One stack of the l1 rate sweep, task = (n, d, first, stop): the trials
     first..stop-1 of the cell n x d, each drawn from its own stream and all
     solved in lockstep.  Returns the squared empirical error of each trial
-    and the ranks read, which stop once a design reaches min(n, d), the
-    highest rank any design of the cell can have."""
+    and the highest design rank read.  Only a cell's first stack (first = 0)
+    reads ranks, in trial order until one reaches min(n, d), the highest
+    rank any design of the cell can have; the other stacks return rank 0."""
     n, d, first, stop = task
     Xs = np.empty((stop - first, n, d))
     ys = np.empty((stop - first, n))
@@ -608,40 +613,47 @@ def l1_rate_stack(R: float, sigma: float, seed: int, task) -> tuple:
         truths.append(theta_star)
     results = solve_ls_l1_batch(Xs, ys, R, tol=SWEEP_TOL, max_iter=SWEEP_MAX_ITER)
     errs = np.empty(stop - first)
-    ranks = []
+    rank = 0
     for k, (res, theta_star) in enumerate(zip(results, truths)):
-        if max(ranks, default=0) < min(n, d):
-            ranks.append(design_rank(Xs[k]))
+        if first == 0 and rank < min(n, d):
+            rank = max(rank, design_rank(Xs[k]))
         errs[k] = empirical_norm(Xs[k] @ (res.theta - theta_star)) ** 2
-    return errs, ranks
+    return errs, rank
 
 
-def l1_rate_experiment(grid, R: float, sigma: float, trials: int, seed: int,
-                       pmap) -> RateReport:
+def l1_rate_experiment(grid, R: float, sigma: float, trials: int,
+                       seed: int) -> RateReport:
     """Median error normalized by R^2 log(d)/n per cell, allowing d > n.
 
     Designs are column-rescaled to norm exactly sqrt(n); the truth is sparse
     with l1 mass 0.9 R, strictly inside the constraint ball.  Each cell's
     trials are cut into stacks of at most ``STACK_BYTES`` of designs, and
-    ``pmap(fn, tasks)`` runs :func:`l1_rate_stack` on every stack and returns
-    the results in task order (the builtin ``map`` runs them in-process).
+    :func:`workers.forked_map` runs :func:`l1_rate_stack` on every stack.
     """
     if R <= 0:
         raise ValueError("R must be positive")
     if any(d < 2 for _, d in grid):
         raise ValueError("the l1 sweep requires d >= 2")
+    widths = [max(1, min(trials, STACK_BYTES // (8 * n * d))) for n, d in grid]
     owners, tasks = [], []
-    for i, (n, d) in enumerate(grid):
-        width = max(1, min(trials, STACK_BYTES // (8 * n * d)))
+    for i, ((n, d), width) in enumerate(zip(grid, widths)):
         for first in range(0, trials, width):
             owners.append(i)
             tasks.append((n, d, first, min(first + width, trials)))
     errs = np.empty((len(grid), trials))
     ranks = [0] * len(grid)
-    results = pmap(partial(l1_rate_stack, R, sigma, seed), tasks)
-    for i, (_, _, first, stop), (stack_errs, read) in zip(owners, tasks, results):
+    results = workers.forked_map(partial(l1_rate_stack, R, sigma, seed), tasks)
+    for i, (_, _, first, stop), (stack_errs, rank) in zip(owners, tasks, results):
         errs[i, first:stop] = stack_errs
-        ranks[i] = max([ranks[i], *read])
+        ranks[i] = max(ranks[i], rank)
+    for i, ((n, d), width) in enumerate(zip(grid, widths)):
+        # a first stack short of full rank read all its designs; the reads
+        # go on from the next trial, whose design is its stream's first draw
+        for trial in range(width, trials):
+            if ranks[i] >= min(n, d):
+                break
+            X = gaussian_design(derive_rng(seed, "l1-rate", n, d, trial), n, d)
+            ranks[i] = max(ranks[i], design_rank(X))
     cells = [RateCell(n=n, d=d, rank=rank, delta_star=float("nan"),
                       median_err=float(np.median(cell_errs)),
                       normalized=float(np.median(cell_errs / (R ** 2 * np.log(d) / n))))

@@ -215,7 +215,7 @@ class TestCriterion5Regression:
         assert ctrl.cells[0].normalized == pytest.approx(0.455, abs=0.05)
         # l1 rate: normalized medians within a factor-3 band, d > n included
         l1rep = rg.l1_rate_experiment([(32, 64), (64, 128), (128, 256)],
-                                      1.0, 1.0, 120, SEED, map)
+                                      1.0, 1.0, 120, SEED)
         norms = [c.normalized for c in l1rep.cells]
         assert max(norms) / min(norms) < 3.0
         elapsed = time.perf_counter() - start

@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from epkit import cli, fields, gaussian
+from epkit import cli, fields, gaussian, workers
 from epkit.reports import ReportCollector, fmt
 
 
@@ -71,7 +71,7 @@ def test_reports_match_the_serial_suite(argv, tmp_path, monkeypatch, capsys):
                     monkeypatch, capsys)
     assert want[0] == 0
     for cpus in (1, 4):
-        monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(workers, "available_cpus", lambda: cpus)
         got = run_main(argv, tmp_path / f"cpus-{cpus}", cli.run_gauss_check,
                        monkeypatch, capsys)
         assert got[0] == 0 and got[2] == want[2]
@@ -83,7 +83,7 @@ def test_reports_hold_under_frequent_thread_switches(tmp_path, monkeypatch, caps
     argv = ["--fields", "12", "--samples", "3000", "--seed", "2"]
     want = run_main(argv, tmp_path / "serial", former_run_gauss_check,
                     monkeypatch, capsys)
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 8)
+    monkeypatch.setattr(workers, "available_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -112,7 +112,7 @@ def test_error_names_the_first_failing_field(battery, cpus, tmp_path, monkeypatc
     first = getattr(fields, battery)(8, 3)[k].name
     monkeypatch.setattr(fields, battery,
                         broken_gradients(getattr(fields, battery), (k, k + 3)))
-    monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "available_cpus", lambda: cpus)
     cfg = {"seed": 3, "samples": 2000, "fields": 8}
     raised = []
     for suite in (former_run_gauss_check, cli.run_gauss_check):
@@ -131,8 +131,8 @@ def test_error_names_the_first_failing_field(battery, cpus, tmp_path, monkeypatc
     assert got[0] == 2 and f"error: gradient check failed for {first}:" in got[1]
 
 
-@pytest.mark.parametrize("cpus, count, workers", [(1, 40, 1), (4, 40, 4), (4, 1, 3)])
-def test_one_worker_per_cpu_at_most_one_per_job(cpus, count, workers, monkeypatch):
+@pytest.mark.parametrize("cpus, count, size", [(1, 40, 1), (4, 40, 4), (4, 1, 3)])
+def test_one_worker_per_cpu_at_most_one_per_job(cpus, count, size, monkeypatch):
     seen = []
 
     class Recorded(concurrent.futures.ThreadPoolExecutor):
@@ -141,16 +141,16 @@ def test_one_worker_per_cpu_at_most_one_per_job(cpus, count, workers, monkeypatc
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
-    monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "available_cpus", lambda: cpus)
     cli.run_gauss_check({"seed": 0, "samples": 200, "fields": count})
-    assert seen == [workers]
+    assert seen == [size]
 
 
 def test_available_cpus(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
-        assert cli._available_cpus() == len(os.sched_getaffinity(0))
+        assert workers.available_cpus() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert cli._available_cpus() == 3
+    assert workers.available_cpus() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli._available_cpus() == 1
+    assert workers.available_cpus() == 1

@@ -1,14 +1,18 @@
 """The l1 regress sweep on forked worker processes: the same report bytes as
 in-process, no process left behind, the in-process fallback where OpenBLAS
-cannot be held to one thread, and errors raised in a worker."""
+cannot be held to one thread or the pool fails, and errors raised in a
+worker."""
 
 import concurrent.futures
+import errno
 import multiprocessing
 import os
+import signal
+import threading
 
 import pytest
 
-from epkit import blas, cli, regression
+from epkit import blas, cli, regression, workers
 
 ARGV = ["regress", "--class", "l1", "--grid", "8:16,16:32", "--trials", "6",
         "--seed", "3"]
@@ -19,6 +23,15 @@ STACK_BYTES = 2 * 8 * 16 * 32
 @pytest.fixture(autouse=True)
 def four_stacks(monkeypatch):
     monkeypatch.setattr(regression, "STACK_BYTES", STACK_BYTES)
+
+
+@pytest.fixture(autouse=True)
+def no_children_left():
+    """Ends what a failed run left behind, so that it fails and does not
+    hang the session; run_main has asserted that no child is alive."""
+    yield
+    for proc in multiprocessing.active_children():
+        proc.terminate()
 
 
 @pytest.fixture
@@ -37,7 +50,7 @@ def pools(monkeypatch):
 
 def run_main(cpus, out, monkeypatch, capsys, argv=ARGV):
     """Exit code, stderr and every output file of argv at cpus CPUs."""
-    monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "available_cpus", lambda: cpus)
     code = cli.main([*argv, "--out", str(out)])
     err = capsys.readouterr().err
     files = ({p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -62,6 +75,22 @@ def test_one_stack_runs_in_process(tmp_path, monkeypatch, capsys, pools):
     argv = [*ARGV[:3], "--grid", "8:16", *ARGV[5:]]
     assert run_main(2, tmp_path, monkeypatch, capsys, argv)[0] == 0
     assert pools == []
+
+
+def test_other_threads_run_in_process(tmp_path, monkeypatch, capsys, pools):
+    # a fork would copy only this thread, and a lock the other thread held
+    # would stay held in the workers
+    want = run_main(1, tmp_path / "serial", monkeypatch, capsys)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        got = run_main(2, tmp_path / "threaded", monkeypatch, capsys)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert pools == [] and got == want
 
 
 def test_no_thread_setter_runs_in_process(tmp_path, monkeypatch, capsys):
@@ -98,6 +127,38 @@ def test_workers_run_on_one_blas_thread(tmp_path, monkeypatch, capsys):
     assert {count for _, count in solves} == {"1"}
     pids = {pid for pid, _ in solves}
     assert len(pids) <= 2 and str(os.getpid()) not in pids
+
+
+@pytest.mark.parametrize("failure", ["no pool", "second fork", "worker killed"])
+def test_failed_pool_runs_in_process(failure, tmp_path, monkeypatch, capsys):
+    want = run_main(1, tmp_path / "serial", monkeypatch, capsys)
+    if failure == "no pool":
+        def no_semaphores(*args, **kwargs):
+            raise OSError(errno.ENOSYS, "Function not implemented")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_semaphores)
+    elif failure == "second fork":
+        # the first worker has started when the second cannot be forked
+        forks, fork = [], os.fork
+
+        def refused():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refused)
+    else:
+        parent, solve = os.getpid(), regression.solve_ls_l1_batch
+
+        def killed(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "solve_ls_l1_batch", killed)
+    assert run_main(2, tmp_path / "failed", monkeypatch, capsys) == want
 
 
 @pytest.mark.parametrize("error, code", [(ValueError, 2), (RuntimeError, 3)])

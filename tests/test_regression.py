@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from epkit import chaining
+from epkit import chaining, workers
 from epkit import regression as rg
 from epkit.rng import derive_rng, gaussian_design, l1_ball_point
 from master_bound import auto_bracket, master_bound_experiment
@@ -665,6 +665,13 @@ class TestBadEvent:
                                               trials=10, seed=1)
 
 
+@pytest.fixture
+def in_process(monkeypatch):
+    """The sweep's stacks run in this process, where a patched function
+    sees their calls."""
+    monkeypatch.setattr(workers, "available_cpus", lambda: 1)
+
+
 class TestRateExperiments:
     def test_chi_square_median_control(self):
         rep = rg.linear_rate_experiment([(1, 1)], 1.0, 2000, SEED)
@@ -685,14 +692,14 @@ class TestRateExperiments:
     def test_l1_dimension_doubling_scaling(self):
         # doubling d at fixed n should raise the median error by at most
         # roughly log(2d)/log(d); the 1.15 slack covers median sampling noise
-        a = rg.l1_rate_experiment([(32, 32)], 1.0, 1.0, 150, SEED, map)
-        b = rg.l1_rate_experiment([(32, 64)], 1.0, 1.0, 150, SEED, map)
+        a = rg.l1_rate_experiment([(32, 32)], 1.0, 1.0, 150, SEED)
+        b = rg.l1_rate_experiment([(32, 64)], 1.0, 1.0, 150, SEED)
         ratio = b.cells[0].median_err / a.cells[0].median_err
         assert ratio <= np.log(64) / np.log(32) * 1.15
 
-    def test_l1_stack_width_cannot_change_cells(self, monkeypatch):
+    def test_l1_stack_width_cannot_change_cells(self, monkeypatch, in_process):
         grid, trials = [(8, 16), (16, 32)], 7
-        args = (grid, 1.0, 1.0, trials, SEED, map)
+        args = (grid, 1.0, 1.0, trials, SEED)
 
         def cells(rep):
             return ([(c.n, c.d, c.rank, c.median_err.hex(), c.normalized.hex())
@@ -735,37 +742,64 @@ class TestRateExperiments:
                               float(np.median(normd)).hex()))
         assert default[0] == per_trial
 
-    def test_l1_rank_reads_stop_at_full_rank(self, monkeypatch):
+    def test_l1_rank_reads_stop_at_full_rank(self, monkeypatch, in_process):
         # a cell's rank is at most min(n, d), so once a design reaches it no
         # later design can raise it; a Gaussian design does on the first trial
         grid, calls = [(8, 16), (16, 12)], []
         rank = rg.design_rank
 
         def counting(X):
-            calls.append(X.shape)
+            calls.append(X.copy())
             return rank(X)
 
+        def rising(*ranks):
+            values = iter(ranks)
+
+            def read(X):
+                calls.append(X.copy())
+                return next(values)
+            return read
+
+        def designs_read(n, d):
+            # the reads follow trial order, each a trial's own design
+            return all(np.array_equal(X, gaussian_design(
+                           derive_rng(SEED, "l1-rate", n, d, trial), n, d))
+                       for trial, X in enumerate(calls))
+
         monkeypatch.setattr(rg, "design_rank", counting)
-        rep = rg.l1_rate_experiment(grid, 1.0, 1.0, 5, SEED, map)
-        assert calls == grid
+        rep = rg.l1_rate_experiment(grid, 1.0, 1.0, 5, SEED)
+        assert [X.shape for X in calls] == grid
         assert [c.rank for c in rep.cells] == [8, 12]
 
         # a design read below full rank keeps the reads going, until one
         # reaches min(n, d)
         calls.clear()
-        ranks = iter([3, 5, 8])
-
-        def rising(X):
-            calls.append(X.shape)
-            return next(ranks)
-
-        monkeypatch.setattr(rg, "design_rank", rising)
-        rep = rg.l1_rate_experiment(grid[:1], 1.0, 1.0, 5, SEED, map)
+        monkeypatch.setattr(rg, "design_rank", rising(3, 5, 8))
+        rep = rg.l1_rate_experiment(grid[:1], 1.0, 1.0, 5, SEED)
         assert len(calls) == 3 and rep.cells[0].rank == 8
+        assert designs_read(*grid[0])
+
+        # cells cut into stacks, two 8 x 16 designs or one 16 x 12 design
+        # each: the first stack reads, and once it reaches full rank the
+        # later stacks read nothing
+        monkeypatch.setattr(rg, "STACK_BYTES", 2 * 8 * 8 * 16)
+        calls.clear()
+        monkeypatch.setattr(rg, "design_rank", counting)
+        rep = rg.l1_rate_experiment(grid, 1.0, 1.0, 5, SEED)
+        assert [X.shape for X in calls] == grid
+        assert [c.rank for c in rep.cells] == [8, 12]
+
+        # reads that leave the first stack below full rank go on into the
+        # later stacks' trials
+        calls.clear()
+        monkeypatch.setattr(rg, "design_rank", rising(3, 5, 6, 8))
+        rep = rg.l1_rate_experiment(grid[:1], 1.0, 1.0, 5, SEED)
+        assert len(calls) == 4 and rep.cells[0].rank == 8
+        assert designs_read(*grid[0])
 
     def test_l1_guard_small_d(self):
         with pytest.raises(ValueError):
-            rg.l1_rate_experiment([(8, 1)], 1.0, 1.0, 2, SEED, map)
+            rg.l1_rate_experiment([(8, 1)], 1.0, 1.0, 2, SEED)
 
     def test_linear_guard_n_lt_d(self):
         with pytest.raises(ValueError):
@@ -824,7 +858,7 @@ def test_repeated_cells_give_no_slope(sweep):
     if sweep == "linear":
         rep = rg.linear_rate_experiment(grid, 1.0, 3, 0)
     else:
-        rep = rg.l1_rate_experiment(grid, 1.0, 1.0, 3, 0, map)
+        rep = rg.l1_rate_experiment(grid, 1.0, 1.0, 3, 0)
     assert rep.slopes == {}
     a, b = rep.cells[:2]
     assert (a.rank, a.median_err, a.normalized) == (b.rank, b.median_err, b.normalized)
