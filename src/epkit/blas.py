@@ -30,6 +30,17 @@ def bundled_function(name: str):
     return None
 
 
+def thread_getter():
+    """``get_num_threads()`` of the bundled OpenBLAS, or None where it is
+    absent."""
+    import ctypes
+
+    fn = bundled_function("scipy_openblas_get_num_threads64_")
+    if fn is not None:
+        fn.argtypes, fn.restype = [], ctypes.c_int
+    return fn
+
+
 def thread_setter():
     """``set_num_threads(k)`` of the bundled OpenBLAS, or None where it is
     absent."""

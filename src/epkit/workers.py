@@ -23,34 +23,42 @@ def available_cpus() -> int:
 
 def forked_map(fn, tasks) -> list:
     """``list(map(fn, tasks))``, run on min(CPUs, tasks) forked worker
-    processes, each held to one OpenBLAS thread (unpinned, each worker's
-    threaded gemvs contend for the same cores).
+    processes, each on one OpenBLAS thread (unpinned, each worker's threaded
+    gemvs contend for the same cores).
+
+    The OpenBLAS thread count is set to 1 in this process just before the
+    pool forks and restored when the map returns, raises or falls back, so
+    the workers inherit it.  Setting it in a forked worker instead would
+    restart OpenBLAS's thread server there (a fork stops its threads), and
+    the server's helper thread spins beside the solve for nothing.
 
     The tasks run in-process where there is one task or one CPU, where
-    numpy's OpenBLAS has no thread setter, or where the caller runs other
-    threads: a fork copies only the calling thread, so a lock that another
-    thread holds stays held in the worker.  They run in-process again where
-    the pool fails: it cannot be built (no semaphores, no file descriptors),
-    a worker cannot be forked (EAGAIN, ENOMEM) or one dies (a signal, the
-    OOM killer).  An exception that ``fn`` raises in a worker is raised
-    here as in-process; an OSError from ``fn`` is raised by the rerun.
+    numpy's OpenBLAS has no thread getter or setter, or where the caller
+    runs other threads: a fork copies only the calling thread, so a lock
+    that another thread holds stays held in the worker.  They run in-process
+    again, at the restored count, where the pool fails: it cannot be built
+    (no semaphores, no file descriptors), a worker cannot be forked (EAGAIN,
+    ENOMEM) or one dies (a signal, the OOM killer).  An exception that
+    ``fn`` raises in a worker is raised here as in-process; an OSError from
+    ``fn`` is raised by the rerun.
 
     Forked and not spawned, because a spawned worker imports numpy and epkit
-    afresh (OpenBLAS stops its own threads before a fork)."""
+    afresh."""
     workers = min(available_cpus(), len(tasks))
-    alone = threading.active_count() == 1
-    pin = blas.thread_setter() if workers > 1 and alone else None
-    if pin is None:
+    if workers < 2 or threading.active_count() > 1:
+        return list(map(fn, tasks))
+    threads, pin = blas.thread_getter(), blas.thread_setter()
+    if threads is None or pin is None:
         return list(map(fn, tasks))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    started = {}
+    started, before = {}, threads()
+    pin(1)
     try:
         with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=pin, initargs=(1,)) as pool:
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
             started = pool._processes   # shutdown forgets the workers
             return list(pool.map(fn, tasks))
     except (OSError, BrokenProcessPool):
@@ -58,4 +66,6 @@ def forked_map(fn, tasks) -> list:
         for proc in started.values():
             proc.terminate()
             proc.join()
+    finally:
+        pin(before)
     return list(map(fn, tasks))

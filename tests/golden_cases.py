@@ -23,31 +23,53 @@ from unittest import mock
 
 import numpy as np
 
-from epkit import blas, cli
+from epkit import blas, cli, workers
 
 ROOT = Path(__file__).resolve().parent / "golden"
 ENVIRONMENT = "environment.json"
 
-# case -> runs of (subdirectory, argv, forced, exit code); a forced run sets
-# cli.EXACT_TOL to -1, so every exact check fails and the violations are
-# dumped
+# every exact check fails, so the violations are dumped
+FORCED = ((cli, "EXACT_TOL", -1.0),)
+
+
+def cpus(n: int) -> tuple:
+    """Patches under which a run sees n CPUs."""
+    return ((workers, "available_cpus", lambda: n),)
+
+
+GAUSS = ["gauss-check", "--fields", "6", "--samples", "10000", "--seed", "0"]
+
+# case -> runs of (subdirectory, argv, patches, exit code); each patch is an
+# (object, attribute, value) that holds for that run alone
 CASES = {
     "discrete_check": [
-        ("csv", ["discrete-check", "--instances", "50", "--seed", "0"], False, 0),
+        ("csv", ["discrete-check", "--instances", "50", "--seed", "0"], (), 0),
         ("json", ["discrete-check", "--instances", "50", "--seed", "0",
-                  "--format", "json"], False, 0),
+                  "--format", "json"], (), 0),
         ("forced", ["discrete-check", "--instances", "3", "--seed", "3",
-                    "--format", "json"], True, 1),
+                    "--format", "json"], FORCED, 1),
     ],
     # the default cell, the linear rate grid (100 trials keep the case near
     # 0.2 s) and an l1 grid with d > n
     "regress": [
-        ("csv", ["regress", "--seed", "0"], False, 0),
-        ("json", ["regress", "--seed", "0", "--format", "json"], False, 0),
+        ("csv", ["regress", "--seed", "0"], (), 0),
+        ("json", ["regress", "--seed", "0", "--format", "json"], (), 0),
         ("grid", ["regress", "--grid", "64:8,128:8,256:8,512:8", "--trials", "100",
-                  "--seed", "0"], False, 0),
+                  "--seed", "0"], (), 0),
         ("l1", ["regress", "--class", "l1", "--grid", "16:32,32:64", "--trials", "8",
-                "--seed", "0"], False, 0),
+                "--seed", "0"], (), 0),
+    ],
+    "maurey": [
+        ("csv", ["maurey", "--instances", "200", "--seed", "0"], (), 0),
+        ("json", ["maurey", "--instances", "200", "--seed", "0", "--format", "json"],
+         (), 0),
+    ],
+    # the field jobs run on one thread and on four: the pool's schedule must
+    # not reach the report bytes
+    "gauss_check": [
+        ("cpus1", GAUSS, cpus(1), 0),
+        ("cpus4", GAUSS, cpus(4), 0),
+        ("json", [*GAUSS, "--format", "json"], cpus(4), 0),
     ],
 }
 
@@ -79,10 +101,11 @@ def run_case(case: str, out: Path) -> list:
     """Write every file of the case under out; the exit code of each run
     against the expected one, as (got, expected) pairs."""
     codes = []
-    for sub, argv, forced, expected in CASES[case]:
-        patch = (mock.patch.object(cli, "EXACT_TOL", -1.0) if forced
-                 else contextlib.nullcontext())
-        with patch, contextlib.redirect_stdout(io.StringIO()):
+    for sub, argv, patches, expected in CASES[case]:
+        with contextlib.ExitStack() as stack:
+            for target, name, value in patches:
+                stack.enter_context(mock.patch.object(target, name, value))
+            stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
             codes.append((cli.main([*argv, "--out", str(out / sub)]), expected))
     return codes
 

@@ -1,7 +1,8 @@
 """The l1 regress sweep on forked worker processes: the same report bytes as
-in-process, no process left behind, the in-process fallback where OpenBLAS
-cannot be held to one thread or the pool fails, and errors raised in a
-worker."""
+in-process, no process left behind, workers on one OS thread and one
+OpenBLAS thread while the parent's count is restored on every exit, the
+in-process fallback where OpenBLAS cannot be held to one thread or the pool
+fails, and errors raised in a worker."""
 
 import concurrent.futures
 import errno
@@ -32,6 +33,48 @@ def no_children_left():
     yield
     for proc in multiprocessing.active_children():
         proc.terminate()
+
+
+@pytest.fixture
+def threads():
+    """numpy's OpenBLAS thread count getter, with the count set to 2 for the
+    test and restored after it, so that a worker's count of 1 is never the
+    parent's."""
+    count, pin = blas.thread_getter(), blas.thread_setter()
+    if count is None or pin is None:
+        pytest.skip("numpy's OpenBLAS exports no thread getter or setter")
+    before = count()
+    pin(2)
+    yield count
+    pin(before)
+
+
+@pytest.fixture
+def solves(tmp_path, monkeypatch, threads):
+    """Every solve_ls_l1_batch call as (pid, OS threads, OpenBLAS threads),
+    read after the solve; OS threads are None where there is no /proc.  A
+    call returns the solves logged since the last call."""
+    log = tmp_path / "solves.txt"
+    log.touch()
+    solve = regression.solve_ls_l1_batch
+
+    def logged(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        tasks = (len(os.listdir("/proc/self/task"))
+                 if os.path.isdir("/proc/self/task") else None)
+        # a worker's calls are seen only through what it writes
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {tasks} {threads()}\n")
+        return out
+
+    def read():
+        lines = log.read_text().splitlines()
+        log.write_text("")
+        return [(int(pid), None if tasks == "None" else int(tasks), int(count))
+                for pid, tasks, count in map(str.split, lines)]
+
+    monkeypatch.setattr(regression, "solve_ls_l1_batch", logged)
+    return read
 
 
 @pytest.fixture
@@ -93,45 +136,41 @@ def test_other_threads_run_in_process(tmp_path, monkeypatch, capsys, pools):
     assert pools == [] and got == want
 
 
-def test_no_thread_setter_runs_in_process(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("missing", ["thread_getter", "thread_setter",
+                                     "bundled_function"])
+def test_no_thread_function_runs_in_process(missing, tmp_path, monkeypatch,
+                                            capsys):
     want = run_main(1, tmp_path / "serial", monkeypatch, capsys)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was constructed")
 
-    monkeypatch.setattr(blas, "bundled_function", lambda name: None)
+    monkeypatch.setattr(blas, missing, lambda *name: None)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert blas.thread_setter() is None
+    assert blas.thread_getter() is None or blas.thread_setter() is None
     assert run_main(2, tmp_path / "unpinned", monkeypatch, capsys) == want
 
 
-def test_workers_run_on_one_blas_thread(tmp_path, monkeypatch, capsys):
-    if blas.thread_setter() is None:
-        pytest.skip("numpy's OpenBLAS exports no thread setter")
-    threads = blas.bundled_function("scipy_openblas_get_num_threads64_")
-    log = tmp_path / "solves.txt"
-    solve = regression.solve_ls_l1_batch
-
-    def logged(*args, **kwargs):
-        # a worker's calls are seen only through what it writes
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {threads()}\n")
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(regression, "solve_ls_l1_batch", logged)
-    before = threads()
+def test_workers_run_on_one_blas_thread(tmp_path, monkeypatch, capsys, threads,
+                                        solves):
     assert run_main(2, tmp_path / "forked", monkeypatch, capsys)[0] == 0
-    assert threads() == before
-    solves = [line.split() for line in log.read_text().splitlines()]
-    assert len(solves) == 4
-    assert {count for _, count in solves} == {"1"}
-    pids = {pid for pid, _ in solves}
-    assert len(pids) <= 2 and str(os.getpid()) not in pids
+    assert threads() == 2
+    logged = solves()
+    assert len(logged) == 4
+    assert {count for _, _, count in logged} == {1}
+    pids = {pid for pid, _, _ in logged}
+    assert len(pids) <= 2 and os.getpid() not in pids
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count a worker's OS threads")
+    # a count set inside a forked worker starts OpenBLAS's helper thread
+    assert {tasks for _, tasks, _ in logged} == {1}
 
 
 @pytest.mark.parametrize("failure", ["no pool", "second fork", "worker killed"])
-def test_failed_pool_runs_in_process(failure, tmp_path, monkeypatch, capsys):
+def test_failed_pool_runs_in_process(failure, tmp_path, monkeypatch, capsys,
+                                     threads, solves):
     want = run_main(1, tmp_path / "serial", monkeypatch, capsys)
+    solves()
     if failure == "no pool":
         def no_semaphores(*args, **kwargs):
             raise OSError(errno.ENOSYS, "Function not implemented")
@@ -159,17 +198,20 @@ def test_failed_pool_runs_in_process(failure, tmp_path, monkeypatch, capsys):
 
         monkeypatch.setattr(regression, "solve_ls_l1_batch", killed)
     assert run_main(2, tmp_path / "failed", monkeypatch, capsys) == want
+    assert threads() == 2
+    # every stack is solved again in-process, at the restored count
+    assert [(pid, count) for pid, _, count in solves()] == [(os.getpid(), 2)] * 4
 
 
 @pytest.mark.parametrize("error, code", [(ValueError, 2), (RuntimeError, 3)])
 def test_worker_error_exits_as_in_process(error, code, tmp_path, monkeypatch,
-                                          capsys, pools):
+                                          capsys, pools, threads):
     def broken(*args, **kwargs):
         raise error("the solver broke")
 
     monkeypatch.setattr(regression, "solve_ls_l1_batch", broken)
     serial = run_main(1, tmp_path / "serial", monkeypatch, capsys)
     forked = run_main(2, tmp_path / "forked", monkeypatch, capsys)
-    assert pools == [2]
+    assert pools == [2] and threads() == 2
     assert forked == serial
     assert serial[0] == code and "the solver broke" in serial[1]
