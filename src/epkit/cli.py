@@ -74,10 +74,8 @@ OPTIONS = {
                       f"depth of the nets, at most {chaining.MAX_DEPTH}"),
                Option("refine", str, None, None, "finer cloud containing --points")),
     "regress": (Option("cls", ("linear", "l1"), "linear", None, "function class"),
-                Option("grid", str, None, None, "cells as n1:d1,n2:d2,..."),
-                Option("n", int, 64, 1, "observations without --grid"),
-                Option("d", int, 8, 1, "dimension without --grid"), _R, _SIGMA,
-                Option("trials", int, 200, 2, "regression trials per cell")),
+                Option("grid", str, "64:8", None, "cells as n1:d1,n2:d2,..."),
+                _R, _SIGMA, Option("trials", int, 200, 2, "regression trials per cell")),
     "maurey": (Option("d", int, 3, 1, "dictionary columns"),
                Option("n", int, 20, 1, "dictionary rows"), _R,
                Option("eps", float, 0.5, 0.0, "target distance"), _INSTANCES),
@@ -370,11 +368,9 @@ def run_dudley(cfg) -> ReportCollector:
     return col
 
 
-def _parse_grid(cfg):
-    if not cfg["grid"]:
-        return [(cfg["n"], cfg["d"])]
+def _parse_grid(grid: str):
     cells = []
-    for tok in cfg["grid"].split(","):
+    for tok in grid.split(","):
         try:
             n, d = map(int, tok.split(":"))
         except ValueError:
@@ -392,7 +388,7 @@ def run_regress(cfg) -> ReportCollector:
     """localized least-squares rate suite"""
     seed, trials, R, sigma = cfg["seed"], cfg["trials"], cfg["R"], cfg["sigma"]
     col = ReportCollector(seed)
-    grid = _parse_grid(cfg)
+    grid = _parse_grid(cfg["grid"])
     # each sweep divides its errors by a scale that must be a positive float
     if cfg["cls"] == "linear":
         _in_float_range("sigma^2", sigma * sigma)
@@ -489,8 +485,7 @@ def run_maurey(cfg) -> ReportCollector:
     if bound <= maurey.NET_BUDGET:
         rng = derive_rng(seed, "maurey-net")
         dic = maurey.ColumnDictionary(gaussian_design(rng, n, d))
-        net = maurey.l1_hull_net_construct(dic, R, eps, n_validation=100,
-                                           seed=seed)
+        net = maurey.l1_hull_net_construct(dic, R, eps, seed)
         net_size = len(net.net)
         col.at_most("net-cardinality", float(net_size), float(bound), 0.0, 0)
     summary = versioned({"k": k, "bound": bound_text, "net_size": net_size,

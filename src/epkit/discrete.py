@@ -9,8 +9,8 @@ rounding.  Natural logarithms throughout; 0 log 0 := 0 and Ent of an
 a.e.-zero function is 0 by continuity.
 
 Functions on a space are represented by their value table in the space's
-lexicographic outcome order (coordinate 0 slowest), obtained from a callable
-via ``FiniteProductSpace.tabulate``.
+lexicographic outcome order (coordinate 0 slowest); the tests tabulate a
+callable with ``tabulate`` of ``tests/product_spaces.py``.
 
 Conditional expectations come from one kernel, :func:`coordinate_averages`,
 which returns every coordinate's average of a table at once.  For coordinate
@@ -34,7 +34,6 @@ and 8 x 2 blocks of 3 and 4 coordinates of size 2.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -82,11 +81,6 @@ class FiniteProductSpace:
     def rademacher(cls, n):
         """Uniform product on {-1,+1}^n."""
         return cls([[-1.0, 1.0]] * n, [[0.5, 0.5]] * n)
-
-    def tabulate(self, f) -> np.ndarray:
-        """Value table of a callable on full outcome tuples."""
-        outcomes = np.asarray(list(itertools.product(*self.supports)), dtype=float)
-        return np.asarray([float(f(x)) for x in outcomes], dtype=float)
 
     def expectation(self, values) -> float:
         """Exact expectation: the products value * probability, summed by one

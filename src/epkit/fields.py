@@ -27,30 +27,30 @@ def ridge_field(u, h, dh, lip_h, name):
                        lipschitz=lip, name=name)
 
 
-def linear_field(u, name="linear"):
+def linear_field(u, name):
     return ridge_field(u, lambda t: t, np.ones_like, 1.0, name)
 
 
-def sine_field(a, b, c, e, g, name="sine"):
+def sine_field(a, b, c, e, g, name):
     """1-D field a sin(bx) + c cos(ex) + g x, the ridge along u = [1]."""
     return ridge_field([1.0], lambda t: a * np.sin(b * t) + c * np.cos(e * t) + g * t,
                        lambda t: a * b * np.cos(b * t) - c * e * np.sin(e * t) + g,
                        None, name)
 
 
-def tanh_ridge_field(u, c, name="tanh-ridge"):
+def tanh_ridge_field(u, c, name):
     """tanh(<u, x>) + c in dim = len(u)."""
     return ridge_field(u, lambda t: np.tanh(t) + c,
                        lambda t: 1.0 - np.tanh(t) ** 2, 1.0, name)
 
 
-def sine_ridge_field(a, u, c, name="sine-ridge"):
+def sine_ridge_field(a, u, c, name):
     """a sin(<u, x>) + c with gradient a cos(<u, x>) u."""
     return ridge_field(u, lambda t: a * np.sin(t) + c, lambda t: a * np.cos(t),
                        abs(a), name)
 
 
-def norm_field(center, name="distance"):
+def norm_field(center, name):
     """||x - center||, Lipschitz constant 1."""
     center = np.asarray(center, dtype=float)
 
@@ -60,7 +60,7 @@ def norm_field(center, name="distance"):
     return ScalarField(dim=center.size, eval=ev, lipschitz=1.0, name=name)
 
 
-def max_field(offsets, name="coordinate-max"):
+def max_field(offsets, name):
     """max_i (x_i + b_i), Lipschitz constant 1."""
     offsets = np.asarray(offsets, dtype=float)
 
@@ -70,7 +70,7 @@ def max_field(offsets, name="coordinate-max"):
     return ScalarField(dim=offsets.size, eval=ev, lipschitz=1.0, name=name)
 
 
-def logsumexp_field(dim, scale, name="logsumexp"):
+def logsumexp_field(dim, scale, name):
     """scale * log sum exp(x_i); the softmax gradient has norm <= 1."""
 
     def ev(x):

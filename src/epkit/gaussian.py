@@ -93,13 +93,14 @@ def three_sigma_margin(lhs: McEstimate, rhs) -> float:
 
 @dataclass
 class ScalarField:
-    """A real field on R^dim with optional gradient and Lipschitz constant."""
+    """A real field on R^dim with optional gradient and Lipschitz constant;
+    its name keys the random streams of every check on it."""
 
     dim: int
     eval: callable
+    name: str
     grad: callable = None
     lipschitz: float = None
-    name: str = ""
 
     def validate_gradient(self):
         """Central finite differences against the declared gradient."""

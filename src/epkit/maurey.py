@@ -21,6 +21,7 @@ from .rng import derive_rng, l1_ball_point
 NET_BUDGET = 10 ** 6
 SAMPLE_BUDGET = 10 ** 4    # largest k, the number of atoms in one average
 MAX_ATTEMPTS = 64          # k-averages drawn per sparsification
+N_VALIDATION = 100         # hull points a constructed net must cover
 DEDUP_DECIMALS = 9
 
 
@@ -144,8 +145,7 @@ class SparsifyResult:
     k: int
 
 
-def maurey_sparsify(dist: AtomDistribution, eps: float,
-                    seed: int = 0) -> SparsifyResult:
+def maurey_sparsify(dist: AtomDistribution, eps: float, seed: int) -> SparsifyResult:
     """Resample k-averages (k = sample_size(R, eps)) of the atoms of dist, the
     maurey_distribution of theta, until one lands within eps of its mean
     v = X theta / sqrt(n); reports the best attempt on exhaustion."""
@@ -187,13 +187,13 @@ class NetConstruction:
 
 
 def l1_hull_net_construct(dictionary: ColumnDictionary, R: float, eps: float,
-                          n_validation: int = 500, seed: int = 0) -> NetConstruction:
+                          seed: int) -> NetConstruction:
     """Enumerate all k-tuples of atoms as averages and certify coverage.
 
     Tuples are enumerated as multisets (averages are order-free) and
     deduplicated by rounding; the tuple-count bound (2d+1)^k still applies.
-    Coverage is certified statistically: random hull points must sparsify to
-    within eps using net members only.
+    Coverage is certified statistically: N_VALIDATION random hull points must
+    sparsify to within eps using net members only.
     """
     bound = l1_hull_net_bound(dictionary.d, R, eps)
     if bound > NET_BUDGET:
@@ -216,7 +216,7 @@ def l1_hull_net_construct(dictionary: ColumnDictionary, R: float, eps: float,
     rng = derive_rng(seed, "net-validate")
     max_err = 0.0
     max_net_dist = 0.0
-    for i in range(n_validation):
+    for i in range(N_VALIDATION):
         theta = l1_ball_point(rng, dictionary.d, R)
         res = maurey_sparsify(maurey_distribution(theta, R, dictionary), eps,
                               seed=int(rng.integers(2 ** 62)))

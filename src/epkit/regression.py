@@ -68,7 +68,7 @@ tie exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import ClassVar
 
@@ -120,11 +120,6 @@ class RegressionModel:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    def response(self, w) -> np.ndarray:
-        """y_i = <theta_star, x_i> + sigma w_i, exactly."""
-        w = np.asarray(w, dtype=float)
-        return self.x @ self.theta_star + self.sigma * w
 
 
 def empirical_norm(v) -> float:
@@ -180,8 +175,7 @@ def solve_ls_linear(X, y) -> ErmResult:
                      gap=0.0, iterations=0, certified=True)
 
 
-def solve_ls_l1(X, y, R: float, tol: float = 1e-6,
-                 max_iter: int = 5000) -> ErmResult:
+def solve_ls_l1(X, y, R: float, tol: float, max_iter: int) -> ErmResult:
     """Conditional-gradient solver for min ||y - X theta||^2 on the l1 R-ball:
     :func:`solve_ls_l1_batch` on a stack of one."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -539,7 +533,7 @@ class RateCell:
 class RateReport:
     cells: list
     slopes: dict              # d -> log-log slope of median error vs n
-    params: dict = field(default_factory=dict)
+    params: dict
 
 
 def _slopes_by_dimension(cells):

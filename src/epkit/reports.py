@@ -41,7 +41,7 @@ class CheckReport:
     stderr: float
     margin: float
     seed: int
-    n_samples: int = 0
+    n_samples: int
 
     @property
     def passed(self) -> bool:
@@ -85,7 +85,7 @@ class ReportCollector:
     """Accumulates the CheckReports of one suite run, all under its seed."""
 
     seed: int
-    reports: list = field(default_factory=list)
+    reports: list = field(default_factory=list, init=False)
 
     def add(self, check, lhs, rhs, stderr, margin, n_samples=0) -> CheckReport:
         rep = CheckReport(check, float(lhs), float(rhs), float(stderr),

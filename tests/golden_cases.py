@@ -18,10 +18,12 @@ import json
 import platform
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from epkit import blas, cli, workers
 
@@ -38,6 +40,20 @@ def cpus(n: int) -> tuple:
 
 
 GAUSS = ["gauss-check", "--fields", "6", "--samples", "10000", "--seed", "0"]
+
+
+def cloud(n: int) -> np.ndarray:
+    """n seeded points of the unit square; a larger n adds points after the
+    first n."""
+    return np.random.default_rng(0).uniform(size=(n, 2))
+
+
+# the input files of the point-cloud suites, which run_case writes beside the
+# case's tree: an argv entry that names one is replaced by its path
+INPUTS = {"cloud.csv": lambda: cloud(300), "fine.csv": lambda: cloud(400),
+          "distances.csv": lambda: cdist(cloud(300), cloud(300))}
+CLOUD = ["--points", "cloud.csv", "--seed", "0"]
+DUDLEY = ["dudley", *CLOUD, "--samples", "2000"]
 
 # case -> runs of (subdirectory, argv, patches, exit code); each patch is an
 # (object, attribute, value) that holds for that run alone
@@ -58,6 +74,21 @@ CASES = {
                   "--seed", "0"], (), 0),
         ("l1", ["regress", "--class", "l1", "--grid", "16:32,32:64", "--trials", "8",
                 "--seed", "0"], (), 0),
+    ],
+    "cover": [
+        ("csv", ["cover", *CLOUD], (), 0),
+        ("json", ["cover", *CLOUD, "--format", "json"], (), 0),
+        ("dist_matrix", ["cover", "--points", "distances.csv", "--dist-matrix",
+                         "--seed", "0"], (), 0),
+    ],
+    "entropy": [
+        ("csv", ["entropy", *CLOUD], (), 0),
+        ("json", ["entropy", *CLOUD, "--format", "json"], (), 0),
+    ],
+    "dudley": [
+        ("csv", DUDLEY, (), 0),
+        ("json", [*DUDLEY, "--format", "json"], (), 0),
+        ("refine", [*DUDLEY, "--refine", "fine.csv"], (), 0),
     ],
     "maurey": [
         ("csv", ["maurey", "--instances", "200", "--seed", "0"], (), 0),
@@ -101,12 +132,18 @@ def run_case(case: str, out: Path) -> list:
     """Write every file of the case under out; the exit code of each run
     against the expected one, as (got, expected) pairs."""
     codes = []
-    for sub, argv, patches, expected in CASES[case]:
-        with contextlib.ExitStack() as stack:
-            for target, name, value in patches:
-                stack.enter_context(mock.patch.object(target, name, value))
-            stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
-            codes.append((cli.main([*argv, "--out", str(out / sub)]), expected))
+    with tempfile.TemporaryDirectory() as inputs:
+        paths = {arg: str(Path(inputs) / arg) for _, argv, _, _ in CASES[case]
+                 for arg in argv if arg in INPUTS}
+        for name, path in paths.items():
+            np.savetxt(path, INPUTS[name](), delimiter=",", fmt="%.17g")
+        for sub, argv, patches, expected in CASES[case]:
+            with contextlib.ExitStack() as stack:
+                for target, name, value in patches:
+                    stack.enter_context(mock.patch.object(target, name, value))
+                stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+                argv = [paths.get(arg, arg) for arg in argv]
+                codes.append((cli.main([*argv, "--out", str(out / sub)]), expected))
     return codes
 
 

@@ -1,8 +1,10 @@
 """Product spaces and joint pmfs that only the tests build on top of
 ``epkit.discrete``: the uniform bits, product measures on {0,1}^n with
-weights drawn as discrete-check draws them, product-form joint pmfs, and
-the former per-coordinate conditional expectation, kept as the oracle of
-``discrete.coordinate_averages``."""
+weights drawn as discrete-check draws them, product-form joint pmfs, the
+value table of a callable, and the former per-coordinate conditional
+expectation, kept as the oracle of ``discrete.coordinate_averages``."""
+
+import itertools
 
 import numpy as np
 
@@ -24,6 +26,13 @@ def product_pmf(weights):
     """The joint pmf of independent coordinates with the given weights."""
     return discrete.JointPmf(
         discrete._outer_product([np.asarray(w, float) for w in weights]))
+
+
+def tabulate(sp, f) -> np.ndarray:
+    """Value table of a callable on the full outcome tuples of sp, in its
+    lexicographic outcome order."""
+    outcomes = np.asarray(list(itertools.product(*sp.supports)), dtype=float)
+    return np.asarray([float(f(x)) for x in outcomes], dtype=float)
 
 
 def cond_exp_except_coord(i, values, sp):

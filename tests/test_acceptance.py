@@ -125,7 +125,7 @@ class TestCriterion3GaussianMc:
         lhs, rhs = gaussian.herbst_cgf_gap(lin2, 0.5, self.N, SEED)
         assert abs(lhs.mean - 0.125) <= 3 * lhs.stderr
         # tail frequency reproduces the normal tail within +-0.01
-        tail, bound = gaussian.lipschitz_tail_gap(fields.linear_field([1.0]),
+        tail, bound = gaussian.lipschitz_tail_gap(fields.linear_field([1.0], "linear"),
                                                   1.0, self.N, SEED)
         assert tail.mean == pytest.approx(2 * (1 - norm.cdf(1.0)), abs=0.01)
         assert bound == pytest.approx(1.2131, abs=1e-4)

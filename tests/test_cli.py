@@ -1,11 +1,13 @@
 """Command-line front end tests: exit codes, report artifacts, config
 handling, and byte-identical reruns."""
 
+import argparse
 import ast
 import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +18,10 @@ from scipy.spatial.distance import cdist
 
 from epkit import chaining, cli, discrete, gaussian, maurey, metric
 from epkit.reports import CheckReport, ReportCollector, render
+import golden_cases
 
 DATA = str(Path(__file__).parent / "data")
-SMALL_REGRESS = ("--n", "8", "--d", "4", "--trials", "2")
+SMALL_REGRESS = ("--grid", "8:4", "--trials", "2")
 OUTSIDE_SQUARES = ("1e-320", "1e-200", "1e160", "1e200", "1e300")  # x^2: 0 or inf
 
 # rejected configurations whose message must name the bound or budget they
@@ -31,6 +34,8 @@ NAMED_LIMITS = {
     ("cover", "--points", f"{DATA}/square.csv", "--samples", "7"):
         "unrecognized arguments: --samples 7",
     ("regress", "--samples", "3"): "unrecognized arguments: --samples 3",
+    # regress names its cells by --grid alone
+    ("regress", "--d", "0"): "unrecognized arguments: --d 0",
     ("maurey", "--trials", "5"): "unrecognized arguments: --trials 5",
     ("entropy", "--points", f"{DATA}/square.csv", "--nodes", "64"):
         "unrecognized arguments: --nodes 64",
@@ -137,7 +142,7 @@ class TestExitCodes:
     def test_failing_check_flips_exit(self, tmp_path, monkeypatch):
         def broken(cfg):
             col = ReportCollector(0)
-            col.reports.append(CheckReport("forced", 1.0, 0.0, 0.0, -1.0, 0))
+            col.reports.append(CheckReport("forced", 1.0, 0.0, 0.0, -1.0, 0, 0))
             return col
 
         monkeypatch.setitem(cli.SUITES, "discrete-check", broken)
@@ -159,7 +164,7 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("suite, key", [("discrete-check", "samples"),
-                                            ("maurey", "trials")])
+                                            ("maurey", "trials"), ("regress", "n")])
     def test_config_key_of_another_suite(self, suite, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 5}))
@@ -176,7 +181,6 @@ class TestExitCodes:
         ["maurey", "--instances", "0"],
         ["maurey", "--d", "0"],
         ["gauss-check", "--fields", "0"],
-        ["regress", "--d", "0"],
         ["cover", "--points", "EMPTY"],
         ["entropy", "--points", "EMPTY"],
         ["dudley", "--points", "EMPTY"],
@@ -382,11 +386,19 @@ class TestRegressSuite:
 
     def test_l1_cell(self, tmp_path):
         out = tmp_path / "regl1"
-        assert cli.main(["regress", "--class", "l1", "--n", "24", "--d", "48",
+        assert cli.main(["regress", "--class", "l1", "--grid", "24:48",
                          "--R", "1.0", "--trials", "15", "--seed", "5",
                          "--out", str(out)]) == 0
         summary = json.loads((out / "regress_summary.json").read_text())
         assert summary["cells"][0]["d"] == 48
+
+    def test_the_default_cell_is_the_golden_one(self, tmp_path):
+        # regress, regress --grid 64:8 and the golden csv case write the same
+        # bytes
+        golden = golden_cases.ROOT / "regress" / "csv"
+        for name, argv in (("default", []), ("grid", ["--grid", "64:8"])):
+            assert cli.main(["regress", *argv, "--out", str(tmp_path / name)]) == 0
+            assert golden_cases.first_mismatch(golden, tmp_path / name) is None
 
     def test_l1_traced_reports_match_untraced(self, tmp_path):
         # the benchmark's tracer wraps solve_ls_l1 and design_rank and reads
@@ -680,6 +692,17 @@ def test_dudley_refine_loads_no_scipy(clouds_2d_3d):
             "        sys.exit(1)\n"
             + LOADED_SCIPY)
     assert fresh_interpreter(code).splitlines()[-1] == "[]"
+
+
+def test_readme_names_every_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for p in sub.choices.values() for action in p._actions
+             for flag in action.option_strings if flag.startswith("--")}
+    missing = sorted(flag for flag in flags
+                     if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", readme))
+    assert missing == []
 
 
 def test_src_has_no_scipy_import():

@@ -8,7 +8,7 @@ import pytest
 
 from epkit import discrete
 from epkit.rng import derive_rng
-from product_spaces import product_pmf, random_binary_space, uniform_bits
+from product_spaces import product_pmf, random_binary_space, tabulate, uniform_bits
 
 TOL = 1e-10
 
@@ -33,27 +33,27 @@ class TestFiniteProductSpace:
 
     def test_expectation_symmetry(self):
         sp = discrete.FiniteProductSpace.rademacher(1)
-        assert sp.expectation(sp.tabulate(lambda x: x[0])) == 0.0
+        assert sp.expectation(tabulate(sp, lambda x: x[0])) == 0.0
 
     def test_product_expectation(self):
         sp = uniform_bits(2)
-        f = sp.tabulate(lambda x: x[0] * x[1])
+        f = tabulate(sp, lambda x: x[0] * x[1])
         assert sp.expectation(f) == pytest.approx(0.25, abs=1e-14)
 
 
 class TestCondExp:
     def test_single_coordinate_reduces_to_mean(self):
         sp = discrete.FiniteProductSpace([[0.0, 2.0]], [[0.25, 0.75]])
-        f = sp.tabulate(lambda x: x[0] ** 2)
+        f = tabulate(sp, lambda x: x[0] ** 2)
         ce = discrete.coordinate_averages(f, sp)
         assert ce.shape == (1, 2)
         assert np.allclose(ce, sp.expectation(f))
 
     def test_linearity(self):
         sp = uniform_bits(2)
-        f = sp.tabulate(lambda x: x[0] + x[1])
+        f = tabulate(sp, lambda x: x[0] + x[1])
         ce = discrete.coordinate_averages(f, sp)[0]
-        expected = sp.tabulate(lambda x: 0.5 + x[1])
+        expected = tabulate(sp, lambda x: 0.5 + x[1])
         assert np.allclose(ce, expected)
 
     def test_tower_property(self, bits3):
@@ -84,12 +84,12 @@ class TestCondExp:
 class TestEfronStein:
     def test_single_coordinate_equality(self):
         sp = discrete.FiniteProductSpace([[0.0, 1.0, 2.0]], [[0.2, 0.3, 0.5]])
-        f = sp.tabulate(lambda x: np.sin(x[0]))
+        f = tabulate(sp, lambda x: np.sin(x[0]))
         lhs, rhs = discrete.efron_stein_gap(f, sp)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_additive_equality(self, bits3):
-        f = bits3.tabulate(lambda x: x.sum())
+        f = tabulate(bits3, lambda x: x.sum())
         lhs, rhs = discrete.efron_stein_gap(f, bits3)
         assert lhs == pytest.approx(3 * 0.25, abs=1e-12)
         assert rhs == pytest.approx(lhs, abs=1e-12)
@@ -108,7 +108,7 @@ class TestEntropyFunctional:
             np.full(bits3.n_outcomes, 2.5), bits3) == pytest.approx(0.0, abs=1e-14)
 
     def test_indicator_half(self, bits3):
-        f = bits3.tabulate(lambda x: 1.0 if x[0] > 0.5 else 0.0)
+        f = tabulate(bits3, lambda x: 1.0 if x[0] > 0.5 else 0.0)
         assert discrete.entropy_functional(f, bits3) == pytest.approx(
             -0.5 * np.log(0.5), abs=1e-14)
 
@@ -175,7 +175,7 @@ class TestTensorization:
 
     def test_single_coordinate_equality(self):
         sp = discrete.FiniteProductSpace([[0.0, 1.0, 3.0]], [[0.5, 0.25, 0.25]])
-        y = sp.tabulate(lambda x: x[0] + 0.5)
+        y = tabulate(sp, lambda x: x[0] + 0.5)
         lhs, rhs = discrete.tensorization_gap(y, sp)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -238,7 +238,7 @@ class TestBernoulliLsi:
         assert rhs == pytest.approx(0.0, abs=1e-13)
 
     def test_identity_function(self):
-        f = discrete.FiniteProductSpace.rademacher(1).tabulate(lambda x: x[0])
+        f = tabulate(discrete.FiniteProductSpace.rademacher(1), lambda x: x[0])
         lhs, rhs = discrete.bernoulli_lsi_gap(f)
         assert lhs == pytest.approx(0.0, abs=1e-13)
         assert rhs == pytest.approx(2.0, abs=1e-13)

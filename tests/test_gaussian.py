@@ -137,18 +137,18 @@ class TestBlockedDraws:
 
 class TestFieldValidation:
     def test_gradient_check_passes(self):
-        f = fields.sine_field(1.0, 1.3, 0.5, 0.7, 0.2)
+        f = fields.sine_field(1.0, 1.3, 0.5, 0.7, 0.2, "sine")
         f.validate_gradient()
 
     def test_gradient_check_catches_errors(self):
-        f = fields.sine_field(1.0, 1.3, 0.5, 0.7, 0.2)
+        f = fields.sine_field(1.0, 1.3, 0.5, 0.7, 0.2, "sine")
         bad = gaussian.ScalarField(dim=1, eval=f.eval,
                                    grad=lambda x: 1.5 * f.grad(x), name="bad")
         with pytest.raises(gaussian.OracleValidationError):
             bad.validate_gradient()
 
     def test_lipschitz_check_catches_errors(self):
-        f = fields.norm_field([0.0, 0.0])
+        f = fields.norm_field([0.0, 0.0], "distance")
         bad = gaussian.ScalarField(dim=2, eval=f.eval, lipschitz=0.5, name="bad")
         with pytest.raises(gaussian.OracleValidationError):
             bad.validate_lipschitz()
@@ -156,28 +156,28 @@ class TestFieldValidation:
 
 class TestPoincare:
     def test_bit_identical_reruns(self):
-        f = fields.sine_field(0.8, 1.1, 0.3, 0.9, 0.1)
+        f = fields.sine_field(0.8, 1.1, 0.3, 0.9, 0.1, "sine")
         a = gaussian.poincare_gap(f, 5000, 7)
         b = gaussian.poincare_gap(f, 5000, 7)
         assert a[0].mean == b[0].mean and a[0].stderr == b[0].stderr
         assert a[1].mean == b[1].mean
 
     def test_gradient_validated_before_check(self):
-        f = fields.sine_field(1.0, 1.0, 0.0, 1.0, 0.0)
+        f = fields.sine_field(1.0, 1.0, 0.0, 1.0, 0.0, "sine")
         bad = gaussian.ScalarField(dim=1, eval=f.eval,
                                    grad=lambda x: 2.0 * f.grad(x), name="wrong")
         with pytest.raises(gaussian.OracleValidationError):
             gaussian.poincare_gap(bad, 1000, 7)
 
     def test_linear_saturates(self):
-        lhs, rhs = gaussian.poincare_gap(fields.linear_field([1.0]), N, SEED)
+        lhs, rhs = gaussian.poincare_gap(fields.linear_field([1.0], "linear"), N, SEED)
         assert rhs.mean == pytest.approx(1.0)
         assert rhs.stderr == 0.0
         assert abs(lhs.mean - rhs.mean) <= 3 * (lhs.stderr + rhs.stderr)
 
     def test_sine_oracle(self):
         # Var sin X = (1 - e^-2)/2 and E cos^2 X = (1 + e^-2)/2
-        f = fields.sine_field(1.0, 1.0, 0.0, 1.0, 0.0)
+        f = fields.sine_field(1.0, 1.0, 0.0, 1.0, 0.0, "sine")
         lhs, rhs = gaussian.poincare_gap(f, 2 * N, SEED)
         assert lhs.mean == pytest.approx((1 - np.exp(-2)) / 2, abs=4 * lhs.stderr)
         assert rhs.mean == pytest.approx((1 + np.exp(-2)) / 2, abs=4 * rhs.stderr)
@@ -192,7 +192,7 @@ class TestPoincare:
 
     def test_rejects_multidim(self):
         with pytest.raises(ValueError):
-            gaussian.poincare_gap(fields.linear_field([1.0, 1.0]), 100, SEED)
+            gaussian.poincare_gap(fields.linear_field([1.0, 1.0], "linear"), 100, SEED)
 
 
 class TestLsi:
@@ -206,57 +206,59 @@ class TestLsi:
 
     def test_identity_below_two(self):
         # rhs = 2 E (f')^2 = 2 exactly; lhs estimates Ent(X^2) = psi(3/2)+log 2
-        lhs, rhs = gaussian.gaussian_lsi_gap(fields.linear_field([1.0]), N, SEED)
+        lhs, rhs = gaussian.gaussian_lsi_gap(fields.linear_field([1.0], "linear"), N,
+                                             SEED)
         assert rhs.mean == pytest.approx(2.0)
         assert rhs.stderr == 0.0
         assert lhs.mean == pytest.approx(0.729637, abs=5 * lhs.stderr)
         assert lhs.mean < 2.0
 
     def test_cosine_ridge_dim2(self):
-        f = fields.sine_ridge_field(1.0, [1.0, 0.0], 0.0)
+        f = fields.sine_ridge_field(1.0, [1.0, 0.0], 0.0, "sine-ridge")
         lhs, rhs = gaussian.gaussian_lsi_gap(f, N, SEED)
         assert gaussian.three_sigma_margin(lhs, rhs) > 0
 
 
 class TestHerbst:
     def test_linear_exact_cgf(self):
-        f = fields.linear_field([1.0, 0.0])
+        f = fields.linear_field([1.0, 0.0], "linear")
         lhs, rhs = gaussian.herbst_cgf_gap(f, 0.5, N, SEED)
         assert rhs == pytest.approx(0.125)
         assert abs(lhs.mean - 0.125) <= 3 * lhs.stderr
 
     def test_zero_lambda(self):
-        lhs, rhs = gaussian.herbst_cgf_gap(fields.linear_field([1.0]), 0.0, 1000, SEED)
+        lhs, rhs = gaussian.herbst_cgf_gap(fields.linear_field([1.0], "linear"), 0.0,
+                                           1000, SEED)
         assert lhs.mean == 0.0
         assert rhs == 0.0
 
     def test_norm_field_dim3(self):
-        f = fields.norm_field([0.0, 0.0, 0.0])
+        f = fields.norm_field([0.0, 0.0, 0.0], "distance")
         lhs, rhs = gaussian.herbst_cgf_gap(f, 1.0, N, SEED)
         assert rhs == pytest.approx(0.5)
         assert lhs.mean <= 0.5 + 3 * lhs.stderr
 
     def test_overflow_reported(self):
-        f = fields.linear_field([1.0])
+        f = fields.linear_field([1.0], "linear")
         with pytest.raises(gaussian.IntegrabilityError):
             gaussian.herbst_cgf_gap(f, 500.0, 10000, SEED)
 
 
 class TestLipschitzTail:
     def test_coordinate_oracle(self):
-        f = fields.linear_field([1.0])
+        f = fields.linear_field([1.0], "linear")
         tail, bound = gaussian.lipschitz_tail_gap(f, 1.0, 2 * N, SEED)
         assert bound == pytest.approx(2 * np.exp(-0.5))
         assert tail.mean == pytest.approx(2 * (1 - norm.cdf(1.0)), abs=0.01)
 
     def test_far_tail(self):
-        f = fields.linear_field([1.0])
+        f = fields.linear_field([1.0], "linear")
         tail, bound = gaussian.lipschitz_tail_gap(f, 10.0, 10000, SEED)
         assert tail.mean == 0.0
         assert bound == pytest.approx(2 * np.exp(-50.0))
 
     def test_max_field(self):
-        f = fields.max_field([0.0, 0.0])
+        f = fields.max_field([0.0, 0.0], "coordinate-max")
         tail, bound = gaussian.lipschitz_tail_gap(f, 1.0, N, SEED)
         assert tail.mean <= bound + 3 * tail.stderr
 

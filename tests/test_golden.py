@@ -16,7 +16,7 @@ def test_reports_match_the_golden_files(case, tmp_path):
 
 
 def test_a_changed_cell_is_named_by_file_row_and_column(tmp_path):
-    case = sorted(golden_cases.CASES)[0]
+    case = "discrete_check"
     golden_cases.run_case(case, tmp_path)
     path = tmp_path / "csv" / "discrete_check_reports.csv"
     lines = path.read_bytes().split(b"\r\n")

@@ -202,26 +202,27 @@ class TestNetBound:
 
 
 class TestNetConstruct:
-    def test_single_sample_net(self):
+    def test_single_sample_net(self, monkeypatch):
+        monkeypatch.setattr(maurey, "N_VALIDATION", 50)
         dic = normalized_dict(derive_rng(14, "net1"), 6, 1)
-        net = maurey.l1_hull_net_construct(dic, 1.0, 1.0, n_validation=50,
-                                           seed=1)
+        net = maurey.l1_hull_net_construct(dic, 1.0, 1.0, seed=1)
         assert net.k == 1
         assert len(net.net) <= 3
         assert net.max_net_distance < 1e-8
 
-    def test_all_members_are_atom_averages(self):
+    def test_all_members_are_atom_averages(self, monkeypatch):
+        monkeypatch.setattr(maurey, "N_VALIDATION", 0)
         dic = normalized_dict(derive_rng(15, "net2"), 5, 2)
-        net = maurey.l1_hull_net_construct(dic, 1.0, 1.0, n_validation=0, seed=1)
+        net = maurey.l1_hull_net_construct(dic, 1.0, 1.0, seed=1)
         atoms = dic.atom_matrix(1.0)
         for member in net.net:
             dists = np.abs(atoms - member[:, None]).max(axis=0)
             assert dists.min() < 1e-9  # k = 1: members are atoms themselves
 
-    def test_coverage_d2(self):
+    def test_coverage_d2(self, monkeypatch):
+        monkeypatch.setattr(maurey, "N_VALIDATION", 500)
         dic = normalized_dict(derive_rng(16, "net3"), 8, 2)
-        net = maurey.l1_hull_net_construct(dic, 1.0, 1.0, n_validation=500,
-                                           seed=2)
+        net = maurey.l1_hull_net_construct(dic, 1.0, 1.0, seed=2)
         assert net.max_error <= 1.0
         assert net.max_net_distance < 1e-8
         assert len(net.net) <= net.bound
@@ -229,4 +230,4 @@ class TestNetConstruct:
     def test_budget_guard(self):
         dic = normalized_dict(derive_rng(17, "net4"), 5, 50)
         with pytest.raises(maurey.BudgetError):
-            maurey.l1_hull_net_construct(dic, 2.0, 0.1)
+            maurey.l1_hull_net_construct(dic, 2.0, 0.1, seed=0)

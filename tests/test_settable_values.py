@@ -8,13 +8,16 @@ class's own constructor (for a dataclass, its defaulted init fields).
 """
 
 import inspect
+import pkgutil
 
-from epkit import (chaining, cli, discrete, fields, gaussian, maurey, metric,
-                   regression, reports, rng)
+import epkit
+from epkit import (blas, chaining, cli, discrete, fields, gaussian, maurey, metric,
+                   regression, reports, rng, workers)
 
-MODULES = (chaining, cli, discrete, fields, gaussian, maurey, metric, regression,
-           reports, rng)
+MODULES = (blas, chaining, cli, discrete, fields, gaussian, maurey, metric,
+           regression, reports, rng, workers)
 
+# each is a default that some command runs
 SETTABLE = {
     "chaining.sample_maxima.rows",
     "chaining.build_dyadic_nets.D",
@@ -22,27 +25,11 @@ SETTABLE = {
     "chaining.dudley_bound_check.D",
     "chaining.MgfRow.overflow",
     "cli.main.argv",
-    "fields.linear_field.name",
-    "fields.sine_field.name",
-    "fields.tanh_ridge_field.name",
-    "fields.sine_ridge_field.name",
-    "fields.norm_field.name",
-    "fields.max_field.name",
-    "fields.logsumexp_field.name",
     "gaussian.ScalarField.grad",
     "gaussian.ScalarField.lipschitz",
-    "gaussian.ScalarField.name",
-    "maurey.maurey_sparsify.seed",
-    "maurey.l1_hull_net_construct.n_validation",
-    "maurey.l1_hull_net_construct.seed",
     "metric.blocks.align",
     "metric.FiniteMetricSet.dmat",
     "metric.FiniteMetricSet.points",
-    "regression.solve_ls_l1.tol",
-    "regression.solve_ls_l1.max_iter",
-    "regression.RateReport.params",
-    "reports.CheckReport.n_samples",
-    "reports.ReportCollector.reports",
     "reports.ReportCollector.add.n_samples",
 }
 
@@ -78,4 +65,9 @@ def test_settable_values_are_the_listed_ones():
     added, removed = sorted(found - SETTABLE), sorted(SETTABLE - found)
     assert not added and not removed, (
         f"settable values added: {added}; removed: {removed}")
-    assert len(SETTABLE) == 28
+    assert len(SETTABLE) == 12
+
+
+def test_every_module_is_inventoried():
+    names = {f"epkit.{m.name}" for m in pkgutil.iter_modules(epkit.__path__)}
+    assert names == {mod.__name__ for mod in MODULES}
