@@ -42,18 +42,35 @@ def cpus(n: int) -> tuple:
 GAUSS = ["gauss-check", "--fields", "6", "--samples", "10000", "--seed", "0"]
 
 
-def cloud(n: int) -> np.ndarray:
-    """n seeded points of the unit square; a larger n adds points after the
-    first n."""
-    return np.random.default_rng(0).uniform(size=(n, 2))
+def cloud(n: int, dim: int = 2) -> np.ndarray:
+    """n seeded points of the unit cube in dim dimensions; a larger n adds
+    points after the first n."""
+    return np.random.default_rng(0).uniform(size=(n, dim))
 
 
 # the input files of the point-cloud suites, which run_case writes beside the
-# case's tree: an argv entry that names one is replaced by its path
+# case's tree: an argv entry that names one is replaced by its path.  Beside
+# the 2-D cloud, the matrix pins 1-D (no hull, a window on the line), 3-D
+# (the 3-D hull) and 4-D (no hull) clouds, and the 2-D cloud rescaled to
+# 1e300, 1e-150 (a scale dudley accepts) and 1e-316 (subnormal)
 INPUTS = {"cloud.csv": lambda: cloud(300), "fine.csv": lambda: cloud(400),
-          "distances.csv": lambda: cdist(cloud(300), cloud(300))}
+          "distances.csv": lambda: cdist(cloud(300), cloud(300)),
+          "line.csv": lambda: cloud(300, 1), "cube.csv": lambda: cloud(300, 3),
+          "cloud4.csv": lambda: cloud(300, 4),
+          "huge.csv": lambda: cloud(300) * 1e300,
+          "small.csv": lambda: cloud(300) * 1e-150,
+          "subnormal.csv": lambda: cloud(300) * 1e-316}
 CLOUD = ["--points", "cloud.csv", "--seed", "0"]
 DUDLEY = ["dudley", *CLOUD, "--samples", "2000"]
+
+
+def matrix(suite: str, names, *options) -> list:
+    """Runs of suite with options on each named input file, in csv, each in
+    the subdirectory of the file's stem."""
+    return [(name.removesuffix(".csv"),
+             [suite, "--points", name, "--seed", "0", *options], (), 0)
+            for name in names]
+
 
 # case -> runs of (subdirectory, argv, patches, exit code); each patch is an
 # (object, attribute, value) that holds for that run alone
@@ -80,15 +97,24 @@ CASES = {
         ("json", ["cover", *CLOUD, "--format", "json"], (), 0),
         ("dist_matrix", ["cover", "--points", "distances.csv", "--dist-matrix",
                          "--seed", "0"], (), 0),
+        *matrix("cover", ["line.csv", "cube.csv", "cloud4.csv", "huge.csv",
+                          "subnormal.csv"]),
     ],
     "entropy": [
         ("csv", ["entropy", *CLOUD], (), 0),
         ("json", ["entropy", *CLOUD, "--format", "json"], (), 0),
+        *matrix("entropy", ["line.csv", "cube.csv", "cloud4.csv", "huge.csv",
+                            "subnormal.csv"]),
     ],
+    # 2005 samples make one block of 5 modulo 8 rows, which multiplies every
+    # point
     "dudley": [
         ("csv", DUDLEY, (), 0),
         ("json", [*DUDLEY, "--format", "json"], (), 0),
         ("refine", [*DUDLEY, "--refine", "fine.csv"], (), 0),
+        ("samples2005", ["dudley", *CLOUD, "--samples", "2005"], (), 0),
+        *matrix("dudley", ["line.csv", "cube.csv", "cloud4.csv", "small.csv"],
+                "--samples", "2000"),
     ],
     "maurey": [
         ("csv", ["maurey", "--instances", "200", "--seed", "0"], (), 0),
