@@ -19,9 +19,11 @@ member of T_{k+1} is its own pi_{k+1}, the chained steps (pi_k, pi_{k+1}) of
 all finest-net points are exactly the pairs (pi_k(v), v) over v in T_{k+1}.
 
 Monte Carlo suprema are maxima over points of sigma (t - t0) @ noise.T,
-formed by :func:`sample_maxima` one block of noise rows at a time, so memory
-follows the block size (``metric.BLOCK_BYTES``), not the sample count.
-Blocks start at multiples of 1024 noise rows and the last one absorbs the
+formed by :func:`sample_maxima` one block of noise rows at a time, each
+drawn from the check's stream just before it is multiplied (a generator
+fills normals in order, so the blocks hold the bits of one whole draw), so
+memory follows ``metric.BLOCK_BYTES``, not the sample count.  Blocks start
+at multiples of ``rng.ROW_ALIGN`` (1024) rows and the last one absorbs the
 remainder: with OpenBLAS 0.3.31, blocks at arbitrary offsets, and a one-row
 trailing block (which numpy sends to gemv), rounded some entries
 differently from the whole product.  Aligned blocks give the whole
@@ -59,17 +61,15 @@ every point bit for bit:
 Every point is multiplied as well where ``metric._near_hull_rows`` takes
 no near-hull set: outside 2 and 3 dimensions and below 4 points.
 
-Each Monte Carlo check draws its whole (samples, dim) noise panel at once
-and holds per-sample vectors beside it.  The most is 8 (dim + 3) bytes per
-sample, in ``subgaussian_process_check``: the panel, the increments, one
-buffer that each lambda's exponentials are formed in, and the deviations
-``McEstimate.from_samples`` takes for the standard deviation (tracemalloc:
-40.0 bytes per sample in 2 dimensions and 48.0 in 3, as the peak grows from
-2^18 to 2^19 samples).  The block products add at most twice
-``metric.BLOCK_BYTES`` whatever the sample count.  ``sample_budget(dim)``,
-dudley's largest ``--samples``, is 2^30 // (8 (dim + 3)), so the panel and
-the vectors stay within 1 GiB: 26843545 samples in 2 dimensions, and the
-default 10^5 up to 1339 dimensions.
+``subgaussian_process_check`` forms each pair's increments on the same
+blocks; in 8 and 12 dimensions at 10^5 samples they stayed the same at 1
+and 2 OpenBLAS threads, where a whole panel's changed.  Only per-sample
+vectors are held whole: at most 24 bytes per sample in any dimension, in
+the MGF grid (a pair's increments, a buffer for each lambda's
+exponentials, and the deviations of ``McEstimate.from_samples``).  A block
+of noise and its product add at most twice ``metric.BLOCK_BYTES``, so
+``gaussian.SAMPLE_BUDGET`` (2^25), the largest ``--samples`` of dudley as
+of gauss-check, keeps a run within 1 GiB.
 """
 
 from __future__ import annotations
@@ -81,12 +81,11 @@ import numpy as np
 
 from . import metric
 from .gaussian import McEstimate, three_sigma_margin
-from .rng import derive_rng
+from .rng import ROW_ALIGN, derive_rng
 
 STAGE1_CONST = 6.0 * np.sqrt(2.0)
 FULL_CONST = 12.0 * np.sqrt(2.0)
 MAX_DEPTH = 48
-BLAS_ALIGN = 1024   # noise rows; see the module docstring
 # noise rows: only a block of a multiple of this many multiplies the points
 # near the hull alone (see the module docstring)
 HULL_ALIGN = 8
@@ -94,12 +93,6 @@ HULL_ALIGN = 8
 
 class DepthError(ValueError):
     pass
-
-
-def sample_budget(dim: int) -> int:
-    """dudley's largest sample count on dim-dimensional points: 2^30 bytes at
-    8 (dim + 3) bytes per sample (see the module docstring)."""
-    return (1 << 30) // (8 * (dim + 3))
 
 
 def _cloud(ms: metric.FiniteMetricSet) -> np.ndarray:
@@ -132,28 +125,32 @@ class CanonicalProcess:
         return self.coefficients(points, points[0]) @ noise.T
 
 
-def sample_maxima(scaled: np.ndarray, noise: np.ndarray, rows=None) -> np.ndarray:
-    """For each noise row w, the maximum of scaled @ w over rows (all rows
-    by default), computed one block of noise rows at a time.
+def _noise_blocks(n_samples: int, m: int, dim: int) -> list:
+    """Noise-row blocks for m points in dim dimensions (see ``metric.blocks``)."""
+    return metric.blocks(n_samples, 8 * max(m, dim), align=ROW_ALIGN)
 
-    The values are those of (scaled @ noise[b].T)[rows].max(axis=0) over
-    the blocks b bit for bit, and so those of the whole product where the
-    module docstring says.  A block of a multiple of 8 noise rows multiplies
-    only the rows near the convex hull of scaled[rows], three or more: a
-    row deeper inside cannot hold a maximum, and a product of two or more
-    rows rounds each as the product of every row does.  Any other block,
-    and every block where no hull is taken, multiplies every row of scaled
-    and takes the subset afterwards.
+
+def sample_maxima(scaled: np.ndarray, rng, n_samples: int, rows=None) -> np.ndarray:
+    """For each of n_samples standard normal rows w drawn from rng, one block
+    of rows at a time, the maximum of scaled @ w over rows (all by default).
+
+    With noise the whole draw, the values are those of
+    (scaled @ noise[b].T)[rows].max(axis=0) over the blocks b bit for bit,
+    and so those of the whole product where the module docstring says.  A
+    block of a multiple of 8 noise rows multiplies only the rows near the
+    convex hull of scaled[rows], three or more (see the module docstring);
+    any other block, and every block where no hull is taken, multiplies
+    every row of scaled and takes the subset afterwards.
     """
-    blocks = metric.blocks(len(noise), 8 * len(scaled), align=BLAS_ALIGN)
+    blocks = _noise_blocks(n_samples, *scaled.shape)
     near = None
     if any((b.stop - b.start) % HULL_ALIGN == 0 for b in blocks):
         cloud = scaled if rows is None else scaled[rows]
         idx = metric._near_hull_rows(cloud)
         near = None if idx is None else cloud[idx]
-    out = np.empty(len(noise))
+    out = np.empty(n_samples)
     for b in blocks:
-        w = noise[b].T
+        w = rng.standard_normal((b.stop - b.start, scaled.shape[1])).T
         if near is None or w.shape[1] % HULL_ALIGN:
             x = scaled @ w
             out[b] = (x if rows is None else x[rows]).max(axis=0)
@@ -289,11 +286,10 @@ def stage1_bound_check(nets: DyadicNets, proc: CanonicalProcess,
         raise ValueError("stage-1 check needs depth K >= 1")
     ms, points = nets.metric_set, _cloud(nets.metric_set)
     rng = derive_rng(seed, "stage1", ms.n, nets.K)
-    noise = rng.standard_normal((n_samples, points.shape[1]))
     scaled = proc.coefficients(points, points[0])
     finest = nets.levels[nets.K].net
     rows = None if len(finest) == ms.n else finest   # same maxima, no copy
-    esup = McEstimate.from_samples(sample_maxima(scaled, noise, rows=rows))
+    esup = McEstimate.from_samples(sample_maxima(scaled, rng, n_samples, rows=rows))
     bound = STAGE1_CONST * proc.sigma * metric.dyadic_sum(ms, nets.D, nets.K + 1)
     return esup, float(bound)
 
@@ -304,9 +300,8 @@ def dudley_bound_check(ms: metric.FiniteMetricSet, proc: CanonicalProcess,
     points = _cloud(ms)
     D = _declared_diameter(ms, D)
     rng = derive_rng(seed, "dudley-sup", ms.n)
-    noise = rng.standard_normal((n_samples, points.shape[1]))
     scaled = proc.coefficients(points, points[0])
-    esup = McEstimate.from_samples(sample_maxima(scaled, noise))
+    esup = McEstimate.from_samples(sample_maxima(scaled, rng, n_samples))
     rhs = FULL_CONST * proc.sigma * metric.entropy_integral(ms, D)
     return esup, float(rhs)
 
@@ -334,18 +329,21 @@ def subgaussian_process_check(ms: metric.FiniteMetricSet, proc: CanonicalProcess
     """Empirical increment MGFs against exp(l^2 sigma^2 d^2 / 2) per (pair, l).
 
     Returns (worst margin, rows); an overflow is recorded per row rather than
-    aborting the grid.
+    aborting the grid.  Every pair reads the same noise: each derives the
+    stream anew and forms its increments one block of noise rows at a time.
     """
     pairs, lambdas = list(pairs), list(lambdas)
     if not pairs or not lambdas:
         raise ValueError("need at least one pair and one lambda")
     points = _cloud(ms)
-    rng = derive_rng(seed, "mgf", ms.n)
-    noise = rng.standard_normal((n_samples, points.shape[1]))
     rows = []
+    z = np.empty(n_samples)   # the pair's increments
     e = np.empty(n_samples)   # each lambda's exponentials, formed in place
     for (i, j) in pairs:
-        z = proc.sigma * (points[i] - points[j]) @ noise.T
+        rng = derive_rng(seed, "mgf", ms.n)
+        step = proc.sigma * (points[i] - points[j])
+        for b in _noise_blocks(n_samples, *points.shape):
+            z[b] = step @ rng.standard_normal((b.stop - b.start, len(step))).T
         d = ms.distances(i, j)
         for lam in lambdas:
             bound = float(np.exp(0.5 * lam ** 2 * proc.sigma ** 2 * d ** 2))
@@ -411,10 +409,10 @@ def dense_sequence_sup_check(coarse: np.ndarray, fine: np.ndarray,
     if containment.max(initial=0.0) > 1e-9 * scale:
         raise ValueError("the coarse set must be contained in the fine set")
     mesh = float(metric.nearest_distances(fine, coarse).max())
-    rng = derive_rng(seed, "dense-sup", len(coarse), len(fine))
-    noise = rng.standard_normal((n_samples, fine.shape[1]))
-    # both suprema relative to the same basepoint value
+    # both suprema on the same noise, relative to the same basepoint value
     est_c, est_f = (McEstimate.from_samples(sample_maxima(
-        proc.coefficients(cloud, fine[0]), noise)) for cloud in (coarse, fine))
+        proc.coefficients(cloud, fine[0]),
+        derive_rng(seed, "dense-sup", len(coarse), len(fine)), n_samples))
+        for cloud in (coarse, fine))
     bound = proc.sigma * mesh * chi_mean(fine.shape[1])
     return DenseSupCheck(coarse=est_c, fine=est_f, mesh=mesh, gap_bound=bound)

@@ -12,8 +12,7 @@ Exit codes: 0 all checks passed, 1 at least one inequality check failed,
 choices or below its bound, a zero-size configuration, non-finite input, a
 point cloud whose diameter is 0, a scale such as sigma^2 that underflows to
 0 or overflows, a linear regress sigma below its rounding floor, a
-gauss-check sample count above ``gaussian.SAMPLE_BUDGET``, a dudley sample
-count above ``chaining.sample_budget`` of the cloud's dimension), 3
+gauss-check or dudley sample count above ``gaussian.SAMPLE_BUDGET``), 3
 internal error.
 """
 
@@ -146,6 +145,10 @@ def _effective_config(args) -> dict:
         if getattr(args, opt.name) is not None:
             cfg[opt.name] = getattr(args, opt.name)
         _check(opt, cfg[opt.name])
+    # both Monte Carlo suites hold at most 32 bytes per sample
+    if cfg.get("samples", 0) > gaussian.SAMPLE_BUDGET:
+        raise ConfigError(f"samples = {cfg['samples']} exceeds the sample budget "
+                          f"{gaussian.SAMPLE_BUDGET}")
     return cfg
 
 
@@ -189,7 +192,10 @@ def run_cover(cfg) -> ReportCollector:
     if cfg["eps"]:
         scales = []
         for tok in cfg["eps"].split(","):
-            scales.append(float(tok))
+            try:
+                scales.append(float(tok))
+            except ValueError:
+                raise ConfigError(f"the eps scale {tok!r} is not a number") from None
             if not math.isfinite(scales[-1]):
                 raise ConfigError(f"eps holds a non-finite scale {tok!r}")
     else:
@@ -253,9 +259,6 @@ def run_gauss_check(cfg) -> ReportCollector:
     from concurrent.futures import ThreadPoolExecutor
 
     seed, n, count = cfg["seed"], cfg["samples"], cfg["fields"]
-    if n > gaussian.SAMPLE_BUDGET:
-        raise ConfigError(f"samples = {n} exceeds the gauss-check sample budget "
-                          f"{gaussian.SAMPLE_BUDGET}")
     col = ReportCollector(seed)
 
     # One job per field, each on its own (seed, label, field) streams, so the
@@ -298,10 +301,6 @@ def run_dudley(cfg) -> ReportCollector:
     seed, n_samples, sigma = cfg["seed"], cfg["samples"], cfg["sigma"]
     col = ReportCollector(seed)
     ms = _load_metric_set(cfg)
-    dim = ms.points.shape[1]
-    if n_samples > chaining.sample_budget(dim):
-        raise ConfigError(f"samples = {n_samples} exceeds the dudley sample budget "
-                          f"{chaining.sample_budget(dim)} for {dim}-dimensional points")
     # the MGF grid squares sigma and lam = x / (sigma diam), |x| <= 1; the
     # estimates sum squared deviations of maxima, below (8 sigma diam)^2
     # unless a draw strays by 8 standard deviations (sigma diam bounds one)

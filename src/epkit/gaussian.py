@@ -22,8 +22,8 @@ loops handle the last few elements of an array, and OpenBLAS's gemv the
 last rows of a product, by separate code.  Blocks at multiples of 1024 rows
 keep every row at the same position within its group of 4, 8 or 16 as in
 the whole draw, and the last block ends where the draw ends, so each row is
-computed by the same code as before, as ``chaining.BLAS_ALIGN`` does for
-the blocks of its products.
+computed by the same code as before, as ``chaining.sample_maxima``'s blocks
+do for its products.
 
 Only the per-sample vectors (8 bytes per sample each: values, squared
 derivatives, entropy terms, gradient energies, tail indicators, maxima) are

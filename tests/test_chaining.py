@@ -11,9 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from epkit import chaining, cli, metric
+import whole_panel_chaining as whole
+from epkit import chaining, cli, gaussian, metric
 from epkit.gaussian import McEstimate, three_sigma_margin
-from epkit.rng import derive_rng
+from epkit.rng import ROW_ALIGN, derive_rng
 from exact_cover import exact_covering_number
 
 SEED = 2024
@@ -178,6 +179,14 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
+def panel_maxima(scaled, noise, rows=None):
+    """sample_maxima on the rows of a fixed noise panel, every row drawn."""
+    stream = whole.RowStream(noise)
+    out = chaining.sample_maxima(scaled, stream, len(noise), rows=rows)
+    assert stream.drawn == len(noise)
+    return out
+
+
 class TestSampleMaxima:
     @pytest.mark.parametrize("m", [1, 2, 4, 5, 33, 65, 1000])
     @pytest.mark.parametrize("n", [1, 2, 3, 1025, 2049, 4097])
@@ -189,9 +198,9 @@ class TestSampleMaxima:
         noise = rng.standard_normal((n, 2))
         x = proc.realize(s, noise)
         scaled = proc.coefficients(s.points, s.points[0])
-        assert hexes(chaining.sample_maxima(scaled, noise)) == hexes(x.max(axis=0))
+        assert hexes(panel_maxima(scaled, noise)) == hexes(x.max(axis=0))
         for rows in (np.arange(0, m, 2), np.array([m - 1])):
-            assert (hexes(chaining.sample_maxima(scaled, noise, rows=rows))
+            assert (hexes(panel_maxima(scaled, noise, rows=rows))
                     == hexes(x[rows].max(axis=0)))
 
     @pytest.mark.parametrize("k", [7, 11])
@@ -201,10 +210,10 @@ class TestSampleMaxima:
         # between its two vertices rounds highest
         points = np.array([(x, y) for x in range(k + 1) for y in range(k + 1 - x)],
                           dtype=float)
-        noise = derive_rng(16, "facet", k).standard_normal((chaining.BLAS_ALIGN, 2))
+        noise = derive_rng(16, "facet", k).standard_normal((ROW_ALIGN, 2))
         noise[0] = 0.7
         x = points @ noise.T
-        assert (hexes(chaining.sample_maxima(points, noise))
+        assert (hexes(panel_maxima(points, noise))
                 == hexes(x.max(axis=0)))
 
     def test_points_just_inside_a_slanted_facet_are_kept(self):
@@ -214,9 +223,9 @@ class TestSampleMaxima:
         points = 0.1 * np.array([(x, y) for x in range(103) for y in range(86)
                                  if 5 * x + 6 * y <= 510], dtype=float)
         rng = derive_rng(18, "slanted")
-        noise = rng.standard_normal((chaining.BLAS_ALIGN, 2))
+        noise = rng.standard_normal((ROW_ALIGN, 2))
         noise[:64] = np.outer(rng.uniform(0.3, 2.0, 64), [5.0, 6.0]) / np.sqrt(61.0)
-        assert (hexes(chaining.sample_maxima(points, noise))
+        assert (hexes(panel_maxima(points, noise))
                 == hexes((points @ noise.T).max(axis=0)))
 
     def test_a_last_block_of_4_to_7_modulo_8_rows_is_multiplied_whole(
@@ -228,10 +237,10 @@ class TestSampleMaxima:
         for tail in range(4, 8):
             rng = derive_rng(19, "tail", tail)
             scaled = rng.uniform(-1, 1, size=(65, 2))
-            noise = rng.standard_normal((3 * chaining.BLAS_ALIGN + tail, 2))
-            blocks = metric.blocks(len(noise), 8 * 65, align=chaining.BLAS_ALIGN)
+            noise = rng.standard_normal((3 * ROW_ALIGN + tail, 2))
+            blocks = metric.blocks(len(noise), 8 * 65, align=ROW_ALIGN)
             expected = [(scaled @ noise[b].T).max(axis=0) for b in blocks]
-            assert (hexes(chaining.sample_maxima(scaled, noise))
+            assert (hexes(panel_maxima(scaled, noise))
                     == hexes(np.concatenate(expected)))
 
     @pytest.mark.parametrize("n", [1, 3, 7, 1029])
@@ -243,7 +252,7 @@ class TestSampleMaxima:
         rng = derive_rng(17, "unaligned", n)
         scaled = rng.uniform(-1, 1, size=(100, 2))
         noise = rng.standard_normal((n, 2))
-        assert (hexes(chaining.sample_maxima(scaled, noise))
+        assert (hexes(panel_maxima(scaled, noise))
                 == hexes((scaled @ noise.T).max(axis=0)))
 
     @pytest.mark.parametrize("dim", [1, 4])
@@ -511,17 +520,15 @@ class TestDepthDefault:
 
 class TestSampleBudget:
     def test_budget_values(self):
-        assert chaining.sample_budget(2) == 26843545
-        default = cli._SAMPLES.default
-        assert chaining.sample_budget(1339) >= default > chaining.sample_budget(1340)
+        # one budget for both Monte Carlo suites: 2^30 bytes at 32 per sample
+        assert gaussian.SAMPLE_BUDGET == 1 << 25 >= cli._SAMPLES.default
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
     def test_checks_hold_the_budgeted_bytes_per_sample(self, dim):
-        # at a multiple of 8 samples every block multiplies only the points
-        # near the hull, and the block products take at most twice
+        # a block of noise rows and its product take at most twice
         # BLOCK_BYTES whatever the sample count; what grows with the samples
-        # is the noise panel and the per-sample vectors, so their bytes per
-        # sample are the growth of the peak from n to 2n samples
+        # is the per-sample vectors, so their bytes per sample are the
+        # growth of the peak from n to 2n samples
         n = 1 << 17
         rng = derive_rng(16, "budget", dim)
         pts = rng.uniform(-1, 1, size=(200, dim))
@@ -547,8 +554,91 @@ class TestSampleBudget:
 
         peaks = [(peak(call, n), peak(call, 2 * n)) for call in calls]
         per_sample = [(big - small) / n for small, big in peaks]
-        assert max(per_sample) <= 8 * (dim + 3) + 0.1
-        assert max(big for _, big in peaks) <= (8 * (dim + 3) * 2 * n
-                                                + 2 * metric.BLOCK_BYTES)
-        # the MGF grid holds the budgeted bytes, not fewer
-        assert per_sample[2] > 8 * (dim + 2) + 4
+        assert max(per_sample) <= gaussian._SAMPLE_BYTES
+        assert max(big for _, big in peaks) < (gaussian._SAMPLE_BYTES * 2 * n
+                                               + 2 * metric.BLOCK_BYTES)
+        # the MGF grid holds its increments, its exponentials and the
+        # deviations of the standard deviation: 24 bytes per sample
+        assert 16 < per_sample[2] <= 24 + 0.1
+
+    def test_no_check_draws_a_whole_sample_count_of_rows(self, monkeypatch):
+        # every draw is one block of noise rows, and the blocks together
+        # draw each check's samples once
+        drawn = []
+
+        class Logged:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, shape):
+                drawn.append(shape[0])
+                return self.rng.standard_normal(shape)
+
+        derive = chaining.derive_rng
+        monkeypatch.setattr(chaining, "derive_rng",
+                            lambda *labels: Logged(derive(*labels)))
+        monkeypatch.setattr(metric, "BLOCK_BYTES", 1)   # 1024-row blocks
+        n = 3 * ROW_ALIGN + 5
+        s = random_cloud(derive_rng(23, "draws"), 30, 2)
+        proc = chaining.CanonicalProcess(sigma=1.0)
+        checks = [lambda: chaining.stage1_bound_check(
+                      chaining.build_dyadic_nets(s), proc, n, SEED),
+                  lambda: chaining.dudley_bound_check(s, proc, n, SEED),
+                  lambda: chaining.subgaussian_process_check(
+                      s, proc, [(0, 29), (3, 7)], [1.0], n, SEED),
+                  lambda: chaining.dense_sequence_sup_check(
+                      s.points[:10], s.points, proc, n, SEED)]
+        for check, streams in zip(checks, (1, 1, 2, 2)):
+            drawn.clear()
+            check()
+            assert max(drawn) < n and sum(drawn) == streams * n
+
+
+# the MGF grid's pairs and lambdas in the oracle comparisons
+PAIRS, LAMBDAS = [(0, 7), (3, 1), (5, 5)], [-1.0, 0.5]
+
+
+def estimates(checks, s, fine, proc, n):
+    """Every number of the four Monte Carlo checks of a module, in float hex:
+    the streamed ``chaining`` or the whole-panel oracle."""
+    nets = chaining.build_dyadic_nets(s)
+    stage1, bound1 = checks.stage1_bound_check(nets, proc, n, SEED)
+    esup, bound = checks.dudley_bound_check(s, proc, n, SEED)
+    worst, rows = checks.subgaussian_process_check(s, proc, PAIRS, LAMBDAS, n, SEED)
+    dense = checks.dense_sequence_sup_check(s.points, fine, proc, n, SEED)
+    return hexes([stage1.mean, stage1.stderr, bound1, esup.mean, esup.stderr, bound,
+                  worst, *(x for r in rows for x in (r.empirical, r.stderr)),
+                  dense.coarse.mean, dense.coarse.stderr, dense.fine.mean,
+                  dense.fine.stderr, dense.mesh, dense.gap_bound])
+
+
+class TestWholePanelOracle:
+    """The streamed checks give the bits of the whole-panel checks they
+    replaced (tests/whole_panel_chaining.py)."""
+
+    @staticmethod
+    def clouds(m, dim, tag):
+        rng = derive_rng(24, tag, m, dim)
+        pts = rng.uniform(-1, 1, size=(m, dim))
+        fine = np.vstack([pts, rng.uniform(-1, 1, size=(m // 10, dim))])
+        return metric.FiniteMetricSet.from_points(pts), fine
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_every_residue_modulo_8(self, dim):
+        # 1100 points make 1024-row blocks, the last holding 0 to 7 rows
+        # past a multiple of 8
+        s, fine = self.clouds(1100, dim, "residues")
+        proc = chaining.CanonicalProcess(sigma=1.3)
+        for n in range(4096, 4104):
+            assert (estimates(chaining, s, fine, proc, n)
+                    == estimates(whole, s, fine, proc, n)), n
+
+    @pytest.mark.parametrize("dim", [8, 12])
+    def test_high_dimensions_at_one_blas_thread(self, blas_threads, dim):
+        # the whole panel's increments change with the thread count here; at
+        # one thread they are those of the blocks
+        blas_threads(1)
+        s, fine = self.clouds(200, dim, "high")
+        proc = chaining.CanonicalProcess(sigma=0.7)
+        assert (estimates(chaining, s, fine, proc, 100_003)
+                == estimates(whole, s, fine, proc, 100_003))

@@ -44,9 +44,9 @@ NAMED_LIMITS = {
     ("maurey", "--eps", "1e-200"): f"sample budget {maurey.SAMPLE_BUDGET}",
     ("dudley", "--points", f"{DATA}/square.csv", "--K", "49"):
         f"supported depths 0..{chaining.MAX_DEPTH}",
+    # one budget for both Monte Carlo suites, whatever the cloud's dimension
     ("dudley", "--points", f"{DATA}/square.csv", "--samples",
-     str(chaining.sample_budget(2) + 1)):
-        f"sample budget {chaining.sample_budget(2)} for 2-dimensional points",
+     str(gaussian.SAMPLE_BUDGET + 1)): f"sample budget {gaussian.SAMPLE_BUDGET}",
     # a NaN or an infinity is rejected before any distance is computed
     ("cover", "--points", f"{DATA}/nan_point.csv"): "non-finite entry in row 1",
     ("entropy", "--points", f"{DATA}/inf_point.csv"): "non-finite entry in row 2",
@@ -72,6 +72,10 @@ NAMED_LIMITS = {
         "non-finite scale 'inf'",
     ("cover", "--points", f"{DATA}/square.csv", "--eps", "0.5,nan"):
         "non-finite scale 'nan'",
+    ("cover", "--points", f"{DATA}/square.csv", "--eps", ","):
+        "the eps scale '' is not a number",
+    ("cover", "--points", f"{DATA}/square.csv", "--eps", "0.1,x"):
+        "the eps scale 'x' is not a number",
     ("regress", "--grid", "32:4,32:4"): "the grid repeats the cell 32:4",
     ("regress", "--class", "l1", "--grid", "32:64,64:128,32:64"):
         "the grid repeats the cell 32:64",
@@ -592,8 +596,8 @@ def test_samples_above_the_budget_exit_2_under_an_address_space_limit(tmp_path):
 
 def test_dudley_samples_above_the_budget_exit_2_under_an_address_space_limit(
         tmp_path):
-    # on 50 points the noise panel of 200000000 samples asked for 2.98 GiB
-    # there and ended in exit 3
+    # on 50 points a whole noise panel of 200000000 samples asked for 2.98
+    # GiB there and ended in exit 3
     pts = tmp_path / "pts.csv"
     np.savetxt(pts, np.random.default_rng(0).uniform(0, 1, size=(50, 2)),
                delimiter=",")
@@ -601,19 +605,40 @@ def test_dudley_samples_above_the_budget_exit_2_under_an_address_space_limit(
         ["dudley", "--points", str(pts), "--samples", "200000000",
          "--out", str(tmp_path / "out")])
     assert proc.returncode == 2, proc.stderr
-    assert f"dudley sample budget {chaining.sample_budget(2)}" in proc.stderr
+    assert f"sample budget {gaussian.SAMPLE_BUDGET}" in proc.stderr
     assert not (tmp_path / "out").exists()
 
 
-def test_dudley_checks_its_budget_before_any_net(monkeypatch, capsys):
-    def no_nets(*args, **kwargs):
-        raise AssertionError("a net was built")
+class NetsReached(Exception):
+    pass
 
-    monkeypatch.setattr(chaining, "build_dyadic_nets", no_nets)
-    argv = ["dudley", "--points", f"{DATA}/square.csv",
-            "--samples", str(chaining.sample_budget(2) + 1)]
-    assert cli.main(argv) == 2
-    assert "dudley sample budget" in capsys.readouterr().err
+
+@pytest.fixture
+def no_nets(monkeypatch):
+    """build_dyadic_nets replaced by a raise of NetsReached."""
+    def refuse(*args, **kwargs):
+        raise NetsReached
+
+    monkeypatch.setattr(chaining, "build_dyadic_nets", refuse)
+
+
+def test_dudley_checks_its_budget_before_any_net(no_nets, tmp_path, capsys):
+    for dim in (1, 2, 8):
+        pts = tmp_path / f"pts{dim}.csv"
+        np.savetxt(pts, np.random.default_rng(dim).uniform(size=(5, dim)),
+                   delimiter=",")
+        argv = ["dudley", "--points", str(pts),
+                "--samples", str(gaussian.SAMPLE_BUDGET + 1)]
+        assert cli.main(argv) == 2
+        assert f"sample budget {gaussian.SAMPLE_BUDGET}" in capsys.readouterr().err
+
+
+def test_dudley_takes_samples_above_its_former_2d_budget(no_nets, capsys):
+    # 2^30 // 40 + 1: past the 2-D budget of the whole noise panel, within
+    # the one sample budget, so the run reaches the nets
+    argv = ["dudley", "--points", f"{DATA}/square.csv", "--samples", "26843546"]
+    assert cli.main(argv) == 3
+    assert "NetsReached" in capsys.readouterr().err
 
 
 LOADED_SCIPY = ("print(sorted(m for m in sys.modules "

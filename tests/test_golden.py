@@ -36,3 +36,11 @@ def test_the_environment_names_the_blas_kernel(monkeypatch):
 
     monkeypatch.setattr(golden_cases.ctypes, "CDLL", NoSymbols)
     assert golden_cases.environment()["blas_kernel"] == "unknown"
+
+
+def test_dudley_reports_do_not_depend_on_the_blas_thread_count(blas_threads,
+                                                               tmp_path):
+    for threads in (1, 2):
+        blas_threads(threads)
+        golden_cases.run_case("dudley", tmp_path / str(threads))
+    assert golden_cases.first_mismatch(tmp_path / "1", tmp_path / "2") is None

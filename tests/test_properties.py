@@ -25,10 +25,11 @@ from scipy.spatial.distance import cdist
 from epkit import chaining, discrete, maurey, metric
 from epkit import regression as rg
 from epkit.cli import EXACT_TOL
-from epkit.rng import gaussian_design, l1_ball_point
+from epkit.rng import ROW_ALIGN, gaussian_design, l1_ball_point
 from exact_cover import exact_covering_number
 from maurey_average import maurey_average_error, normalized_from
 from product_spaces import cond_exp_except_coord
+from whole_panel_chaining import RowStream
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -242,8 +243,8 @@ def blockwise_maxima(scaled, noise, rows):
     picked = slice(None) if rows is None else rows
     return np.concatenate([
         (scaled @ noise[b].T)[picked].max(axis=0)
-        for b in metric.blocks(len(noise), 8 * len(scaled),
-                               align=chaining.BLAS_ALIGN)])
+        for b in metric.blocks(len(noise), 8 * max(len(scaled), scaled.shape[1]),
+                               align=ROW_ALIGN)])
 
 
 @PROPERTY
@@ -269,7 +270,7 @@ def test_sample_maxima_match_the_whole_product(shape, m, scale, n, subset, seed)
     whole = (scaled @ noise.T)[slice(None) if rows is None else rows].max(axis=0)
     for budget in (metric.BLOCK_BYTES, 1):
         with mock.patch.object(metric, "BLOCK_BYTES", budget):
-            got = hexes(chaining.sample_maxima(scaled, noise, rows))
+            got = hexes(chaining.sample_maxima(scaled, RowStream(noise), n, rows))
             assert got == hexes(blockwise_maxima(scaled, noise, rows))
         # the blocks give the whole product's maxima in up to 3 dimensions
         # when the last block holds 0 to 3 rows modulo 8; otherwise OpenBLAS
