@@ -130,7 +130,8 @@ def _noise_blocks(n_samples: int, m: int, dim: int) -> list:
     return metric.blocks(n_samples, 8 * max(m, dim), align=ROW_ALIGN)
 
 
-def sample_maxima(scaled: np.ndarray, rng, n_samples: int, rows=None) -> np.ndarray:
+def sample_maxima(scaled: np.ndarray, rng: np.random.Generator, n_samples: int,
+                  rows=None) -> np.ndarray:
     """For each of n_samples standard normal rows w drawn from rng, one block
     of rows at a time, the maximum of scaled @ w over rows (all by default).
 

@@ -36,17 +36,12 @@ def no_children_left():
 
 
 @pytest.fixture
-def threads():
+def threads(blas_threads):
     """numpy's OpenBLAS thread count getter, with the count set to 2 for the
     test and restored after it, so that a worker's count of 1 is never the
     parent's."""
-    count, pin = blas.thread_getter(), blas.thread_setter()
-    if count is None or pin is None:
-        pytest.skip("numpy's OpenBLAS exports no thread getter or setter")
-    before = count()
-    pin(2)
-    yield count
-    pin(before)
+    blas_threads(2)
+    return blas.thread_getter()
 
 
 @pytest.fixture
