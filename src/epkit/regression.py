@@ -14,11 +14,26 @@ interior so the shifted class is star-shaped.
 
 Function classes.  ``LinearClass`` and ``L1BallClass`` hold all that differs
 between the two classes, so no experiment branches on the class:
-``inner_sups(X, w, delta)`` is the supremum of w' X theta / n over the class
-within the empirical delta-ball for each noise row of w (to relative
-accuracy ``REL_TOL`` where it is iterative), and ``reach(X)`` the largest
-empirical norm the class attains.  The class constant ``kind`` labels the
-class in derived random streams.
+``inner_sups(X, w, delta, pmap)`` is the supremum of w' X theta / n over the
+class within the empirical delta-ball for each noise row of w (to relative
+accuracy ``REL_TOL`` where it is iterative), with pmap a map such as the
+builtin ``map``, and ``reach(X)`` the largest empirical norm the class
+attains.  The class constant ``kind`` labels the class in derived random
+streams.
+
+Radius suprema on workers.  ``critical_radius``, ``localized_complexity_mc``
+and ``estimate_bad_event_probability`` each open one ``workers.forked_pool``
+and pass its map to ``inner_sups``.  The l1 class maps ``l1_localized_sup``
+over the noise rows, so the rows of one supremum run on forked workers, and
+one pool serves a whole critical-radius call: its 8 grid radii and every
+bisection step, about 21 maps, fork once.  The bits cannot move: each row
+is solved by the same function on the same row wherever it runs, and the
+map returns the results in row order, so the mean, the estimates and every
+report are those of the serial loop.  The linear class's closed form is one
+batched product and ignores the map, so it never forks.  A tracer's spans
+inside the workers are not seen: a traced l1-radius run reads
+``regression.l1_localized_sup.calls`` and ``critical_radius.g_evals`` as 0,
+as the l1 sweep's solves have read since they moved to workers.
 
 Lockstep l1 solves.  ``solve_ls_l1_batch`` runs the Frank-Wolfe loop over a
 stack of problems of one shape, and ``solve_ls_l1`` is a stack of one.  Each
@@ -373,6 +388,12 @@ def l1_localized_sup(X, w, R: float, delta: float) -> float:
     return best_lb
 
 
+def _l1_sup_row(X, R: float, delta: float, w) -> float:
+    """l1_localized_sup of one noise row, looked up on this module when it
+    runs, as a tracer that wraps it expects."""
+    return l1_localized_sup(X, w, R, delta)
+
+
 # -- function classes ---------------------------------------------------------
 
 
@@ -382,10 +403,11 @@ class LinearClass:
 
     kind: ClassVar[str] = "linear"
 
-    def inner_sups(self, X, w, delta: float) -> np.ndarray:
+    def inner_sups(self, X, w, delta: float, pmap) -> np.ndarray:
         """Closed form: per row, sup over {||X theta|| <= delta sqrt n} of
         |w' X theta| / n equals (delta / sqrt n) ||P w|| with P the
-        column-space projector."""
+        column-space projector; one batched product for all rows, so pmap
+        goes unused."""
         return delta / np.sqrt(X.shape[0]) * np.linalg.norm(w @ col_basis(X), axis=1)
 
     def reach(self, X) -> float:
@@ -404,9 +426,10 @@ class L1BallClass:
         if self.R <= 0:
             raise ValueError("R must be positive")
 
-    def inner_sups(self, X, w, delta: float) -> np.ndarray:
-        """Dual conditional gradient per row (l1_localized_sup)."""
-        return np.asarray([l1_localized_sup(X, row, self.R, delta) for row in w])
+    def inner_sups(self, X, w, delta: float, pmap) -> np.ndarray:
+        """Dual conditional gradient per row (l1_localized_sup), the rows
+        mapped by pmap."""
+        return np.asarray(list(pmap(partial(_l1_sup_row, X, self.R, delta), w)))
 
     def reach(self, X) -> float:
         """R max_j ||X_j|| / sqrt(n), attained at a signed vertex."""
@@ -424,11 +447,14 @@ def localized_complexity_mc(X, cls, delta: float, n_samples: int,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2 for a standard error")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     rng = derive_rng(seed, "lgc-mc", n, X.shape[1], cls.kind)
     w = rng.standard_normal((n_samples, n))
-    vals = cls.inner_sups(X, w, delta)
+    with workers.forked_pool() as pmap:
+        vals = cls.inner_sups(X, w, delta, pmap)
     if not np.isfinite(vals).all():
         raise HneViolationError("inner supremum not finite on some draw")
     return McEstimate.from_samples(vals)
@@ -456,36 +482,39 @@ def critical_radius(model: RegressionModel, cls, bracket, n_samples: int,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 < lo < hi:
         raise BracketError("need 0 < lo < hi")
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     X = model.x
     n = model.n
     panel = derive_rng(seed, "cr-panel", n, model.d).standard_normal((n_samples, n))
+    with workers.forked_pool() as pmap:
 
-    def g(delta):
-        return float(np.mean(cls.inner_sups(X, panel, delta)))
+        def g(delta):
+            return float(np.mean(cls.inner_sups(X, panel, delta, pmap)))
 
-    def h(delta, g_delta):
-        return g_delta / delta - delta / (2.0 * model.sigma)
+        def h(delta, g_delta):
+            return g_delta / delta - delta / (2.0 * model.sigma)
 
-    # geomspace pins both endpoints, so g(lo) and g(hi) are read off the grid
-    deltas = np.geomspace(lo, hi, 8)
-    g_grid = [g(dd) for dd in deltas]
-    ratios = np.asarray([gd / dd for gd, dd in zip(g_grid, deltas)])
-    slack = 2.0 * REL_TOL * (np.abs(ratios[:-1]) + 1e-30)
-    monotone = bool((np.diff(ratios) <= slack).all())
+        # geomspace pins both endpoints, so g(lo) and g(hi) are read off the grid
+        deltas = np.geomspace(lo, hi, 8)
+        g_grid = [g(dd) for dd in deltas]
+        ratios = np.asarray([gd / dd for gd, dd in zip(g_grid, deltas)])
+        slack = 2.0 * REL_TOL * (np.abs(ratios[:-1]) + 1e-30)
+        monotone = bool((np.diff(ratios) <= slack).all())
 
-    if g_grid[0] <= 1e-15 * (1.0 + model.sigma):
-        return CriticalRadius(delta_star=lo, degenerate=True, ratios=ratios,
-                              ratio_monotone=monotone)
-    h_lo, h_hi = h(lo, g_grid[0]), h(hi, g_grid[-1])
-    if not (h_lo > 0 >= h_hi):
-        raise BracketError(
-            f"invalid bracket: h({lo:.6g}) = {h_lo:.6g}, h({hi:.6g}) = {h_hi:.6g}")
-    while (hi - lo) > REL_WIDTH * 0.5 * (hi + lo):
-        mid = 0.5 * (lo + hi)
-        if h(mid, g(mid)) > 0:
-            lo = mid
-        else:
-            hi = mid
+        if g_grid[0] <= 1e-15 * (1.0 + model.sigma):
+            return CriticalRadius(delta_star=lo, degenerate=True, ratios=ratios,
+                                  ratio_monotone=monotone)
+        h_lo, h_hi = h(lo, g_grid[0]), h(hi, g_grid[-1])
+        if not (h_lo > 0 >= h_hi):
+            raise BracketError(
+                f"invalid bracket: h({lo:.6g}) = {h_lo:.6g}, h({hi:.6g}) = {h_hi:.6g}")
+        while (hi - lo) > REL_WIDTH * 0.5 * (hi + lo):
+            mid = 0.5 * (lo + hi)
+            if h(mid, g(mid)) > 0:
+                lo = mid
+            else:
+                hi = mid
     # the upper endpoint is the certified side: h(hi) <= 0 throughout, so the
     # returned radius satisfies the balance inequality on the panel
     return CriticalRadius(delta_star=float(hi), degenerate=False, ratios=ratios,
@@ -505,6 +534,8 @@ def estimate_bad_event_probability(model: RegressionModel, cls, u: float,
     """
     if u <= 0:
         raise ValueError("u must be positive")
+    if trials < 2:
+        raise ValueError("trials must be at least 2 for a standard error")
     X = model.x
     n = model.n
     reach = cls.reach(X)
@@ -512,7 +543,8 @@ def estimate_bad_event_probability(model: RegressionModel, cls, u: float,
         raise HneViolationError(
             f"radius {u:.6g} exceeds the attainable norm {reach:.6g}")
     w = derive_rng(seed, "bad-event", n).standard_normal((trials, n))
-    sups = model.sigma * cls.inner_sups(X, w, u)
+    with workers.forked_pool() as pmap:
+        sups = model.sigma * cls.inner_sups(X, w, u, pmap)
     return McEstimate.from_samples((sups >= 2.0 * u ** 2).astype(float))
 
 

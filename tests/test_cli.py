@@ -650,12 +650,14 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_process_pool_and_no_ctypes_of_its_own():
-    # the l1 sweep's worker pool and the OpenBLAS lookup are imported where
-    # they are used; numpy loads ctypes itself (numpy._core._internal), so
-    # only ctypes modules beyond numpy's count
+    # the worker pool and the OpenBLAS lookup are imported where they are
+    # used, so that a run that never forks pays for neither; a module-level
+    # "from concurrent.futures import ..." alone loads concurrent.futures._base,
+    # logging, string and traceback.  numpy loads ctypes itself
+    # (numpy._core._internal), so only ctypes modules beyond numpy's count
     code = ("import sys, numpy\nnumpys = set(sys.modules)\nimport epkit.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith("
-            "('multiprocessing', 'concurrent.futures.process'))"
+            "('multiprocessing', 'concurrent', 'logging'))"
             " or m.startswith('ctypes') and m not in numpys))")
     assert fresh_interpreter(code).strip() == "[]"
 

@@ -84,7 +84,7 @@ def test_linear_inner_sup_is_projected_noise_norm(n, d, seed, delta, zero):
     rng = np.random.default_rng(seed)
     X = np.zeros((n, d)) if zero else rng.standard_normal((n, d))
     w = rng.standard_normal((4, n))
-    sups = rg.LinearClass().inner_sups(X, w, delta)
+    sups = rg.LinearClass().inner_sups(X, w, delta, map)
     projected = X @ np.linalg.lstsq(X, w.T, rcond=None)[0]   # P w, column-wise
     expected = delta * np.linalg.norm(projected, axis=0) / np.sqrt(n)
     np.testing.assert_allclose(sups, expected, rtol=1e-9, atol=1e-12)

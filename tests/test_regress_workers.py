@@ -1,8 +1,9 @@
-"""The l1 regress sweep on forked worker processes: the same report bytes as
-in-process, no process left behind, workers on one OS thread and one
-OpenBLAS thread while the parent's count is restored on every exit, the
-in-process fallback where OpenBLAS cannot be held to one thread or the pool
-fails, and errors raised in a worker."""
+"""The l1 regress sweep and the l1 radius estimates on forked worker
+processes: the same report bytes and floats as in-process, no process left
+behind, workers on one OS thread and one OpenBLAS thread while the parent's
+count is restored on every exit, one pool per estimate and none for the
+linear class, the in-process fallback where OpenBLAS cannot be held to one
+thread or the pool fails, and errors raised in a worker."""
 
 import concurrent.futures
 import errno
@@ -11,9 +12,11 @@ import os
 import signal
 import threading
 
+import numpy as np
 import pytest
 
 from epkit import blas, cli, regression, workers
+from epkit.rng import derive_rng
 
 ARGV = ["regress", "--class", "l1", "--grid", "8:16,16:32", "--trials", "6",
         "--seed", "3"]
@@ -210,3 +213,94 @@ def test_worker_error_exits_as_in_process(error, code, tmp_path, monkeypatch,
     assert pools == [2] and threads() == 2
     assert forked == serial
     assert serial[0] == code and "the solver broke" in serial[1]
+
+
+# the base design of the l1-radius benchmark workload, unrotated
+RADIUS_X = derive_rng(21, "l1cr").standard_normal((10, 6))
+RADIUS_MODEL = regression.RegressionModel(x=RADIUS_X, theta_star=np.zeros(6),
+                                          sigma=0.5)
+L1 = regression.L1BallClass(R=1.0)
+
+
+def radius_estimates(cls, n_samples, draws=True):
+    """float.hex of delta* and the 8 ratios of critical_radius and, for two
+    or more draws, the mean and stderr of the complexity and bad-event
+    estimates at n_samples draws."""
+    cr = regression.critical_radius(RADIUS_MODEL, cls, (0.2, 3.0),
+                                    n_samples=n_samples, seed=7)
+    values = [cr.delta_star, *cr.ratios]
+    if draws and n_samples > 1:
+        for est in (regression.localized_complexity_mc(RADIUS_X, cls, 0.6,
+                                                       n_samples, 7),
+                    regression.estimate_bad_event_probability(
+                        RADIUS_MODEL, cls, 0.5, n_samples, 7)):
+            values += [est.mean, est.stderr]
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 3, 4, 5])
+def test_radius_estimates_match_in_process(n_samples, monkeypatch, pools):
+    monkeypatch.setattr(workers, "available_cpus", lambda: 1)
+    serial = radius_estimates(L1, n_samples)
+    assert pools == []
+    monkeypatch.setattr(workers, "available_cpus", lambda: 2)
+    assert radius_estimates(L1, n_samples) == serial
+    # one pool for each estimate, none for a panel of one row
+    assert pools == ([2] * 3 if n_samples > 1 else [])
+    assert multiprocessing.active_children() == []
+
+
+def test_one_pool_serves_a_whole_bisection(monkeypatch, pools):
+    monkeypatch.setattr(workers, "available_cpus", lambda: 2)
+    maps = []
+    inner_sups = regression.L1BallClass.inner_sups
+
+    def counted(self, X, w, delta, pmap):
+        maps.append(pmap)
+        return inner_sups(self, X, w, delta, pmap)
+
+    monkeypatch.setattr(regression.L1BallClass, "inner_sups", counted)
+    radius_estimates(L1, 4, draws=False)
+    # 8 grid radii and the bisection steps, all on the one pool
+    assert len(maps) > 8 and len(set(maps)) == 1
+    assert pools == [2]
+
+
+def test_linear_class_never_forks(monkeypatch, pools):
+    monkeypatch.setattr(workers, "available_cpus", lambda: 2)
+    radius_estimates(regression.LinearClass(), 5)
+    assert pools == []
+
+
+def test_worker_killed_mid_bisection_reruns_in_process(tmp_path, monkeypatch,
+                                                      threads, pools):
+    monkeypatch.setattr(workers, "available_cpus", lambda: 1)
+    want = radius_estimates(L1, 4, draws=False)
+    # after the first g evaluation every worker that solves a row dies
+    parent, killed = os.getpid(), tmp_path / "killed"
+    sup, inner_sups = regression.l1_localized_sup, regression.L1BallClass.inner_sups
+    maps, in_process = [], []
+
+    def killing(*args):
+        if os.getpid() != parent and killed.exists():
+            os.kill(os.getpid(), signal.SIGKILL)
+        if os.getpid() == parent:
+            in_process.append(1)
+        return sup(*args)
+
+    def first_then_kill(self, X, w, delta, pmap):
+        maps.append(pmap)
+        out = inner_sups(self, X, w, delta, pmap)
+        killed.touch()
+        return out
+
+    monkeypatch.setattr(regression, "l1_localized_sup", killing)
+    monkeypatch.setattr(regression.L1BallClass, "inner_sups", first_then_kill)
+    monkeypatch.setattr(workers, "available_cpus", lambda: 2)
+    assert radius_estimates(L1, 4, draws=False) == want
+    assert multiprocessing.active_children() == []
+    assert threads() == 2
+    # the first g evaluation ran on the workers, every later row here,
+    # with no second pool
+    assert len(maps) > 8 and len(in_process) == 4 * (len(maps) - 1)
+    assert pools == [2]

@@ -503,7 +503,7 @@ def test_l1_sup_cases_match_the_oracle(kind, rel_tol, monkeypatch):
             assert bits(got) == bits(scalar_sup_oracle(X, w, R, R * delta)), delta
 
 
-def test_l1_sup_calls_go_through_the_module_attribute(monkeypatch):
+def test_l1_sup_calls_go_through_the_module_attribute(monkeypatch, in_process):
     # perfbench counts regression.l1_localized_sup calls and reads
     # critical_radius g evaluations as sup calls per draw: both need every
     # caller to look the function up on the module at call time
@@ -514,15 +514,15 @@ def test_l1_sup_calls_go_through_the_module_attribute(monkeypatch):
         sup_calls.append(1)
         return real_sup(*args)
 
-    def counting_sups(self, X, w, delta):
+    def counting_sups(self, X, w, delta, pmap):
         panel_rows.append(len(w))
-        return real_sups(self, X, w, delta)
+        return real_sups(self, X, w, delta, pmap)
 
     monkeypatch.setattr(rg, "l1_localized_sup", counting_sup)
     X = derive_rng(21, "l1cr").standard_normal((10, 6))
     cls = rg.L1BallClass(R=1.0)
     w = derive_rng(32, "rows").standard_normal((5, 10))
-    vals = cls.inner_sups(X, w, 0.5)
+    vals = cls.inner_sups(X, w, 0.5, map)
     assert len(sup_calls) == 5
     assert [bits(v) for v in vals] == [bits(real_sup(X, row, 1.0, 0.5)) for row in w]
 
@@ -573,6 +573,16 @@ class TestCriticalRadius:
         with pytest.raises(rg.BracketError):
             rg.critical_radius(small_model, rg.LinearClass(), (5.0, 50.0),
                                n_samples=200, seed=1)
+
+    def test_no_draws_rejected_before_any(self, small_model, monkeypatch):
+        # an empty panel gave a NaN complexity, reported as a bad bracket
+        def no_draw(*args):
+            raise AssertionError("a noise panel was drawn")
+
+        monkeypatch.setattr(rg, "derive_rng", no_draw)
+        with pytest.raises(ValueError, match="n_samples"):
+            rg.critical_radius(small_model, rg.L1BallClass(R=1.0), (0.2, 3.0),
+                               n_samples=0, seed=1)
 
     def test_l1_class_ratio_monotone(self):
         rng = derive_rng(21, "l1cr")
@@ -665,10 +675,25 @@ class TestBadEvent:
                                               trials=10, seed=1)
 
 
+@pytest.mark.parametrize("draws", [0, 1])
+def test_estimates_of_fewer_than_two_draws_solve_nothing(draws, small_model,
+                                                         monkeypatch):
+    # a standard error needs two draws; no supremum is solved before that
+    def no_sup(*args):
+        raise AssertionError("an inner supremum was solved")
+
+    monkeypatch.setattr(rg.L1BallClass, "inner_sups", no_sup)
+    cls = rg.L1BallClass(R=1.0)
+    with pytest.raises(ValueError, match="n_samples"):
+        rg.localized_complexity_mc(small_model.x, cls, 0.5, draws, SEED)
+    with pytest.raises(ValueError, match="trials"):
+        rg.estimate_bad_event_probability(small_model, cls, 0.5, draws, SEED)
+
+
 @pytest.fixture
 def in_process(monkeypatch):
-    """The sweep's stacks run in this process, where a patched function
-    sees their calls."""
+    """Forked maps (the sweep's stacks, the rows of an l1 supremum) run in
+    this process, where a patched function sees their calls."""
     monkeypatch.setattr(workers, "available_cpus", lambda: 1)
 
 
