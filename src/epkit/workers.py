@@ -35,8 +35,8 @@ class forked_pool:
     The workers fork at the block's first map of two or more tasks, min(CPUs,
     tasks) of them, and later maps of the block reuse them; the pool is shut
     down when the block exits.  The OpenBLAS thread count is set to 1 in this
-    process just before the workers fork and restored as soon as they have,
-    or the fork has failed, so the workers inherit it.  Setting it in a forked
+    process just before the workers fork, so that they inherit it, and
+    restored when the block exits or the pool fails.  Setting it in a forked
     worker instead would restart OpenBLAS's thread server there (a fork stops
     its threads), and the server's helper thread spins beside the task for
     nothing.
@@ -57,9 +57,10 @@ class forked_pool:
     afresh."""
 
     def __init__(self):
-        self.pool = None      # the executor, once its workers have forked
+        self.pool = None      # the executor, once built
         self.started = {}     # its workers by pid, which shutdown forgets
         self.serial = False   # every later map runs in-process
+        self.unpin = None     # restores this process's OpenBLAS thread count
 
     def __enter__(self):
         return self.map
@@ -79,35 +80,34 @@ class forked_pool:
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            if self.pool is not None:
-                return list(self.pool.map(fn, tasks))
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+            if self.pool is None:
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
 
-            before = threads()
-            pin(1)
-            try:
+                before = threads()
+                self.unpin = lambda: pin(before)
+                pin(1)
+                # the workers fork at the first task
                 self.pool = ProcessPoolExecutor(
                     max_workers=workers, mp_context=multiprocessing.get_context("fork"))
                 self.started = self.pool._processes
-                results = self.pool.map(fn, tasks)   # the first task forks them all
-            finally:
-                pin(before)
-            return list(results)
+            return list(self.pool.map(fn, tasks))
         except (OSError, BrokenProcessPool):
             self.close()
             self.serial = True
         return list(map(fn, tasks))
 
     def close(self):
-        """Shut the pool down and end its workers; a pool whose fork failed
-        holds workers that wait for tasks forever."""
+        """Shut the pool down, end its workers (a pool whose fork failed
+        holds workers that wait for tasks forever) and restore the count."""
         if self.pool is not None:
             self.pool.shutdown()
             for proc in self.started.values():
                 proc.terminate()
                 proc.join()
-        self.pool, self.started = None, {}
+        if self.unpin is not None:
+            self.unpin()
+        self.pool, self.started, self.unpin = None, {}, None
 
 
 def forked_map(fn, tasks) -> list:
