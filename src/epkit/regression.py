@@ -59,13 +59,13 @@ bundled OpenBLAS on one thread (``blas``), since unpinned the 128 x 256
 gemvs are threaded and 2 workers x 2 threads contend for 2 cores: on a
 2-core VM the benchmark sweep took 5.2-7.2 s in 7 of 9 unpinned runs,
 against 1.3-1.4 s serial and 0.7-0.9 s pinned.  The parent sets the count
-to 1 just before it forks and restores it once the workers have, so each
-worker inherits it: set inside a forked worker, the count restarts
-OpenBLAS's thread server (a fork stops its threads), whose helper thread
-then spins beside the worker's solve.  Where that library has no thread
-getter or setter, there is one stack or one CPU, the caller runs other
-threads, or the pool fails (a fork refused, a worker killed), the stacks
-run in-process.  Spans that a tracer wraps around library functions are
+to 1 just before it forks and restores it after the map, so each worker
+inherits it: set inside a forked worker, the count restarts OpenBLAS's
+thread server (a fork stops its threads), whose helper thread then spins
+beside the worker's solve.  Where that library has no thread getter or
+setter, there is one stack or one CPU, the caller runs other threads, or
+the pool fails (a fork refused, a worker killed), the stacks run
+in-process.  Spans that a tracer wraps around library functions are
 not seen inside the workers.
 
 Localized l1 supremum.  ``l1_localized_sup`` runs each conditional-gradient

@@ -36,10 +36,12 @@ class forked_pool:
     tasks) of them, and later maps of the block reuse them; the pool is shut
     down when the block exits.  The OpenBLAS thread count is set to 1 in this
     process just before the workers fork, so that they inherit it, and
-    restored when the block exits or the pool fails.  Setting it in a forked
-    worker instead would restart OpenBLAS's thread server there (a fork stops
-    its threads), and the server's helper thread spins beside the task for
-    nothing.
+    restored when the block exits or the pool fails.  Restored as soon as
+    they had forked, it made the benchmark's l1 sweep about 7 % slower and
+    its l1-radius passes about 20 % slower on a 2-core VM (the cause was not
+    isolated).  Setting it in a forked worker instead would restart
+    OpenBLAS's thread server there (a fork stops its threads), and the
+    server's helper thread spins beside the task for nothing.
 
     A map runs in-process where it has one task, and every map of the block
     does where there is one CPU, where numpy's OpenBLAS has no thread getter
