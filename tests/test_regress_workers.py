@@ -251,19 +251,20 @@ def test_radius_estimates_match_in_process(n_samples, monkeypatch, pools):
 
 
 def test_one_pool_serves_a_whole_bisection(monkeypatch, pools):
+    # every row of the 8 grid radii and of each bisection step is solved on
+    # the workers of one pool
+    parent, sup = os.getpid(), regression.l1_localized_sup
+    in_process = []
+
+    def logged(*args):
+        if os.getpid() == parent:
+            in_process.append(1)
+        return sup(*args)
+
+    monkeypatch.setattr(regression, "l1_localized_sup", logged)
     monkeypatch.setattr(workers, "available_cpus", lambda: 2)
-    maps = []
-    inner_sups = regression.L1BallClass.inner_sups
-
-    def counted(self, X, w, delta, pmap):
-        maps.append(pmap)
-        return inner_sups(self, X, w, delta, pmap)
-
-    monkeypatch.setattr(regression.L1BallClass, "inner_sups", counted)
     radius_estimates(L1, 4, draws=False)
-    # 8 grid radii and the bisection steps, all on the one pool
-    assert len(maps) > 8 and len(set(maps)) == 1
-    assert pools == [2]
+    assert pools == [2] and in_process == []
 
 
 def test_linear_class_never_forks(monkeypatch, pools):
